@@ -36,6 +36,7 @@ from .errors import (
 from .estimate import (
     FitConfig,
     config_from_dict,
+    config_to_dict,
     fit,
     trace_to_jsonl,
 )
@@ -100,10 +101,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_truth_model(path):
-    return load_model(path)
-
-
 def _resolve_fit_config(args) -> FitConfig:
     """Merge config file and CLI flags; flags win, K must agree."""
     file_cfg = {}
@@ -165,7 +162,7 @@ def _write_raster_csv(path, header: str, points, values) -> None:
 
 
 def cmd_generate(args) -> int:
-    model = _load_truth_model(args.model)
+    model = load_model(args.model)
     if (args.counts is None) == (args.n is None):
         raise CliUsageError("give exactly one of --counts and --n")
     counts = None
@@ -237,8 +234,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    truth = _load_truth_model(args.model)
-    estimated = _load_truth_model(args.estimate)
+    truth = load_model(args.model)
+    estimated = load_model(args.estimate)
     if len(truth.components) != len(estimated.components):
         raise CliUsageError(
             f"component counts differ: truth {len(truth.components)}, "
@@ -318,7 +315,7 @@ def _replicate_task(payload):
 
 
 def cmd_replicate(args) -> int:
-    truth = _load_truth_model(args.model)
+    truth = load_model(args.model)
     if (args.counts is None) == (args.n is None):
         raise CliUsageError("give exactly one of --counts and --n")
     counts = None
@@ -332,13 +329,7 @@ def cmd_replicate(args) -> int:
     if args.k is None:
         args.k = len(truth.components)
     config = _resolve_fit_config(args)
-    config_kwargs = {
-        name: getattr(config, name)
-        for name in (
-            "K", "max_iters_phase1", "max_iters_phase2",
-            "weight_tol", "mean_tol", "variance_floor", "restarts",
-        )
-    }
+    config_kwargs = config_to_dict(config)
     truth_dict = model_to_dict(truth)
     # each replicate gets two private seed lanes: simulate and fit
     payloads = [

@@ -32,16 +32,13 @@ from .errors import (
 from .model import (
     EigenDecomposition2D,
     GaussianComponent2D,
+    LineOfResponse,
     MembershipMatrix,
     MixtureModel2D,
     canonicalize_orientation,
     covariance_from_eigen,
 )
-from .projection import (
-    CenteredOffsets,
-    log_line_integral_profile,
-    mean_sinusoid,
-)
+from .projection import log_line_integral_profile, mean_sinusoid
 from .quartic import solve_quartic
 from .rng import SeededStream, derive_seed
 
@@ -206,35 +203,9 @@ class WeightedMoments:
             object.__setattr__(self, "m4w", floor)
 
 
-def _offset_arrays(offsets):
-    """Accept CenteredOffsets, an (s_c, phi) array pair, an (N, 2) array,
-    or any iterable of (s_c, phi) records."""
-    if isinstance(offsets, CenteredOffsets):
-        return offsets.s_c, offsets.phi
-    if (
-        isinstance(offsets, tuple)
-        and len(offsets) == 2
-        and not hasattr(offsets[0], "s_c")
-    ):
-        s_c = np.asarray(offsets[0], dtype=float).ravel()
-        phi = np.asarray(offsets[1], dtype=float).ravel()
-        if s_c.shape != phi.shape:
-            raise InputError("offset arrays must have matching length")
-        return s_c, phi
-    if isinstance(offsets, np.ndarray):
-        arr = np.asarray(offsets, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InputError(f"offset array must be (N, 2), got {arr.shape}")
-        return arr[:, 0].copy(), arr[:, 1].copy()
-    items = list(offsets)
-    s_c = np.array([o.s_c for o in items], dtype=float)
-    phi = np.array([o.phi for o in items], dtype=float)
-    return s_c, phi
-
-
 def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
     """Weighted second and fourth moments of the centered offsets."""
-    s_c, _ = _offset_arrays(offsets)
+    s_c, _ = _as_arrays(offsets)
     s2 = s_c * s_c
     if weights is None:
         total = float(s2.size)
@@ -273,7 +244,7 @@ def invert_moments(
 
 
 def _orientation_stats(offsets, weights):
-    s_c, phi = _offset_arrays(offsets)
+    s_c, phi = _as_arrays(offsets)
     t = s_c * s_c
     if weights is None:
         p = np.ones_like(phi)
@@ -473,8 +444,17 @@ def estimate_covariance(
 
 
 def _as_arrays(lors):
-    """Accept (s, phi) arrays, an (N, 2) array, or LineOfResponse items."""
-    if isinstance(lors, tuple) and len(lors) == 2:
+    """The one coercion of an event batch to matching 1-D float arrays.
+
+    Accepts an (s, phi) or (s_c, phi) array pair, an (N, 2) array, or a
+    sequence of :class:`LineOfResponse` records.  A tuple of two records
+    is a sequence of records, not an array pair.
+    """
+    if (
+        isinstance(lors, tuple)
+        and len(lors) == 2
+        and not isinstance(lors[0], LineOfResponse)
+    ):
         s = np.asarray(lors[0], dtype=float)
         phi = np.asarray(lors[1], dtype=float)
     elif isinstance(lors, np.ndarray):
@@ -523,10 +503,11 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     return np.array([mu_x, mu_y])
 
 
-def center_offsets(lors, mean) -> CenteredOffsets:
-    """Offsets of each LoR from the mean sinusoid of ``mean``."""
+def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of each LoR from the mean sinusoid of ``mean``, as the
+    (s_c, phi) pair the covariance pipeline takes."""
     s, phi = _as_arrays(lors)
-    return CenteredOffsets(s - mean_sinusoid(phi, mean), phi)
+    return s - mean_sinusoid(phi, mean), phi
 
 
 def _memberships_arrays(s, phi, means, covariances, tau):
@@ -604,6 +585,7 @@ def _run_single_fit(
             on_iteration(rec)
 
     # phase 1: hard assignments, means only
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     means = np.zeros((K, 2))
     prev_means = None
     for _ in range(config.max_iters_phase1):
@@ -624,11 +606,13 @@ def _run_single_fit(
         # reassign to the nearest mean sinusoid
         dist = np.abs(
             s[:, None]
-            + means[None, :, 0] * np.sin(phi)[:, None]
-            - means[None, :, 1] * np.cos(phi)[:, None]
+            + means[None, :, 0] * sin_phi[:, None]
+            - means[None, :, 1] * cos_phi[:, None]
         )
         assignment = np.argmin(dist, axis=1)
 
+    # phase 2 never reads them; freeing them keeps the peak memory down
+    del sin_phi, cos_phi
     covariances = np.empty((K, 2, 2))
     counts = np.bincount(assignment, minlength=K)
     for k in range(K):

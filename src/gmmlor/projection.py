@@ -16,13 +16,11 @@ vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateCovarianceError, InputError
-from .model import GaussianComponent2D, LineOfResponse
+from .model import EigenDecomposition2D, covariance_from_eigen
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -34,56 +32,6 @@ MARGINAL_QUAD_NODES = 201
 SIGMA_P_SQ_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class ProjectionVarianceParams:
-    """Principal variances and orientation of a projected Gaussian."""
-
-    sigma1_sq: float
-    sigma2_sq: float
-    phi0: float
-
-    def __post_init__(self):
-        if not (self.sigma1_sq >= self.sigma2_sq >= 0.0):
-            raise InputError(
-                "projection variances must satisfy sigma1_sq >= sigma2_sq >= 0"
-            )
-
-
-class CenteredLoR(NamedTuple):
-    """A LoR after subtracting the component's mean sinusoid from s."""
-
-    s_c: float
-    phi: float
-
-
-class CenteredOffsets:
-    """Array-backed sequence of :class:`CenteredLoR`.
-
-    Estimation touches every offset each iteration, so the data lives in
-    two parallel float arrays; indexing materializes individual tuples.
-    """
-
-    __slots__ = ("s_c", "phi")
-
-    def __init__(self, s_c, phi):
-        s_c = np.asarray(s_c, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        if s_c.shape != phi.shape or s_c.ndim != 1:
-            raise InputError("offsets need matching 1-D s_c and phi arrays")
-        self.s_c = s_c
-        self.phi = phi
-
-    def __len__(self) -> int:
-        return self.s_c.size
-
-    def __getitem__(self, i) -> CenteredLoR:
-        return CenteredLoR(float(self.s_c[i]), float(self.phi[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-
 def mean_sinusoid(phi, mean) -> np.ndarray:
     """s-coordinate of the sinusoid traced by a point source at ``mean``:
     m(phi) = -mu_x sin(phi) + mu_y cos(phi)."""
@@ -91,47 +39,29 @@ def mean_sinusoid(phi, mean) -> np.ndarray:
     return -mean[0] * np.sin(phi) + mean[1] * np.cos(phi)
 
 
-def variance_quadratic_form(covariance, phi) -> np.ndarray:
-    """n^T Sigma n with n = (-sin(phi), cos(phi)), vectorized over phi."""
+def projection_variance(covariance, phi) -> float | np.ndarray:
+    """n^T Sigma n with n = (-sin(phi), cos(phi)), vectorized over phi.
+
+    This is the variance of the line-integral profile at angle phi; a
+    scalar phi gives a float.
+    """
     phi = np.asarray(phi, dtype=float)
     si, co = np.sin(phi), np.cos(phi)
     a, b, c = covariance[0, 0], covariance[0, 1], covariance[1, 1]
-    return a * si * si - 2.0 * b * si * co + c * co * co
-
-
-def projection_variance(p: ProjectionVarianceParams, phi) -> float | np.ndarray:
-    """Variance of the line-integral profile at angle phi."""
-    phi = np.asarray(phi, dtype=float)
-    si = np.sin(phi - p.phi0)
-    co = np.cos(phi - p.phi0)
-    out = p.sigma1_sq * si * si + p.sigma2_sq * co * co
+    out = a * si * si - 2.0 * b * si * co + c * co * co
     return float(out) if out.ndim == 0 else out
 
 
-def line_integral_density(
-    component: GaussianComponent2D, lor: LineOfResponse
-) -> float:
-    """Closed-form line integral of the component's density along a LoR.
-
-    Equals the value at ``s`` of a univariate normal centered on the
-    component's mean sinusoid with variance sigma_p^2(phi).
-    """
-    var = float(variance_quadratic_form(component.covariance, lor.phi))
-    if var < SIGMA_P_SQ_FLOOR:
-        raise DegenerateCovarianceError(
-            f"projected variance {var:.3e} below floor {SIGMA_P_SQ_FLOOR:.0e}"
-        )
-    s_c = lor.s - float(mean_sinusoid(lor.phi, component.mean))
-    return math.exp(-0.5 * s_c * s_c / var) / (_SQRT_TWO_PI * math.sqrt(var))
-
-
 def log_line_integral_profile(covariance, mean, s, phi) -> np.ndarray:
-    """log of :func:`line_integral_density`, vectorized over (s, phi).
+    """Log of the line integral of a Gaussian's density along each LoR,
+    vectorized over (s, phi).
 
-    Kept in log space so far-away lines never underflow to zero before
-    membership normalization.
+    The integral is a univariate normal in ``s`` centered on the mean
+    sinusoid with variance :func:`projection_variance`.  Kept in log space
+    so far-away lines never underflow to zero before membership
+    normalization.
     """
-    var = variance_quadratic_form(covariance, phi)
+    var = projection_variance(covariance, phi)
     if np.min(var) < SIGMA_P_SQ_FLOOR:
         raise DegenerateCovarianceError("projected variance below floor")
     s_c = np.asarray(s, dtype=float) - mean_sinusoid(phi, mean)
@@ -151,7 +81,7 @@ _MARGINAL_NODES, _MARGINAL_WEIGHTS = _legendre_nodes(MARGINAL_QUAD_NODES)
 
 
 def marginal_pdf_sc(
-    p: ProjectionVarianceParams, s_c: float, *, nodes: int | None = None
+    e: EigenDecomposition2D, s_c: float, *, nodes: int | None = None
 ) -> float:
     """Density of the centered offset s_c under a uniform angle.
 
@@ -160,18 +90,18 @@ def marginal_pdf_sc(
     ``nodes`` overrides the quadrature order (used by self-consistency
     tests); the default is :data:`MARGINAL_QUAD_NODES`.
     """
-    if p.sigma2_sq <= 0.0:
+    if e.sigma2_sq <= 0.0:
         raise InputError("marginal_pdf_sc requires sigma2_sq > 0")
     if nodes is None:
         x, w = _MARGINAL_NODES, _MARGINAL_WEIGHTS
     else:
         x, w = _legendre_nodes(nodes)
-    var = projection_variance(p, x)
+    var = projection_variance(covariance_from_eigen(e), x)
     vals = np.exp(-0.5 * s_c * s_c / var) / (_SQRT_TWO_PI * np.sqrt(var))
     return float(np.dot(w, vals) / math.pi)
 
 
-def theoretical_moments(p: ProjectionVarianceParams) -> tuple[float, float]:
+def theoretical_moments(e: EigenDecomposition2D) -> tuple[float, float]:
     """Second and fourth moments of the centered-offset marginal.
 
     m2 = (sigma1^2 + sigma2^2) / 2
@@ -180,7 +110,7 @@ def theoretical_moments(p: ProjectionVarianceParams) -> tuple[float, float]:
     Both are independent of phi0: rotating the ellipse only shifts the
     angle average.
     """
-    s1, s2 = p.sigma1_sq, p.sigma2_sq
+    s1, s2 = e.sigma1_sq, e.sigma2_sq
     m2 = 0.5 * (s1 + s2)
     m4 = (9.0 * s1 * s1 + 6.0 * s1 * s2 + 9.0 * s2 * s2) / 8.0
     return m2, m4

@@ -10,7 +10,6 @@ only randomness is in the emission point and the angle.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -180,20 +179,3 @@ def read_lors_csv(path):
     labels = np.asarray(label_vals, dtype=np.int64) if labeled else None
     return s, phi, labels
 
-
-def lors_csv_text(s, phi, labels=None) -> str:
-    """CSV text for in-memory round-trip checks; same format as the file."""
-    buf = io.StringIO()
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    writer = csv.writer(buf, lineterminator="\n")
-    if labels is None:
-        writer.writerow(CSV_HEADER)
-        for i in range(s.size):
-            writer.writerow((f"{s[i]:.17g}", f"{phi[i]:.17g}"))
-    else:
-        labels = np.asarray(labels)
-        writer.writerow(CSV_HEADER_LABELED)
-        for i in range(s.size):
-            writer.writerow((f"{s[i]:.17g}", f"{phi[i]:.17g}", int(labels[i])))
-    return buf.getvalue()

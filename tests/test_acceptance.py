@@ -17,23 +17,20 @@ from scipy import integrate
 
 import gmmlor
 from gmmlor import (
-    CenteredOffsets,
     FitConfig,
-    LineOfResponse,
     MixtureModel2D,
-    ProjectionVarianceParams,
     WeightedMoments,
     covariance_from_eigen,
     EigenDecomposition2D,
     fit,
     invert_moments,
-    line_integral_density,
     projection_variance,
     save_model,
     simulate_lors,
     solve_orientation,
     theoretical_moments,
 )
+from gmmlor.projection import log_line_integral_profile
 from gmmlor.quartic import solve_quartic
 from conftest import BENCHMARK_COUNTS, benchmark_components, make_component
 
@@ -123,7 +120,7 @@ def test_criterion_3_moment_roundtrip():
         hi = math.exp(rng.uniform(math.log(1e-6), 0.0))
         ratio = math.exp(rng.uniform(0.0, math.log(1e3)))
         lo = max(hi / ratio, 1e-6)
-        m2, m4 = theoretical_moments(ProjectionVarianceParams(hi, lo, 0.0))
+        m2, m4 = theoretical_moments(EigenDecomposition2D(hi, lo, 0.0))
         s1, s2 = invert_moments(WeightedMoments(m2, m4, 1.0), variance_floor=0.0)
         worst = max(worst, abs(s1 - hi) / hi, abs(s2 - lo) / lo)
     verdict(
@@ -143,7 +140,7 @@ def test_criterion_4_projection_variance_oracle():
         phi = rng.uniform(-math.pi / 2, math.pi / 2)
         n = np.array([-math.sin(phi), math.cos(phi)])
         expect = n @ cov @ n
-        got = projection_variance(ProjectionVarianceParams(hi, lo, phi0), phi)
+        got = projection_variance(cov, phi)
         worst = max(worst, abs(got - expect) / expect)
     verdict(
         worst < 1e-12,
@@ -172,7 +169,7 @@ def test_criterion_5_line_integral_oracle():
         ts = np.linspace(mean @ d - 30.0, mean @ d + 30.0, 4001)
         tm = float(ts[np.argmax([along(t) for t in ts])])
         ref, _ = integrate.quad(along, tm - 25.0, tm + 25.0, limit=300, points=[tm])
-        got = line_integral_density(comp, LineOfResponse(s, phi))
+        got = math.exp(log_line_integral_profile(comp.covariance, comp.mean, s, phi))
         worst = max(worst, abs(got - ref) / ref)
     verdict(
         worst < 1e-8,
@@ -184,8 +181,8 @@ def test_criterion_6_orientation_and_quartic():
     worst_phi = 0.0
     for phi0 in np.linspace(-1.5, 1.5, 50):
         phis = np.linspace(-math.pi / 2, math.pi / 2, 64, endpoint=False)
-        p = ProjectionVarianceParams(0.09, 0.01, phi0)
-        offs = CenteredOffsets(np.sqrt(projection_variance(p, phis)), phis)
+        p = EigenDecomposition2D(0.09, 0.01, phi0)
+        offs = (np.sqrt(projection_variance(covariance_from_eigen(p), phis)), phis)
         got = solve_orientation(offs, None, 0.09, 0.01)
         worst_phi = max(worst_phi, abs(math.remainder(got - phi0, math.pi)))
 

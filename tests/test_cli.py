@@ -217,6 +217,19 @@ def test_replicate_is_deterministic(tmp_path, single_path):
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
 
+def test_replicate_jobs_do_not_change_the_study(tmp_path, truth_path):
+    outs = [str(tmp_path / f"jobs{jobs}.csv") for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main([
+            "replicate", "--model", truth_path, "--counts", "350,250,100",
+            "--replicates", "6", "--seed", "0", "--jobs", str(jobs),
+            "--grid", "128", "--out", out,
+        ]) == 0
+    for suffix in ("", ".summary.json"):
+        a, b = (open(out + suffix, "rb").read() for out in outs)
+        assert a == b
+
+
 def test_replicate_malformed_counts(tmp_path, single_path):
     rc = main([
         "replicate", "--model", single_path, "--counts", "ten",

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from gmmlor import (
-    CenteredOffsets,
     ComponentDeathError,
     DegenerateGeometryError,
+    EigenDecomposition2D,
     FitConfig,
     InputError,
+    LineOfResponse,
     MixtureModel2D,
-    ProjectionVarianceParams,
     TraceRecord,
     WeightedMoments,
     center_offsets,
     config_from_dict,
     config_to_dict,
+    covariance_from_eigen,
     estimate_covariance,
     fit,
     fit_mean,
@@ -42,9 +43,9 @@ def single(mean, cov):
 
 def pseudo_offsets(sigma1_sq, sigma2_sq, phi0, n=64):
     """Noise-free offsets whose squared values equal the projected variance."""
-    p = ProjectionVarianceParams(sigma1_sq, sigma2_sq, phi0)
+    cov = covariance_from_eigen(EigenDecomposition2D(sigma1_sq, sigma2_sq, phi0))
     phis = np.linspace(-math.pi / 2, math.pi / 2, n, endpoint=False)
-    return CenteredOffsets(np.sqrt(projection_variance(p, phis)), phis)
+    return np.sqrt(projection_variance(cov, phis)), phis
 
 
 # ------------------------------------------------------------ weighted moments
@@ -65,7 +66,7 @@ def test_weighted_moments_validation():
 
 def test_moments_from_constant_offsets():
     phis = np.linspace(-1.0, 1.0, 20)
-    offs = CenteredOffsets(np.full(20, 0.3), phis)
+    offs = (np.full(20, 0.3), phis)
     m = moments_from_offsets(offs)
     assert m.m2w == pytest.approx(0.09, rel=1e-14)
     assert m.m4w == pytest.approx(0.0081, rel=1e-14)
@@ -74,7 +75,7 @@ def test_moments_from_constant_offsets():
 
 def test_moments_weights_default_to_uniform():
     rng = np.random.default_rng(4)
-    offs = CenteredOffsets(rng.normal(size=50), rng.uniform(-1, 1, 50))
+    offs = (rng.normal(size=50), rng.uniform(-1, 1, 50))
     a = moments_from_offsets(offs)
     b = moments_from_offsets(offs, np.ones(50))
     assert a.m2w == pytest.approx(b.m2w, rel=1e-14)
@@ -112,7 +113,7 @@ def test_moment_roundtrip_random_sigmas():
         hi = math.exp(rng.uniform(math.log(1e-6), 0.0))
         ratio = math.exp(rng.uniform(0.0, math.log(1e3)))
         lo = max(hi / ratio, 1e-6)
-        p = ProjectionVarianceParams(hi, lo, rng.uniform(-1.5, 1.5))
+        p = EigenDecomposition2D(hi, lo, rng.uniform(-1.5, 1.5))
         m2, m4 = theoretical_moments(p)
         s1, s2 = invert_moments(WeightedMoments(m2, m4, 1.0), variance_floor=0.0)
         assert s1 == pytest.approx(hi, rel=1e-12)
@@ -166,17 +167,17 @@ def test_center_offsets_removes_the_sinusoid():
     phis = rng.uniform(-math.pi / 2, math.pi / 2, 40)
     noise = rng.normal(0, 0.05, 40)
     s = mean_sinusoid(phis, mu) + noise
-    offs = center_offsets((s, phis), mu)
-    assert np.allclose(offs.s_c, noise, atol=1e-14)
-    assert np.array_equal(offs.phi, phis)
+    s_c, phi = center_offsets((s, phis), mu)
+    assert np.allclose(s_c, noise, atol=1e-14)
+    assert np.array_equal(phi, phis)
 
 
 def test_center_offsets_zero_mean_is_identity():
     rng = np.random.default_rng(13)
     s = rng.normal(size=25)
     phis = rng.uniform(-1.5, 1.5, 25)
-    offs = center_offsets((s, phis), np.zeros(2))
-    assert np.array_equal(offs.s_c, s)
+    s_c, _ = center_offsets((s, phis), np.zeros(2))
+    assert np.array_equal(s_c, s)
 
 
 # ----------------------------------------------------------- orientation solve
@@ -220,7 +221,7 @@ def test_refine_sigmas_swaps_when_axes_cross():
 
 def test_refine_sigmas_floors_zero_data():
     phis = np.linspace(-1.5, 1.5, 32)
-    offs = CenteredOffsets(np.zeros(32), phis)
+    offs = (np.zeros(32), phis)
     s1, s2, p0 = refine_sigmas(offs, None, 0.3)
     assert s1 == s2 == 1e-8
     assert p0 == 0.3
@@ -231,10 +232,10 @@ def test_refine_sigmas_orders_outputs_on_noisy_data():
     for _ in range(30):
         truth1, truth2 = sorted(rng.uniform(0.01, 0.2, size=2), reverse=True)
         phi0 = rng.uniform(-1.5, 1.5)
-        p = ProjectionVarianceParams(truth1, truth2, phi0)
+        cov = covariance_from_eigen(EigenDecomposition2D(truth1, truth2, phi0))
         phis = rng.uniform(-math.pi / 2, math.pi / 2, 500)
-        sc = rng.normal(0, np.sqrt(projection_variance(p, phis)))
-        s1, s2, _ = refine_sigmas(CenteredOffsets(sc, phis), None, phi0)
+        sc = rng.normal(0, np.sqrt(projection_variance(cov, phis)))
+        s1, s2, _ = refine_sigmas((sc, phis), None, phi0)
         assert s1 >= s2 >= 1e-8
 
 
@@ -243,20 +244,20 @@ def test_refine_sigmas_orders_outputs_on_noisy_data():
 def test_estimate_covariance_recovers_tilted_component():
     cov = np.array([[0.04, 0.03], [0.03, 0.09]])
     res = simulate_lors(single((0.0, 0.0), cov), counts=(100000,), seed=21)
-    got = estimate_covariance(CenteredOffsets(res.s, res.phi))
+    got = estimate_covariance((res.s, res.phi))
     assert np.linalg.norm(got - cov) < 0.01
 
 
 def test_estimate_covariance_point_source_floors():
     phis = np.linspace(-1.5, 1.5, 200)
-    got = estimate_covariance(CenteredOffsets(np.zeros(200), phis))
+    got = estimate_covariance((np.zeros(200), phis))
     assert np.allclose(got, 1e-8 * np.eye(2), atol=1e-20)
 
 
 def test_estimate_covariance_accepts_array_pairs():
     res = simulate_lors(single((0.0, 0.0), 0.05 * np.eye(2)), counts=(5000,), seed=2)
-    a = estimate_covariance(CenteredOffsets(res.s, res.phi))
-    b = estimate_covariance((res.s, res.phi))
+    a = estimate_covariance((res.s, res.phi))
+    b = estimate_covariance(np.column_stack((res.s, res.phi)))
     assert np.array_equal(a, b)
 
 
@@ -459,11 +460,17 @@ def test_fit_restart_bookkeeping(benchmark_mixture):
 
 
 def test_fit_accepts_lor_object_sequence(benchmark_mixture):
-    from gmmlor import LineOfResponse
-
     res = simulate_lors(benchmark_mixture, counts=(60, 40, 20), seed=5)
     lors = [LineOfResponse(float(a), float(b)) for a, b in zip(res.s, res.phi)]
     cfg = FitConfig(K=1, seed=0)
     a = fit(lors, cfg)
     b = fit((res.s, res.phi), cfg)
     assert np.allclose(a.model.components[0].mean, b.model.components[0].mean)
+
+
+def test_fit_mean_reads_a_tuple_of_two_lors_as_records():
+    # a 2-tuple of records is two events, not an (s, phi) array pair
+    lors = (LineOfResponse(1.0, 0.0), LineOfResponse(2.0, 1.0))
+    got = fit_mean(lors)
+    assert np.array_equal(got, fit_mean(list(lors)))
+    assert np.array_equal(got, fit_mean((np.array([1.0, 2.0]), np.array([0.0, 1.0]))))

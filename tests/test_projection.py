@@ -8,22 +8,21 @@ from scipy import integrate
 
 import gmmlor
 from gmmlor import (
-    LineOfResponse,
+    EigenDecomposition2D,
     MixtureModel2D,
-    ProjectionVarianceParams,
+    covariance_from_eigen,
     eigen_from_covariance,
-    line_integral_density,
     marginal_pdf_sc,
     mean_sinusoid,
     projection_variance,
     theoretical_moments,
 )
+from gmmlor.projection import log_line_integral_profile
 from conftest import make_component
 
 
-def params_from_cov(cov):
-    e = eigen_from_covariance(np.asarray(cov, dtype=float))
-    return ProjectionVarianceParams(e.sigma1_sq, e.sigma2_sq, e.phi0)
+def line_integral(comp, s, phi):
+    return math.exp(log_line_integral_profile(comp.covariance, comp.mean, s, phi))
 
 
 def random_spd(rng, scale=1.0):
@@ -34,46 +33,49 @@ def random_spd(rng, scale=1.0):
 # --------------------------------------------------------- projected variance
 
 def test_projection_variance_equals_normal_quadratic_form():
-    # sigma_p^2(phi) must equal n^T Sigma n with n = (-sin phi, cos phi)
+    # n^T Sigma n with n = (-sin phi, cos phi) must equal the eigen form
+    # sigma1^2 sin^2(phi - phi0) + sigma2^2 cos^2(phi - phi0)
     rng = np.random.default_rng(2024)
     for _ in range(1000):
-        cov = random_spd(rng, scale=rng.uniform(0.05, 4.0))
+        e = eigen_from_covariance(random_spd(rng, scale=rng.uniform(0.05, 4.0)))
         phi = rng.uniform(-math.pi / 2, math.pi / 2)
-        n = np.array([-math.sin(phi), math.cos(phi)])
-        expect = n @ cov @ n
-        got = projection_variance(params_from_cov(cov), phi)
+        expect = (
+            e.sigma1_sq * math.sin(phi - e.phi0) ** 2
+            + e.sigma2_sq * math.cos(phi - e.phi0) ** 2
+        )
+        got = projection_variance(covariance_from_eigen(e), phi)
         assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_projection_variance_axis_values():
-    p = params_from_cov([[0.04, 0.03], [0.03, 0.09]])
+    cov = np.array([[0.04, 0.03], [0.03, 0.09]])
     # phi=0 projects onto y, phi=pi/2 onto -x
-    assert projection_variance(p, 0.0) == pytest.approx(0.09, rel=1e-12)
-    assert projection_variance(p, math.pi / 2) == pytest.approx(0.04, rel=1e-12)
+    assert projection_variance(cov, 0.0) == pytest.approx(0.09, rel=1e-12)
+    assert projection_variance(cov, math.pi / 2) == pytest.approx(0.04, rel=1e-12)
 
 
 def test_projection_variance_isotropic_is_constant():
-    p = ProjectionVarianceParams(0.0625, 0.0625, 0.0)
+    cov = 0.0625 * np.eye(2)
     for phi in np.linspace(-math.pi / 2, math.pi / 2, 17):
-        assert projection_variance(p, phi) == pytest.approx(0.0625, rel=1e-14)
+        assert projection_variance(cov, phi) == pytest.approx(0.0625, rel=1e-14)
 
 
 def test_projection_variance_vectorized():
-    p = params_from_cov([[0.04, 0.006], [0.006, 0.01]])
+    cov = np.array([[0.04, 0.006], [0.006, 0.01]])
     phis = np.linspace(-1.5, 1.5, 11)
-    vec = projection_variance(p, phis)
+    vec = projection_variance(cov, phis)
     assert vec.shape == (11,)
     for phi, v in zip(phis, vec):
-        assert v == projection_variance(p, float(phi))
+        assert v == projection_variance(cov, float(phi))
 
 
 def test_projection_variance_bounded_by_eigenvalues():
     rng = np.random.default_rng(8)
     for _ in range(200):
         cov = random_spd(rng)
-        p = params_from_cov(cov)
-        v = projection_variance(p, rng.uniform(-2, 2))
-        assert p.sigma2_sq - 1e-12 <= v <= p.sigma1_sq + 1e-12
+        e = eigen_from_covariance(cov)
+        v = projection_variance(cov, rng.uniform(-2, 2))
+        assert e.sigma2_sq - 1e-12 <= v <= e.sigma1_sq + 1e-12
 
 
 # ------------------------------------------------------- line-integral density
@@ -81,27 +83,19 @@ def test_projection_variance_bounded_by_eigenvalues():
 def test_line_integral_density_peak_value():
     comp = make_component((0.0, 0.0), 0.0625 * np.eye(2), 1.0)
     # at the mean sinusoid the value is 1/(sqrt(2 pi) sigma_p)
-    got = line_integral_density(comp, LineOfResponse(0.0, 0.3))
+    got = line_integral(comp, 0.0, 0.3)
     assert got == pytest.approx(1.0 / (math.sqrt(2 * math.pi) * 0.25), rel=1e-12)
 
 
 def test_line_integral_density_one_sigma_offset():
     comp = make_component((0.0, 0.0), 0.0625 * np.eye(2), 1.0)
-    got = line_integral_density(comp, LineOfResponse(0.25, -0.8))
+    got = line_integral(comp, 0.25, -0.8)
     assert got == pytest.approx(0.9678828980765735, rel=1e-12)
-
-
-def test_line_integral_density_ignores_component_weight():
-    cov = [[0.04, 0.03], [0.03, 0.09]]
-    lor = LineOfResponse(0.2, 0.5)
-    a = line_integral_density(make_component((0.1, -0.2), cov, 1.0), lor)
-    b = line_integral_density(make_component((0.1, -0.2), cov, 0.25), lor)
-    assert a == b
 
 
 def test_line_integral_density_far_tail():
     comp = make_component((0.0, 0.0), 0.0625 * np.eye(2), 1.0)
-    v = line_integral_density(comp, LineOfResponse(100.0, 0.0))
+    v = line_integral(comp, 100.0, 0.0)
     assert 0.0 <= v < 1e-20
     assert math.isfinite(v)
 
@@ -131,7 +125,7 @@ def test_line_integral_density_matches_quadrature():
         ref, _ = integrate.quad(
             along, tm - 25.0, tm + 25.0, limit=300, points=[tm]
         )
-        got = line_integral_density(comp, LineOfResponse(s, phi))
+        got = line_integral(comp, s, phi)
         assert got == pytest.approx(ref, rel=1e-8)
 
 
@@ -146,7 +140,7 @@ def test_mean_sinusoid_shape_and_values():
 # ------------------------------------------------------------ offset marginal
 
 def test_marginal_isotropic_reduces_to_gaussian():
-    p = ProjectionVarianceParams(1.0, 1.0, 0.0)
+    p = EigenDecomposition2D(1.0, 1.0, 0.0)
     # the angular average is a plain normal pdf when the variance is flat
     assert marginal_pdf_sc(p, 0.0) == pytest.approx(0.3989422804014327, rel=1e-10)
     assert marginal_pdf_sc(p, 1.0) == pytest.approx(
@@ -155,7 +149,7 @@ def test_marginal_isotropic_reduces_to_gaussian():
 
 
 def test_marginal_is_even():
-    p = ProjectionVarianceParams(0.09, 0.01, 0.7)
+    p = EigenDecomposition2D(0.09, 0.01, 0.7)
     for x in (0.1, 0.25, 0.4):
         assert marginal_pdf_sc(p, x) == pytest.approx(
             marginal_pdf_sc(p, -x), rel=1e-12
@@ -163,7 +157,7 @@ def test_marginal_is_even():
 
 
 def test_marginal_node_refinement_converged():
-    p = ProjectionVarianceParams(0.09, 0.01, -0.4)
+    p = EigenDecomposition2D(0.09, 0.01, -0.4)
     for x in (0.0, 0.15, 0.5):
         coarse = marginal_pdf_sc(p, x, nodes=201)
         fine = marginal_pdf_sc(p, x, nodes=401)
@@ -171,7 +165,7 @@ def test_marginal_node_refinement_converged():
 
 
 def test_marginal_integrates_to_one():
-    p = ProjectionVarianceParams(0.08, 0.02, 1.1)
+    p = EigenDecomposition2D(0.08, 0.02, 1.1)
     hi = 8.0 * math.sqrt(p.sigma1_sq)
     xs = np.linspace(-hi, hi, 2001)
     ys = np.array([marginal_pdf_sc(p, float(x)) for x in xs])
@@ -182,20 +176,20 @@ def test_marginal_integrates_to_one():
 # ------------------------------------------------------------- offset moments
 
 def test_theoretical_moments_isotropic():
-    p = ProjectionVarianceParams(0.25, 0.25, 0.0)
+    p = EigenDecomposition2D(0.25, 0.25, 0.0)
     m2, m4 = theoretical_moments(p)
     assert m2 == pytest.approx(0.25, rel=1e-14)
     assert m4 == pytest.approx(3 * 0.25**2, rel=1e-14)
 
 
 def test_theoretical_moments_example():
-    m2, m4 = theoretical_moments(ProjectionVarianceParams(0.1, 0.02, 0.9))
+    m2, m4 = theoretical_moments(EigenDecomposition2D(0.1, 0.02, 0.9))
     assert m2 == pytest.approx(0.06, rel=1e-13)
     assert m4 == pytest.approx(0.0132, rel=1e-13)
 
 
 def test_theoretical_moments_match_marginal_quadrature():
-    p = ProjectionVarianceParams(0.09, 0.01, 0.3)
+    p = EigenDecomposition2D(0.09, 0.01, 0.3)
     hi = 10.0 * math.sqrt(p.sigma1_sq)
     xs = np.linspace(-hi, hi, 4001)
     ys = np.array([marginal_pdf_sc(p, float(x)) for x in xs])
@@ -208,6 +202,6 @@ def test_theoretical_moments_match_marginal_quadrature():
 
 def test_theoretical_moments_orientation_invariant():
     for phi0 in (-1.2, 0.0, 0.4, 1.5):
-        a = theoretical_moments(ProjectionVarianceParams(0.07, 0.03, phi0))
-        b = theoretical_moments(ProjectionVarianceParams(0.07, 0.03, 0.0))
+        a = theoretical_moments(EigenDecomposition2D(0.07, 0.03, phi0))
+        b = theoretical_moments(EigenDecomposition2D(0.07, 0.03, 0.0))
         assert a == pytest.approx(b, rel=1e-14)

@@ -15,8 +15,6 @@ from gmmlor import (
     theoretical_moments,
     write_lors_csv,
 )
-from gmmlor.projection import ProjectionVarianceParams
-from gmmlor.simulate import lors_csv_text
 from conftest import BENCHMARK_COUNTS, make_component
 
 
@@ -47,12 +45,17 @@ def test_zero_count_component_absent(benchmark_mixture):
     assert 0 not in res.labels
 
 
-def test_same_seed_same_csv_bytes(benchmark_mixture):
+def test_same_seed_same_csv_bytes(tmp_path, benchmark_mixture):
+    def csv_bytes(name, res, labels=None):
+        path = tmp_path / name
+        write_lors_csv(path, res.s, res.phi, labels)
+        return path.read_bytes()
+
     a = simulate_lors(benchmark_mixture, counts=(50, 30, 20), seed=42)
     b = simulate_lors(benchmark_mixture, counts=(50, 30, 20), seed=42)
-    assert lors_csv_text(a.s, a.phi, a.labels) == lors_csv_text(b.s, b.phi, b.labels)
+    assert csv_bytes("a.csv", a, a.labels) == csv_bytes("b.csv", b, b.labels)
     c = simulate_lors(benchmark_mixture, counts=(50, 30, 20), seed=43)
-    assert lors_csv_text(a.s, a.phi) != lors_csv_text(c.s, c.phi)
+    assert csv_bytes("a0.csv", a) != csv_bytes("c0.csv", c)
 
 
 def test_point_source_lines_pass_through_the_point():
@@ -76,9 +79,7 @@ def test_sample_moments_match_theory():
     n = 100000
     res = simulate_lors(single((0.0, 0.0), cov), counts=(n,), seed=17)
     e = eigen_from_covariance(cov)
-    m2, m4 = theoretical_moments(
-        ProjectionVarianceParams(e.sigma1_sq, e.sigma2_sq, e.phi0)
-    )
+    m2, m4 = theoretical_moments(e)
     m2_hat = np.mean(res.s**2)
     m4_hat = np.mean(res.s**4)
     assert abs(m2_hat - m2) / m2 < 0.02
