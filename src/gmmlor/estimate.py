@@ -38,7 +38,7 @@ from .model import (
     canonicalize_orientation,
     covariance_from_eigen,
 )
-from .projection import log_line_integral_profile, mean_sinusoid
+from .projection import _Angles, log_line_integral_profile, mean_sinusoid
 from .quartic import solve_quartic
 from .rng import SeededStream, derive_seed
 
@@ -244,13 +244,14 @@ def invert_moments(
 
 
 def _orientation_stats(offsets, weights):
-    s_c, phi = _as_arrays(offsets)
+    batch = _as_arrays(offsets)
+    s_c, phi = batch
     t = s_c * s_c
     if weights is None:
         p = np.ones_like(phi)
     else:
         p = np.asarray(weights, dtype=float)
-    return phi, t, p
+    return batch.angles, t, p
 
 
 def solve_orientation(
@@ -273,14 +274,13 @@ def solve_orientation(
     no root survives (flat objective, lost precision), a dense grid
     plus golden-section refinement takes over.
     """
-    phi, t, p = _orientation_stats(offsets, weights)
+    angles, t, p = _orientation_stats(offsets, weights)
     dsig = sigma2_sq - sigma1_sq
     ssum = sigma1_sq + sigma2_sq
     if abs(dsig) <= 1e-12 * max(1.0, ssum):
         return 0.0  # isotropic: every orientation is stationary
 
-    alpha = 2.0 * phi
-    sa, ca = np.sin(alpha), np.cos(alpha)
+    sa, ca = angles.sin2, angles.cos2
     M = p * dsig
     N = p * (ssum - 2.0 * t)
     A_s2 = float(np.dot(M, sa * ca))
@@ -292,8 +292,8 @@ def solve_orientation(
     c_amp = 0.5 * dsig
     g = 0.5 * ssum - t
     S1 = float(np.sum(p))
-    Sc2 = float(np.dot(p, np.cos(2.0 * alpha)))
-    Ss2 = float(np.dot(p, np.sin(2.0 * alpha)))
+    Sc2 = float(np.dot(p, angles.cos4))
+    Ss2 = float(np.dot(p, angles.sin4))
     Tc = float(np.dot(p, g * ca))
     Ts = float(np.dot(p, g * sa))
     T0 = float(np.dot(p, g * g))
@@ -387,8 +387,8 @@ def refine_sigmas(
     adjusted orientation is returned with the pair:
     (sigma1_sq, sigma2_sq, phi0).
     """
-    phi, t, p = _orientation_stats(offsets, weights)
-    d = phi0 - phi
+    angles, t, p = _orientation_stats(offsets, weights)
+    d = phi0 - angles.phi
     sd = np.sin(d)
     cd = np.cos(d)
     u = sd * sd
@@ -428,6 +428,9 @@ def estimate_covariance(
     pair.  Returns the symmetric positive-definite covariance matrix.
     """
     floor = config.variance_floor if config is not None else DEFAULT_VARIANCE_FLOOR
+    # one batch for all four steps, so both orientation solves share
+    # the sines and cosines of 2 phi and 4 phi
+    offsets = _as_arrays(offsets)
     m = moments_from_offsets(offsets, weights)
     s1, s2 = invert_moments(m, floor)
     phi0 = solve_orientation(offsets, weights, s1, s2)
@@ -443,12 +446,15 @@ def estimate_covariance(
 # mean estimation and memberships
 
 
-def _as_arrays(lors):
+def _as_arrays(lors) -> _Batch:
     """The one coercion of an event batch to matching 1-D float arrays.
 
     Accepts an (s, phi) or (s_c, phi) array pair, an (N, 2) array, or a
     sequence of :class:`LineOfResponse` records.  A tuple of two records
-    is a sequence of records, not an array pair.
+    is a sequence of records, not an array pair.  Returns a
+    :class:`_Batch`, which keeps the angle features a batch passed in
+    already carries; other input gets fresh ones, each computed on first
+    use.
     """
     if (
         isinstance(lors, tuple)
@@ -470,7 +476,28 @@ def _as_arrays(lors):
         raise InputError("s and phi must be matching 1-D arrays")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
         raise InputError("LoRs contain non-finite values")
-    return s, phi
+    angles = lors.angles if isinstance(lors, _Batch) else _Angles(phi)
+    return _Batch(s, phi, angles)
+
+
+class _Batch(tuple):
+    """An (s, phi) or (s_c, phi) pair that carries its events' angle
+    features, so the functions it is passed to read the sines and
+    cosines instead of computing them.  It unpacks as the plain pair."""
+
+    def __new__(cls, s, phi, angles):
+        batch = super().__new__(cls, (s, phi))
+        batch.angles = angles
+        return batch
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a tuple subclass from these
+        return (self[0], self[1], self.angles)
+
+    def take(self, idx):
+        """The events ``idx`` selects, with their features."""
+        angles = self.angles.take(idx)
+        return _Batch(self[0][idx], angles.phi, angles)
 
 
 def fit_mean(lors, weights=None) -> np.ndarray:
@@ -481,9 +508,10 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     beyond 1e12 (all LoRs nearly parallel) is refused since the mean
     position is unidentifiable along the common line direction.
     """
-    s, phi = _as_arrays(lors)
+    batch = _as_arrays(lors)
+    s = batch[0]
     p = np.ones_like(s) if weights is None else np.asarray(weights, float)
-    si, co = np.sin(phi), np.cos(phi)
+    si, co = batch.angles.sin, batch.angles.cos
     a = float(np.dot(p, si * si))
     b = float(np.dot(p, si * co))
     c = float(np.dot(p, co * co))
@@ -506,8 +534,9 @@ def fit_mean(lors, weights=None) -> np.ndarray:
 def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of each LoR from the mean sinusoid of ``mean``, as the
     (s_c, phi) pair the covariance pipeline takes."""
-    s, phi = _as_arrays(lors)
-    return s - mean_sinusoid(phi, mean), phi
+    batch = _as_arrays(lors)
+    s, phi = batch
+    return _Batch(s - mean_sinusoid(batch.angles, mean), phi, batch.angles)
 
 
 def _memberships_arrays(s, phi, means, covariances, tau):
@@ -518,27 +547,38 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     row maximum so distant components underflow gracefully.  Rows where
     every component underflows entirely fall back to uniform.  Returns
     (memberships, sum of per-LoR log marginal densities).
+
+    The memberships are normalized in place in the (N, K) array of log
+    densities, so the step holds one N x K array, not several.
     """
     K = len(tau)
+    angles = _Angles(phi)
     logp = np.empty((s.size, K))
     for k in range(K):
         if tau[k] <= 0.0:
             logp[:, k] = -np.inf
         else:
             logp[:, k] = math.log(tau[k]) + log_line_integral_profile(
-                covariances[k], means[k], s, phi
+                covariances[k], means[k], s, angles
             )
-    row_max = np.max(logp, axis=1)
-    ok = np.isfinite(row_max)
-    shifted = np.exp(logp[ok] - row_max[ok, None])
-    row_sum = np.sum(shifted, axis=1)
-    resp = np.full((s.size, K), 1.0 / K)
-    resp[ok] = shifted / row_sum[:, None]
-    if bool(np.all(ok)):
-        loglik = float(np.sum(row_max + np.log(row_sum)))
-    else:
-        loglik = -math.inf
-    return resp, loglik
+    row_max = logp[:, 0].copy()
+    for k in range(1, K):
+        np.maximum(row_max, logp[:, k], out=row_max)
+    bad = ~np.isfinite(row_max)
+    underflow = bool(np.any(bad))
+    if underflow:
+        # exp(0 - 0) in every column normalizes to exactly 1 / K
+        logp[bad] = 0.0
+        row_max[bad] = 0.0
+    logp -= row_max[:, None]
+    np.exp(logp, out=logp)
+    # np.sum(axis=1), not a column-by-column sum: the two round the
+    # same way only while K < 8
+    row_sum = np.sum(logp, axis=1)
+    logp /= row_sum[:, None]
+    if underflow:
+        return logp, -math.inf
+    return logp, float(np.sum(row_max + np.log(row_sum)))
 
 
 def update_memberships(model: MixtureModel2D, lors) -> MembershipMatrix:
@@ -568,9 +608,27 @@ def _balanced_random_assignment(n: int, k: int, stream: SeededStream):
     return labels
 
 
+def _nearest_sinusoid(batch, means):
+    """Label of the mean sinusoid passing closest to each event.
+
+    Components are compared one at a time, so no N x K array is built;
+    the strict < sends a tie to the lower label, as argmin would.
+    """
+    s = batch[0]
+    si, co = batch.angles.sin, batch.angles.cos
+    best = np.abs(s + means[0, 0] * si - means[0, 1] * co)
+    labels = np.zeros(s.size, dtype=np.int64)
+    for k in range(1, len(means)):
+        dist = np.abs(s + means[k, 0] * si - means[k, 1] * co)
+        labels[dist < best] = k
+        np.minimum(best, dist, out=best)
+    return labels
+
+
 def _run_single_fit(
-    s, phi, config: FitConfig, assignment, trace, on_iteration
+    batch, config: FitConfig, assignment, trace, on_iteration
 ) -> FitResult:
+    s, phi = batch
     n, K = s.size, config.K
 
     def record(phase, weights, loglik):
@@ -585,7 +643,6 @@ def _run_single_fit(
             on_iteration(rec)
 
     # phase 1: hard assignments, means only
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     means = np.zeros((K, 2))
     prev_means = None
     for _ in range(config.max_iters_phase1):
@@ -595,24 +652,16 @@ def _run_single_fit(
                 raise ComponentDeathError(
                     component=k, mass=0.0, iteration=len(trace)
                 )
-            idx = assignment == k
-            means[k] = fit_mean((s[idx], phi[idx]))
+            idx = np.flatnonzero(assignment == k)
+            means[k] = fit_mean(batch.take(idx))
         record(1, counts / n, None)
         if prev_means is not None:
             delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
             if delta < config.mean_tol:
                 break
         prev_means = means.copy()
-        # reassign to the nearest mean sinusoid
-        dist = np.abs(
-            s[:, None]
-            + means[None, :, 0] * sin_phi[:, None]
-            - means[None, :, 1] * cos_phi[:, None]
-        )
-        assignment = np.argmin(dist, axis=1)
+        assignment = _nearest_sinusoid(batch, means)
 
-    # phase 2 never reads them; freeing them keeps the peak memory down
-    del sin_phi, cos_phi
     covariances = np.empty((K, 2, 2))
     counts = np.bincount(assignment, minlength=K)
     for k in range(K):
@@ -620,8 +669,8 @@ def _run_single_fit(
             raise ComponentDeathError(
                 component=k, mass=0.0, iteration=len(trace)
             )
-        idx = assignment == k
-        offs = center_offsets((s[idx], phi[idx]), means[k])
+        idx = np.flatnonzero(assignment == k)
+        offs = center_offsets(batch.take(idx), means[k])
         covariances[k] = estimate_covariance(offs, None, config)
     tau = counts / n
 
@@ -629,8 +678,8 @@ def _run_single_fit(
     mass_floor = n * MASS_FLOOR_FACTOR / K
     low_streak = np.zeros(K, dtype=int)
     converged = False
-    resp = None
     for _ in range(config.max_iters_phase2):
+        resp = None  # the E-step builds its own; drop the last one first
         resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
         masses = np.sum(resp, axis=0)
         for k in range(K):
@@ -646,8 +695,8 @@ def _run_single_fit(
                 low_streak[k] = 0
         tau_new = masses / n
         for k in range(K):
-            means[k] = fit_mean((s, phi), resp[:, k])
-            offs = center_offsets((s, phi), means[k])
+            means[k] = fit_mean(batch, resp[:, k])
+            offs = center_offsets(batch, means[k])
             covariances[k] = estimate_covariance(offs, resp[:, k], config)
         record(2, tau_new, loglik)
         shift = float(np.max(np.abs(tau_new - tau)))
@@ -656,6 +705,7 @@ def _run_single_fit(
             converged = True
             break
 
+    resp = None
     resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
     if np.any(tau <= 0.0):
         k = int(np.argmin(tau))
@@ -705,7 +755,8 @@ def fit(
     a component are skipped as long as at least one restart completes;
     the best completed restart by final log-likelihood wins.
     """
-    s, phi = _as_arrays(lors)
+    batch = _as_arrays(lors)
+    s, phi = batch
     K = config.K
     if s.size < 5 * K:
         raise InputError(
@@ -731,7 +782,7 @@ def fit(
             assignment = _balanced_random_assignment(s.size, K, stream)
         try:
             result = _run_single_fit(
-                s, phi, config, assignment, [], on_iteration
+                batch, config, assignment, [], on_iteration
             )
         except ComponentDeathError as death:
             last_death = death

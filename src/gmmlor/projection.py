@@ -16,6 +16,7 @@ vice versa.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -32,22 +33,77 @@ MARGINAL_QUAD_NODES = 201
 SIGMA_P_SQ_FLOOR = 1e-15
 
 
+class _Angles:
+    """sin and cos of phi, 2 phi and 4 phi for a batch of events.
+
+    Each feature is computed on first use and then kept, so a fit that
+    holds one of these takes every sine and cosine once.  The projection
+    functions below accept one wherever they accept ``phi``.
+    """
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    @cached_property
+    def sin(self):
+        return np.sin(self.phi)
+
+    @cached_property
+    def cos(self):
+        return np.cos(self.phi)
+
+    @cached_property
+    def sin2(self):
+        return np.sin(2.0 * self.phi)
+
+    @cached_property
+    def cos2(self):
+        return np.cos(2.0 * self.phi)
+
+    @cached_property
+    def sin4(self):
+        return np.sin(4.0 * self.phi)
+
+    @cached_property
+    def cos4(self):
+        return np.cos(4.0 * self.phi)
+
+    def take(self, idx):
+        """The features of the events ``idx`` selects, indexing those
+        already computed rather than computing them again."""
+        out = _Angles(self.phi[idx])
+        for name, value in vars(self).items():
+            if name != "phi":
+                setattr(out, name, value[idx])
+        return out
+
+
+def _sin_cos(phi):
+    """(sin phi, cos phi), read from ``phi`` when it is an :class:`_Angles`."""
+    if isinstance(phi, _Angles):
+        return phi.sin, phi.cos
+    phi = np.asarray(phi, dtype=float)
+    return np.sin(phi), np.cos(phi)
+
+
 def mean_sinusoid(phi, mean) -> np.ndarray:
     """s-coordinate of the sinusoid traced by a point source at ``mean``:
     m(phi) = -mu_x sin(phi) + mu_y cos(phi)."""
-    phi = np.asarray(phi, dtype=float)
-    return -mean[0] * np.sin(phi) + mean[1] * np.cos(phi)
+    si, co = _sin_cos(phi)
+    return -mean[0] * si + mean[1] * co
 
 
 def projection_variance(covariance, phi) -> float | np.ndarray:
     """n^T Sigma n with n = (-sin(phi), cos(phi)), vectorized over phi.
 
     This is the variance of the line-integral profile at angle phi; a
-    scalar phi gives a float.
+    scalar phi gives a float.  ``covariance`` is any 2 x 2 array-like.
     """
-    phi = np.asarray(phi, dtype=float)
-    si, co = np.sin(phi), np.cos(phi)
-    a, b, c = covariance[0, 0], covariance[0, 1], covariance[1, 1]
+    cov = np.asarray(covariance, dtype=float)
+    if cov.shape != (2, 2):
+        raise InputError(f"covariance must have shape (2, 2), got {cov.shape}")
+    si, co = _sin_cos(phi)
+    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
     out = a * si * si - 2.0 * b * si * co + c * co * co
     return float(out) if out.ndim == 0 else out
 

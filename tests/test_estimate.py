@@ -1,7 +1,10 @@
 """Moment estimation, orientation solve, covariance pipeline, mixture driver."""
 
+import collections
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from gmmlor import (
     trace_to_jsonl,
     update_memberships,
 )
+from gmmlor.estimate import _Batch, _memberships_arrays, _nearest_sinusoid
+from gmmlor.projection import _Angles, log_line_integral_profile
 from conftest import make_component
 
 
@@ -46,6 +51,16 @@ def pseudo_offsets(sigma1_sq, sigma2_sq, phi0, n=64):
     cov = covariance_from_eigen(EigenDecomposition2D(sigma1_sq, sigma2_sq, phi0))
     phis = np.linspace(-math.pi / 2, math.pi / 2, n, endpoint=False)
     return np.sqrt(projection_variance(cov, phis)), phis
+
+
+def cached(s, phi, idx=None):
+    """(s, phi) as a batch whose angle features are all computed up front,
+    then narrowed to the events ``idx`` selects, as phase 1 does."""
+    angles = _Angles(phi)
+    for name in ("sin", "cos", "sin2", "cos2", "sin4", "cos4"):
+        getattr(angles, name)
+    batch = _Batch(s, phi, angles)
+    return batch if idx is None else batch.take(idx)
 
 
 # ------------------------------------------------------------ weighted moments
@@ -180,6 +195,24 @@ def test_center_offsets_zero_mean_is_identity():
     assert np.array_equal(s_c, s)
 
 
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+)
+def test_center_offsets_result_copies_and_pickles(clone):
+    rng = np.random.default_rng(14)
+    s = rng.normal(size=25)
+    phis = rng.uniform(-1.5, 1.5, 25)
+    offs = center_offsets((s, phis), np.array([0.2, -0.1]))
+    offs.angles.sin2  # a computed feature travels with the copy
+    s_c, phi = clone(offs)
+    assert np.array_equal(s_c, offs[0])
+    assert np.array_equal(phi, phis)
+    assert np.array_equal(clone(offs).angles.sin2, np.sin(2.0 * phis))
+    assert estimate_covariance(clone(offs)).tobytes() == (
+        estimate_covariance(offs).tobytes()
+    )
+
+
 # ----------------------------------------------------------- orientation solve
 
 def test_orientation_recovered_exactly_on_clean_data():
@@ -259,6 +292,125 @@ def test_estimate_covariance_accepts_array_pairs():
     a = estimate_covariance((res.s, res.phi))
     b = estimate_covariance(np.column_stack((res.s, res.phi)))
     assert np.array_equal(a, b)
+
+
+# --------------------------------------------------- cached angle features
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cached_angle_features_give_bitwise_equal_estimates(weighted):
+    cov = [[0.04, 0.03], [0.03, 0.09]]
+    res = simulate_lors(single((0.3, -0.2), cov), counts=(3000,), seed=8)
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.05, 1.0, res.s.size) if weighted else None
+    mu = fit_mean((res.s, res.phi), w)
+    assert np.array_equal(fit_mean(cached(res.s, res.phi), w), mu)
+    s_c, phi = center_offsets((res.s, res.phi), mu)
+    offs = center_offsets(cached(res.s, res.phi), mu)
+    assert np.array_equal(offs[0], s_c)
+    assert np.array_equal(
+        estimate_covariance(offs, w), estimate_covariance((s_c, phi), w)
+    )
+
+
+def test_cached_angle_features_of_a_subset_give_bitwise_equal_estimates():
+    cov = [[0.04, 0.03], [0.03, 0.09]]
+    res = simulate_lors(single((0.3, -0.2), cov), counts=(3000,), seed=9)
+    idx = np.flatnonzero(np.random.default_rng(5).random(res.s.size) < 0.4)
+    plain = (res.s[idx], res.phi[idx])
+    mu = fit_mean(plain)
+    assert np.array_equal(fit_mean(cached(res.s, res.phi, idx)), mu)
+    s_c, phi = center_offsets(plain, mu)
+    offs = center_offsets(cached(res.s, res.phi, idx), mu)
+    assert np.array_equal(offs[0], s_c)
+    assert np.array_equal(estimate_covariance(offs), estimate_covariance((s_c, phi)))
+
+
+def test_cached_angle_features_keep_the_isotropic_orientation():
+    s_c, phis = pseudo_offsets(0.04, 0.04, 0.3)
+    assert solve_orientation(cached(s_c, phis), None, 0.04, 0.04) == 0.0
+    zero = (np.zeros(200), np.linspace(-1.5, 1.5, 200))
+    got = estimate_covariance(cached(*zero))
+    assert np.array_equal(got, estimate_covariance(zero))
+    assert got[0, 1] == 0.0  # phi0 = 0: axes along x and y
+
+
+def reference_memberships(s, phi, means, covariances, tau):
+    """The E-step with fresh arrays and np.max / np.sum over each row."""
+    logp = np.column_stack([
+        math.log(t) + log_line_integral_profile(c, m, s, phi)
+        for m, c, t in zip(means, covariances, tau)
+    ])
+    row_max = np.max(logp, axis=1)
+    shifted = np.exp(logp - row_max[:, None])
+    row_sum = np.sum(shifted, axis=1)
+    return shifted / row_sum[:, None], float(np.sum(row_max + np.log(row_sum)))
+
+
+def random_mixture_arrays(K, rng):
+    means = rng.normal(0.0, 0.8, size=(K, 2))
+    covariances = []
+    for _ in range(K):
+        a = rng.normal(0.0, 0.2, size=(2, 2))
+        covariances.append(a @ a.T + 0.01 * np.eye(2))
+    tau = rng.uniform(0.5, 1.5, K)
+    return means, covariances, tau / tau.sum()
+
+
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_memberships_match_the_row_reduction_reference_bitwise(K):
+    # K = 9 also pins the row sum: column-by-column addition rounds
+    # differently from np.sum once a row has 8 or more terms
+    rng = np.random.default_rng(40 + K)
+    means, covariances, tau = random_mixture_arrays(K, rng)
+    s = rng.normal(0.0, 1.0, 2000)
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, 2000)
+    resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+    ref, ref_loglik = reference_memberships(s, phi, means, covariances, tau)
+    assert resp.flags.c_contiguous
+    assert np.array_equal(resp, ref)
+    assert loglik == ref_loglik
+
+
+def test_memberships_with_one_underflow_row_match_the_reference(benchmark_mixture):
+    res = simulate_lors(benchmark_mixture, counts=(30, 20, 10), seed=2)
+    s = np.append(res.s, 1e200)
+    phi = np.append(res.phi, 0.0)
+    means = [c.mean for c in benchmark_mixture.components]
+    covariances = [c.covariance for c in benchmark_mixture.components]
+    tau = [c.weight for c in benchmark_mixture.components]
+    resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+    ref, _ = reference_memberships(res.s, res.phi, means, covariances, tau)
+    assert np.array_equal(resp[:-1], ref)
+    assert np.all(resp[-1] == 1.0 / 3.0)
+    assert loglik == -math.inf
+
+
+# -------------------------------------------------- phase-1 reassignment
+
+def test_nearest_sinusoid_sends_ties_to_the_lower_label():
+    # at phi = 0 the distance to a mean is |s - mu_y|, so s = 0 lies
+    # exactly halfway between mu_y = 1 and mu_y = -1
+    batch = cached(np.array([0.0, 0.9, -0.9]), np.zeros(3))
+    up_down = np.array([[0.0, 1.0], [0.0, -1.0]])
+    assert _nearest_sinusoid(batch, up_down).tolist() == [0, 0, 1]
+    assert _nearest_sinusoid(batch, up_down[::-1]).tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 9])
+def test_nearest_sinusoid_matches_argmin(K):
+    rng = np.random.default_rng(70 + K)
+    s = rng.normal(0.0, 1.0, 500)
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, 500)
+    means = rng.normal(0.0, 1.0, size=(K, 2))
+    means[-1] = means[0]  # every event ties between two labels
+    dist = np.abs(
+        s[:, None]
+        + means[None, :, 0] * np.sin(phi)[:, None]
+        - means[None, :, 1] * np.cos(phi)[:, None]
+    )
+    labels = _nearest_sinusoid(cached(s, phi), means)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, np.argmin(dist, axis=1))
 
 
 # ----------------------------------------------------------------- memberships
@@ -417,6 +569,37 @@ def test_fit_death_when_a_cluster_empties():
             FitConfig(K=2, restarts=1, seed=0),
             initial_assignment=labels,
         )
+
+
+def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
+    # the benchmark's per-layer trace wraps these module attributes; a
+    # fit that bypassed them would hide where its time goes
+    import gmmlor.estimate as est
+
+    calls = collections.Counter()
+    seams = (
+        "fit_mean", "center_offsets", "estimate_covariance",
+        "solve_orientation", "refine_sigmas", "_memberships_arrays",
+    )
+    for name in seams:
+        def counted(*args, _name=name, _original=getattr(est, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(est, name, counted)
+    res = simulate_lors(benchmark_mixture, counts=(700, 500, 200), seed=3)
+    out = fit((res.s, res.phi), FitConfig(K=3, seed=0, weight_tol=1e-3))
+    K = 3
+    phase1 = sum(1 for rec in out.trace if rec.phase == 1)
+    phase2 = sum(1 for rec in out.trace if rec.phase == 2)
+    assert phase1 >= 1 and phase2 >= 1
+    assert calls["_memberships_arrays"] == phase2 + 1
+    assert calls["fit_mean"] == K * (phase1 + phase2)
+    covariances = K * (1 + phase2)  # once after phase 1, then per M-step
+    assert calls["center_offsets"] == covariances
+    assert calls["estimate_covariance"] == covariances
+    assert calls["solve_orientation"] == 2 * covariances
+    assert calls["refine_sigmas"] == covariances
 
 
 def test_fit_trace_records_cover_both_phases(benchmark_mixture):

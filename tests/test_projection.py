@@ -9,6 +9,7 @@ from scipy import integrate
 import gmmlor
 from gmmlor import (
     EigenDecomposition2D,
+    InputError,
     MixtureModel2D,
     covariance_from_eigen,
     eigen_from_covariance,
@@ -17,7 +18,7 @@ from gmmlor import (
     projection_variance,
     theoretical_moments,
 )
-from gmmlor.projection import log_line_integral_profile
+from gmmlor.projection import _Angles, log_line_integral_profile
 from conftest import make_component
 
 
@@ -45,6 +46,24 @@ def test_projection_variance_equals_normal_quadratic_form():
         )
         got = projection_variance(covariance_from_eigen(e), phi)
         assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_covariance_may_be_nested_lists_and_must_be_2x2():
+    nested = [[0.04, 0.03], [0.03, 0.09]]
+    cov = np.array(nested)
+    phis = np.linspace(-1.5, 1.5, 7)
+    assert projection_variance(nested, 0.3) == projection_variance(cov, 0.3)
+    assert np.array_equal(projection_variance(nested, phis), projection_variance(cov, phis))
+    mean, s = (0.1, -0.2), np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(
+        log_line_integral_profile(nested, mean, s, phis),
+        log_line_integral_profile(cov, mean, s, phis),
+    )
+    for bad in (np.ones(3), np.eye(3)):
+        with pytest.raises(InputError):
+            projection_variance(bad, 0.0)
+        with pytest.raises(InputError):
+            log_line_integral_profile(bad, mean, 0.0, 0.0)
 
 
 def test_projection_variance_axis_values():
@@ -127,6 +146,25 @@ def test_line_integral_density_matches_quadrature():
         )
         got = line_integral(comp, s, phi)
         assert got == pytest.approx(ref, rel=1e-8)
+
+
+def test_angle_features_are_the_plain_sines_and_cosines():
+    rng = np.random.default_rng(17)
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, 1001)
+    idx = np.flatnonzero(rng.random(phi.size) < 0.3)
+    want = {
+        "sin": np.sin(phi), "cos": np.cos(phi),
+        "sin2": np.sin(2.0 * phi), "cos2": np.cos(2.0 * phi),
+        "sin4": np.sin(2.0 * (2.0 * phi)), "cos4": np.cos(2.0 * (2.0 * phi)),
+    }
+    angles = _Angles(phi)
+    for name, value in want.items():
+        assert np.array_equal(getattr(angles, name), value)
+    part = angles.take(idx)
+    fresh = _Angles(phi[idx])
+    for name in want:
+        assert np.array_equal(getattr(part, name), getattr(fresh, name))
+    assert np.array_equal(mean_sinusoid(angles, (0.3, -0.7)), mean_sinusoid(phi, (0.3, -0.7)))
 
 
 def test_mean_sinusoid_shape_and_values():

@@ -1,5 +1,6 @@
 """Event simulator: counts, reproducibility, moment agreement, CSV I/O."""
 
+import csv
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gmmlor import (
     theoretical_moments,
     write_lors_csv,
 )
+import gmmlor.simulate
 from conftest import BENCHMARK_COUNTS, make_component
 
 
@@ -56,6 +58,32 @@ def test_same_seed_same_csv_bytes(tmp_path, benchmark_mixture):
     assert csv_bytes("a.csv", a, a.labels) == csv_bytes("b.csv", b, b.labels)
     c = simulate_lors(benchmark_mixture, counts=(50, 30, 20), seed=43)
     assert csv_bytes("a0.csv", a) != csv_bytes("c0.csv", c)
+
+
+def reference_csv(path, s, phi, labels=None):
+    """The LoR CSV written one row at a time through the csv module."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("s", "phi") if labels is None else ("s", "phi", "label"))
+        for i in range(len(s)):
+            row = (f"{s[i]:.17g}", f"{phi[i]:.17g}")
+            writer.writerow(row if labels is None else row + (int(labels[i]),))
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_csv_bytes_match_the_row_by_row_reference(tmp_path, monkeypatch, labeled):
+    # a 4-row chunk puts chunk boundaries inside the 11 rows
+    monkeypatch.setattr(gmmlor.simulate, "_CSV_CHUNK_ROWS", 4)
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=11) * 10.0 ** rng.integers(-300, 300, 11)
+    s[:4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+    phi = rng.uniform(-1.6, 1.6, 11)
+    labels = rng.integers(0, 3, 11) if labeled else None
+    for n in (0, 4, 11):
+        part = None if labels is None else labels[:n]
+        write_lors_csv(tmp_path / "got.csv", s[:n], phi[:n], part)
+        reference_csv(tmp_path / "want.csv", s[:n], phi[:n], part)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_point_source_lines_pass_through_the_point():
