@@ -75,13 +75,24 @@ class CliUsageError(Exception):
     """Semantic argument problem (mapped to exit code 2)."""
 
 
-def _parse_counts(text: str) -> list[int]:
+def _resolve_counts(args, model) -> list[int] | None:
+    """Per-component counts from ``--counts``, or None when ``--n`` is
+    given instead; exactly one of the two must be."""
+    if (args.counts is None) == (args.n is None):
+        raise CliUsageError("give exactly one of --counts and --n")
+    if args.counts is None:
+        return None
     try:
-        counts = [int(part) for part in text.split(",")]
+        counts = [int(part) for part in args.counts.split(",")]
     except ValueError as exc:
         raise CliUsageError(f"bad --counts value: {exc}") from exc
     if any(c < 0 for c in counts):
         raise CliUsageError("--counts entries must be nonnegative")
+    if len(counts) != len(model.components):
+        raise CliUsageError(
+            f"--counts has {len(counts)} entries but the model has "
+            f"{len(model.components)} components"
+        )
     return counts
 
 
@@ -163,16 +174,7 @@ def _write_raster_csv(path, header: str, points, values) -> None:
 
 def cmd_generate(args) -> int:
     model = load_model(args.model)
-    if (args.counts is None) == (args.n is None):
-        raise CliUsageError("give exactly one of --counts and --n")
-    counts = None
-    if args.counts is not None:
-        counts = _parse_counts(args.counts)
-        if len(counts) != len(model.components):
-            raise CliUsageError(
-                f"--counts has {len(counts)} entries but the model has "
-                f"{len(model.components)} components"
-            )
+    counts = _resolve_counts(args, model)
     result = simulate_lors(
         model,
         counts=counts,
@@ -316,16 +318,7 @@ def _replicate_task(payload):
 
 def cmd_replicate(args) -> int:
     truth = load_model(args.model)
-    if (args.counts is None) == (args.n is None):
-        raise CliUsageError("give exactly one of --counts and --n")
-    counts = None
-    if args.counts is not None:
-        counts = _parse_counts(args.counts)
-        if len(counts) != len(truth.components):
-            raise CliUsageError(
-                f"--counts has {len(counts)} entries but the model has "
-                f"{len(truth.components)} components"
-            )
+    counts = _resolve_counts(args, truth)
     if args.k is None:
         args.k = len(truth.components)
     config = _resolve_fit_config(args)

@@ -30,11 +30,6 @@ class DegenerateGeometryError(NumericalError):
     typically because all contributing lines are nearly parallel."""
 
 
-class NoRealRootError(NumericalError):
-    """The orientation quartic produced no admissible real root and the
-    grid-search fallback also failed."""
-
-
 class ComponentDeathError(GmmLorError):
     """A mixture component's responsibility mass collapsed during fitting."""
 

@@ -8,11 +8,14 @@ per-component projected densities and re-estimates means, covariances,
 and weights until the weights settle.
 
 Covariances never come from point clouds: a component only sees the
-scalar offsets of its LoRs from the mean sinusoid.  The radial moments
-of those offsets fix the two principal variances, the angular
-dependence of the squared offsets fixes the orientation (a quartic in
-cos of the doubled angle), and a final weighted least squares refines
-the variances in the recovered frame.
+scalar offsets of its LoRs from the mean sinusoid.  One pass over those
+offsets (:func:`moments_from_offsets`) takes the weighted averages of
+t = s_c^2 and t^2, of cos and sin of 2 phi and 4 phi, and of t times
+cos and sin of 2 phi.  Every later step is a closed form in those
+averages: the radial moments fix the two principal variances, the
+angular dependence of the squared offsets fixes the orientation (a
+quartic in cos of the doubled angle), and a final weighted least
+squares refines the variances in the recovered frame.
 """
 
 from __future__ import annotations
@@ -178,9 +181,28 @@ class FitResult:
 # covariance estimation from centered offsets
 
 
+def _wsum(w, *features) -> float:
+    """sum_i w_i times the product of the features at i.
+
+    Every per-event weighted sum goes through this one reduction.
+    np.dot would hand long sums to BLAS, which splits them across its
+    threads, so the last digits of a fit would depend on the host's
+    thread count; einsum adds in the same order everywhere.
+    """
+    subscripts = ",".join("i" * (1 + len(features))) + "->"
+    return float(np.einsum(subscripts, w, *features))
+
+
 @dataclass(frozen=True)
 class WeightedMoments:
-    """Weighted second/fourth moments of centered offsets, plus the mass.
+    """Weighted averages of the centered offsets that the covariance
+    pipeline needs, plus the total weight ``mass``.
+
+    With t = s_c^2 the fields are E[t] (``m2w``), E[t^2] (``m4w``),
+    E[cos 2 phi], E[sin 2 phi], E[cos 4 phi], E[sin 4 phi],
+    E[t cos 2 phi] and E[t sin 2 phi].  The angle averages default to 0,
+    the uniform-angle case, so the radial pair alone builds an object
+    fit for :func:`invert_moments`.
 
     m4w is clamped up to m2w^2 on construction: any distribution has
     E[X^4] >= E[X^2]^2, so a violation is pure sampling noise and would
@@ -190,6 +212,12 @@ class WeightedMoments:
     m2w: float
     m4w: float
     mass: float
+    cos2w: float = 0.0
+    sin2w: float = 0.0
+    cos4w: float = 0.0
+    sin4w: float = 0.0
+    tcos2w: float = 0.0
+    tsin2w: float = 0.0
 
     def __post_init__(self):
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
@@ -204,23 +232,31 @@ class WeightedMoments:
 
 
 def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
-    """Weighted second and fourth moments of the centered offsets."""
-    s_c, _ = _as_arrays(offsets)
-    s2 = s_c * s_c
-    if weights is None:
-        total = float(s2.size)
-        if total == 0.0:
-            raise InputError("no offsets to take moments of")
-        m2 = float(np.sum(s2) / total)
-        m4 = float(np.sum(s2 * s2) / total)
-    else:
-        w = np.asarray(weights, dtype=float)
-        total = float(np.sum(w))
-        if total <= 0.0:
-            raise InputError("total weight must be positive")
-        m2 = float(np.dot(w, s2) / total)
-        m4 = float(np.dot(w, s2 * s2) / total)
-    return WeightedMoments(m2w=m2, m4w=m4, mass=total)
+    """The weighted moments of the centered offsets, in one pass.
+
+    The only step of the covariance pipeline that reads events; the
+    others are closed forms in the returned :class:`WeightedMoments`.
+    ``weights=None`` weighs every event 1.
+    """
+    batch = _as_arrays(offsets)
+    s_c = batch[0]
+    w = np.ones_like(s_c) if weights is None else np.asarray(weights, float)
+    mass = float(np.sum(w))
+    if mass <= 0.0:
+        raise InputError("total weight must be positive")
+    t = s_c * s_c
+    angles = batch.angles
+    return WeightedMoments(
+        m2w=_wsum(w, t) / mass,
+        m4w=_wsum(w, t, t) / mass,
+        mass=mass,
+        cos2w=_wsum(w, angles.cos2) / mass,
+        sin2w=_wsum(w, angles.sin2) / mass,
+        cos4w=_wsum(w, angles.cos4) / mass,
+        sin4w=_wsum(w, angles.sin4) / mass,
+        tcos2w=_wsum(w, t, angles.cos2) / mass,
+        tsin2w=_wsum(w, t, angles.sin2) / mass,
+    )
 
 
 def invert_moments(
@@ -243,68 +279,45 @@ def invert_moments(
     return s1, s2
 
 
-def _orientation_stats(offsets, weights):
-    batch = _as_arrays(offsets)
-    s_c, phi = batch
-    t = s_c * s_c
-    if weights is None:
-        p = np.ones_like(phi)
-    else:
-        p = np.asarray(weights, dtype=float)
-    return batch.angles, t, p
-
-
 def solve_orientation(
-    offsets,
-    weights,
-    sigma1_sq: float,
-    sigma2_sq: float,
+    m: WeightedMoments, sigma1_sq: float, sigma2_sq: float
 ) -> float:
     """Orientation phi0 minimizing the squared-offset residual.
 
     With alpha = 2 phi the model for the squared offset is
-    e + c cos(alpha - alpha0), e = (s1 + s2)/2, c = (s2 - s1)/2.  The
-    stationarity condition in x = cos(alpha0), y = sin(alpha0) is
+    e + c cos(alpha - alpha0), e = (s1 + s2)/2, c = (s2 - s1)/2.  In
+    x = cos(alpha0), y = sin(alpha0) the weighted mean squared residual
+    is, up to terms free of alpha0,
+
+        L = c^2/2 ((x^2 - y^2) E[cos 4 phi] + 2 x y E[sin 4 phi])
+            + 2 c (x T_c + y T_s),   T_c = E[(e - t) cos 2 phi], T_s alike,
+
+    and its derivative gives the stationarity condition
 
         A_s2 (y^2 - x^2) + A_sc x y + A_s y + A_c x = 0
 
     which together with x^2 + y^2 = 1 reduces to a quartic in x.  Real
     roots are paired with both square-root branches of y, screened by
-    the stationarity residual, and ranked by the actual objective.  If
-    no root survives (flat objective, lost precision), a dense grid
-    plus golden-section refinement takes over.
+    the stationarity residual, and ranked by L.  If no root survives
+    (flat objective, lost precision), a dense grid plus golden-section
+    refinement takes over.
     """
-    angles, t, p = _orientation_stats(offsets, weights)
     dsig = sigma2_sq - sigma1_sq
     ssum = sigma1_sq + sigma2_sq
     if abs(dsig) <= 1e-12 * max(1.0, ssum):
         return 0.0  # isotropic: every orientation is stationary
 
-    sa, ca = angles.sin2, angles.cos2
-    M = p * dsig
-    N = p * (ssum - 2.0 * t)
-    A_s2 = float(np.dot(M, sa * ca))
-    A_sc = float(np.dot(M, ca * ca - sa * sa))
-    A_s = float(np.dot(N, ca))
-    A_c = -float(np.dot(N, sa))
-
-    # O(1) objective pieces: L(alpha0) in terms of x, y
     c_amp = 0.5 * dsig
-    g = 0.5 * ssum - t
-    S1 = float(np.sum(p))
-    Sc2 = float(np.dot(p, angles.cos4))
-    Ss2 = float(np.dot(p, angles.sin4))
-    Tc = float(np.dot(p, g * ca))
-    Ts = float(np.dot(p, g * sa))
-    T0 = float(np.dot(p, g * g))
+    Tc = 0.5 * ssum * m.cos2w - m.tcos2w
+    Ts = 0.5 * ssum * m.sin2w - m.tsin2w
+    A_s2 = c_amp * m.sin4w
+    A_sc = 2.0 * c_amp * m.cos4w
+    A_s = 2.0 * Tc
+    A_c = -2.0 * Ts
 
     def objective_xy(x: float, y: float) -> float:
-        quad = S1 + (x * x - y * y) * Sc2 + 2.0 * x * y * Ss2
-        return (
-            0.5 * c_amp * c_amp * quad
-            + 2.0 * c_amp * (x * Tc + y * Ts)
-            + T0
-        )
+        quad = (x * x - y * y) * m.cos4w + 2.0 * x * y * m.sin4w
+        return 0.5 * c_amp * c_amp * quad + 2.0 * c_amp * (x * Tc + y * Ts)
 
     def objective(alpha0: float) -> float:
         return objective_xy(math.cos(alpha0), math.sin(alpha0))
@@ -372,32 +385,31 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def refine_sigmas(
-    offsets,
-    weights,
+    m: WeightedMoments,
     phi0: float,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> tuple[float, float, float]:
     """Re-fit the principal variances with the orientation held fixed.
 
     Weighted least squares of the squared offsets against
-    (sin^2(phi0 - phi), cos^2(phi0 - phi)).  The solution is clamped at
-    the variance floor, and if the fit comes back with the minor
-    variance larger, the pair is swapped and the orientation rotated a
-    quarter turn so sigma1_sq stays the major variance.  The possibly
-    adjusted orientation is returned with the pair:
-    (sigma1_sq, sigma2_sq, phi0).
+    (u, v) = (sin^2(phi0 - phi), cos^2(phi0 - phi)).  With d = phi0 - phi,
+    u = (1 - cos 2d)/2 and v = (1 + cos 2d)/2, so the normal equations
+    need only E[cos 2d], E[cos 4d] and E[t cos 2d], which the angle-sum
+    formulas give from the moments.  The solution is clamped at the
+    variance floor, and if the fit comes back with the minor variance
+    larger, the pair is swapped and the orientation rotated a quarter
+    turn so sigma1_sq stays the major variance.  The possibly adjusted
+    orientation is returned with the pair: (sigma1_sq, sigma2_sq, phi0).
     """
-    angles, t, p = _orientation_stats(offsets, weights)
-    d = phi0 - angles.phi
-    sd = np.sin(d)
-    cd = np.cos(d)
-    u = sd * sd
-    v = cd * cd
-    m11 = float(np.dot(p, u * u))
-    m12 = float(np.dot(p, u * v))
-    m22 = float(np.dot(p, v * v))
-    b1 = float(np.dot(p, t * u))
-    b2 = float(np.dot(p, t * v))
+    ca, sa = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
+    cos2d = ca * m.cos2w + sa * m.sin2w
+    cos4d = math.cos(4.0 * phi0) * m.cos4w + math.sin(4.0 * phi0) * m.sin4w
+    tcos2d = ca * m.tcos2w + sa * m.tsin2w
+    m11 = 0.375 - 0.5 * cos2d + 0.125 * cos4d  # E[u^2]
+    m12 = 0.125 * (1.0 - cos4d)  # E[u v]
+    m22 = 0.375 + 0.5 * cos2d + 0.125 * cos4d  # E[v^2]
+    b1 = 0.5 * (m.m2w - tcos2d)  # E[t u]
+    b2 = 0.5 * (m.m2w + tcos2d)  # E[t v]
 
     mid = 0.5 * (m11 + m22)
     rad = math.hypot(0.5 * (m11 - m22), m12)
@@ -428,14 +440,11 @@ def estimate_covariance(
     pair.  Returns the symmetric positive-definite covariance matrix.
     """
     floor = config.variance_floor if config is not None else DEFAULT_VARIANCE_FLOOR
-    # one batch for all four steps, so both orientation solves share
-    # the sines and cosines of 2 phi and 4 phi
-    offsets = _as_arrays(offsets)
     m = moments_from_offsets(offsets, weights)
     s1, s2 = invert_moments(m, floor)
-    phi0 = solve_orientation(offsets, weights, s1, s2)
-    s1, s2, phi0 = refine_sigmas(offsets, weights, phi0, floor)
-    phi0 = solve_orientation(offsets, weights, s1, s2)
+    phi0 = solve_orientation(m, s1, s2)
+    s1, s2, phi0 = refine_sigmas(m, phi0, floor)
+    phi0 = solve_orientation(m, s1, s2)
     eigen = EigenDecomposition2D(
         sigma1_sq=s1, sigma2_sq=s2, phi0=canonicalize_orientation(phi0)
     )
@@ -512,11 +521,11 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     s = batch[0]
     p = np.ones_like(s) if weights is None else np.asarray(weights, float)
     si, co = batch.angles.sin, batch.angles.cos
-    a = float(np.dot(p, si * si))
-    b = float(np.dot(p, si * co))
-    c = float(np.dot(p, co * co))
-    r1 = -float(np.dot(p, s * si))
-    r2 = float(np.dot(p, s * co))
+    a = _wsum(p, si, si)
+    b = _wsum(p, si, co)
+    c = _wsum(p, co, co)
+    r1 = -_wsum(p, s, si)
+    r2 = _wsum(p, s, co)
 
     mid = 0.5 * (a + c)
     rad = math.hypot(0.5 * (a - c), b)

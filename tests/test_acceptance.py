@@ -24,6 +24,7 @@ from gmmlor import (
     EigenDecomposition2D,
     fit,
     invert_moments,
+    moments_from_offsets,
     projection_variance,
     save_model,
     simulate_lors,
@@ -183,7 +184,7 @@ def test_criterion_6_orientation_and_quartic():
         phis = np.linspace(-math.pi / 2, math.pi / 2, 64, endpoint=False)
         p = EigenDecomposition2D(0.09, 0.01, phi0)
         offs = (np.sqrt(projection_variance(covariance_from_eigen(p), phis)), phis)
-        got = solve_orientation(offs, None, 0.09, 0.01)
+        got = solve_orientation(moments_from_offsets(offs), 0.09, 0.01)
         worst_phi = max(worst_phi, abs(math.remainder(got - phi0, math.pi)))
 
     rng = np.random.default_rng(1609)

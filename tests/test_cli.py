@@ -1,6 +1,9 @@
 """Command-line interface, exercised in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,12 +70,19 @@ def test_generate_single_event(tmp_path, truth_path):
 
 
 def test_generate_usage_errors(tmp_path, truth_path):
-    out = str(tmp_path / "x.csv")
-    base = ["generate", "--model", truth_path, "--out", out]
-    assert main(base + ["--counts", "1,2,3", "--n", "10"]) == 2
-    assert main(base) == 2
-    assert main(base + ["--counts", "1,2"]) == 2  # wrong component count
-    assert main(base + ["--counts", "1,two,3"]) == 2
+    # generate and replicate resolve --counts / --n the same way
+    out = tmp_path / "x.csv"
+    for base in (
+        ["generate", "--model", truth_path, "--out", str(out)],
+        ["replicate", "--model", truth_path, "--replicates", "1",
+         "--out", str(out)],
+    ):
+        assert main(base + ["--counts", "1,2,3", "--n", "10"]) == 2
+        assert main(base) == 2
+        assert main(base + ["--counts", "1,2"]) == 2  # wrong component count
+        assert main(base + ["--counts", "1,two,3"]) == 2
+        assert main(base + ["--counts", "1,-2,3"]) == 2
+        assert not out.exists()
 
 
 def test_generate_missing_model_is_input_error(tmp_path):
@@ -88,6 +98,34 @@ def test_unknown_subcommand_is_usage_error():
 
 
 # ------------------------------------------------------------------------ fit
+
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, truth_path):
+    # a multi-threaded BLAS splits a long dot product across its threads,
+    # which changes how the sum rounds; 20 000 events is past the length
+    # where OpenBLAS starts to split
+    lors = str(tmp_path / "ev.csv")
+    assert main([
+        "generate", "--model", truth_path, "--counts", "10000,7000,3000",
+        "--seed", "7", "--out", lors,
+    ]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"K": 3, "weight_tol": 1e-3}))
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fit{threads}.json"
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmmlor", "fit", lors, "--config",
+             str(cfg), "--seed", "7", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
+
 
 def test_fit_single_component(tmp_path, single_path):
     lors = str(tmp_path / "ev.csv")

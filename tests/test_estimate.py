@@ -8,6 +8,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import optimize
 
 from gmmlor import (
     ComponentDeathError,
@@ -21,6 +24,7 @@ from gmmlor import (
     WeightedMoments,
     center_offsets,
     config_from_dict,
+    canonicalize_orientation,
     config_to_dict,
     covariance_from_eigen,
     estimate_covariance,
@@ -218,26 +222,27 @@ def test_center_offsets_result_copies_and_pickles(clone):
 def test_orientation_recovered_exactly_on_clean_data():
     for phi0 in np.linspace(-1.5, 1.5, 50):
         offs = pseudo_offsets(0.09, 0.01, phi0)
-        got = solve_orientation(offs, None, 0.09, 0.01)
+        got = solve_orientation(moments_from_offsets(offs), 0.09, 0.01)
         assert abs(math.remainder(got - phi0, math.pi)) < 1e-9
 
 
 def test_orientation_isotropic_returns_zero():
     offs = pseudo_offsets(0.04, 0.04, 0.3)
-    assert solve_orientation(offs, None, 0.04, 0.04) == 0.0
+    assert solve_orientation(moments_from_offsets(offs), 0.04, 0.04) == 0.0
 
 
 def test_orientation_handles_mild_eccentricity():
     for phi0 in (-0.8, 0.2, 1.1):
         offs = pseudo_offsets(0.051, 0.049, phi0, n=128)
-        got = solve_orientation(offs, None, 0.051, 0.049)
+        got = solve_orientation(moments_from_offsets(offs), 0.051, 0.049)
         assert abs(math.remainder(got - phi0, math.pi)) < 1e-6
 
 
 # ------------------------------------------------------------ sigma refinement
 
 def test_refine_sigmas_exact_on_clean_data():
-    s1, s2, p0 = refine_sigmas(pseudo_offsets(0.09, 0.01, 0.7), None, 0.7)
+    m = moments_from_offsets(pseudo_offsets(0.09, 0.01, 0.7))
+    s1, s2, p0 = refine_sigmas(m, 0.7)
     assert s1 == pytest.approx(0.09, rel=1e-10)
     assert s2 == pytest.approx(0.01, rel=1e-10)
     assert p0 == 0.7
@@ -245,7 +250,8 @@ def test_refine_sigmas_exact_on_clean_data():
 
 def test_refine_sigmas_swaps_when_axes_cross():
     # handing in the minor axis must come back major-first, angle shifted
-    s1, s2, p0 = refine_sigmas(pseudo_offsets(0.09, 0.01, 0.7), None, 0.7 + math.pi / 2)
+    m = moments_from_offsets(pseudo_offsets(0.09, 0.01, 0.7))
+    s1, s2, p0 = refine_sigmas(m, 0.7 + math.pi / 2)
     assert s1 == pytest.approx(0.09, rel=1e-10)
     assert s2 == pytest.approx(0.01, rel=1e-10)
     assert abs(math.remainder(p0 - 0.7, math.pi)) < 1e-12
@@ -255,7 +261,7 @@ def test_refine_sigmas_swaps_when_axes_cross():
 def test_refine_sigmas_floors_zero_data():
     phis = np.linspace(-1.5, 1.5, 32)
     offs = (np.zeros(32), phis)
-    s1, s2, p0 = refine_sigmas(offs, None, 0.3)
+    s1, s2, p0 = refine_sigmas(moments_from_offsets(offs), 0.3)
     assert s1 == s2 == 1e-8
     assert p0 == 0.3
 
@@ -268,8 +274,101 @@ def test_refine_sigmas_orders_outputs_on_noisy_data():
         cov = covariance_from_eigen(EigenDecomposition2D(truth1, truth2, phi0))
         phis = rng.uniform(-math.pi / 2, math.pi / 2, 500)
         sc = rng.normal(0, np.sqrt(projection_variance(cov, phis)))
-        s1, s2, _ = refine_sigmas((sc, phis), None, phi0)
+        s1, s2, _ = refine_sigmas(moments_from_offsets((sc, phis)), phi0)
         assert s1 >= s2 >= 1e-8
+
+
+# ------------------------------------------- moment formulas vs per-event sums
+
+def anisotropic_offsets(rng, n=2000, ratio=(2.0, 20.0)):
+    """Weighted centered offsets of a random eccentric component whose
+    axis ratio s1 / s2 is drawn from ``ratio``."""
+    s1 = rng.uniform(0.02, 0.4)
+    s2 = s1 / rng.uniform(*ratio)
+    phi0 = rng.uniform(-1.5, 1.5)
+    cov = covariance_from_eigen(EigenDecomposition2D(s1, s2, phi0))
+    phis = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    s_c = rng.normal(0.0, np.sqrt(projection_variance(cov, phis)))
+    return s_c, phis, rng.uniform(0.05, 1.0, n), (s1, s2, phi0)
+
+
+def reference_refine_sigmas(s_c, phi, w, phi0, floor=1e-8):
+    """Normal equations on sin^2 and cos^2 of phi0 - phi, event by event."""
+    u = np.sin(phi0 - phi) ** 2
+    v = np.cos(phi0 - phi) ** 2
+    t = s_c * s_c
+    normal = np.array([
+        [np.sum(w * u * u), np.sum(w * u * v)],
+        [np.sum(w * u * v), np.sum(w * v * v)],
+    ])
+    rhs = np.array([np.sum(w * t * u), np.sum(w * t * v)])
+    s1, s2 = np.maximum(np.linalg.solve(normal, rhs), floor)
+    if s2 > s1:
+        return s2, s1, canonicalize_orientation(phi0 + math.pi / 2)
+    return s1, s2, canonicalize_orientation(phi0)
+
+
+def reference_orientation(s_c, phi, w, s1, s2):
+    """phi0 minimizing sum w (s_c^2 - e - c cos(2 phi - 2 phi0))^2, found
+    on a dense grid and polished to a root of the derivative."""
+    t = s_c * s_c
+    e, c = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
+
+    def loss(a0):
+        r = t - e - c * np.cos(2.0 * phi - a0)
+        return np.sum(w * r * r)
+
+    def slope(a0):
+        r = t - e - c * np.cos(2.0 * phi - a0)
+        return -np.sum(w * r * c * np.sin(2.0 * phi - a0))
+
+    grid = np.linspace(-math.pi, math.pi, 720, endpoint=False)
+    best = grid[np.argmin([loss(a0) for a0 in grid])]
+    span = 2.0 * math.pi / 720
+    a0 = optimize.brentq(slope, best - span, best + span, xtol=1e-15)
+    return canonicalize_orientation(0.5 * a0)
+
+
+def test_refine_sigmas_matches_the_per_event_normal_equations():
+    rng = np.random.default_rng(515)
+    for _ in range(20):
+        s_c, phis, w, (_, _, phi0) = anisotropic_offsets(rng)
+        m = moments_from_offsets((s_c, phis), w)
+        # the true axis, a rough one, and the minor axis (which swaps)
+        for guess in (phi0, phi0 + 0.3, phi0 + math.pi / 2):
+            got = refine_sigmas(m, guess)
+            ref = reference_refine_sigmas(s_c, phis, w, guess)
+            assert got[0] == pytest.approx(ref[0], rel=1e-12)
+            assert got[1] == pytest.approx(ref[1], rel=1e-12)
+            assert abs(math.remainder(got[2] - ref[2], math.pi)) < 1e-12
+
+
+def test_solve_orientation_minimizes_the_per_event_objective():
+    rng = np.random.default_rng(516)
+    for _ in range(20):
+        s_c, phis, w, (s1, s2, _) = anisotropic_offsets(rng)
+        m = moments_from_offsets((s_c, phis), w)
+        got = solve_orientation(m, s1, s2)
+        ref = reference_orientation(s_c, phis, w, s1, s2)
+        assert abs(math.remainder(got - ref, math.pi)) < 1e-12
+
+
+def test_moments_are_the_weighted_angle_averages():
+    rng = np.random.default_rng(517)
+    s_c, phis, w, _ = anisotropic_offsets(rng, n=500)
+    m = moments_from_offsets((s_c, phis), w)
+    t = s_c * s_c
+    expected = {
+        "m2w": t, "m4w": t * t,
+        "cos2w": np.cos(2 * phis), "sin2w": np.sin(2 * phis),
+        "cos4w": np.cos(4 * phis), "sin4w": np.sin(4 * phis),
+        "tcos2w": t * np.cos(2 * phis), "tsin2w": t * np.sin(2 * phis),
+    }
+    for name, values in expected.items():
+        assert getattr(m, name) == pytest.approx(
+            math.fsum(w * values) / math.fsum(w), rel=1e-13, abs=1e-16
+        ), name
+    assert m.mass == pytest.approx(math.fsum(w), rel=1e-14)
 
 
 # --------------------------------------------------------- covariance pipeline
@@ -292,6 +391,85 @@ def test_estimate_covariance_accepts_array_pairs():
     a = estimate_covariance((res.s, res.phi))
     b = estimate_covariance(np.column_stack((res.s, res.phi)))
     assert np.array_equal(a, b)
+
+
+# --------------------------------------------- rotation and fold of the events
+
+def rotate_events(s, phi, delta):
+    """The events of a source rotated by delta about the origin: a line
+    keeps its offset and turns by delta, then folds back into
+    [-pi/2, pi/2] with s -> -s."""
+    phi = phi + delta
+    k = np.floor((phi + math.pi / 2) / math.pi)
+    return np.where(k % 2 == 0, s, -s), phi - k * math.pi
+
+
+def rotate_covariance(cov, delta):
+    r = np.array([[math.cos(delta), -math.sin(delta)],
+                  [math.sin(delta), math.cos(delta)]])
+    return r @ cov @ r.T
+
+
+def eccentric_offsets(seed):
+    """Offsets of a component eccentric enough that sampling noise in the
+    fourth moment never clamps the discriminant of moment inversion."""
+    rng = np.random.default_rng(seed)
+    s_c, phis, w, _ = anisotropic_offsets(rng, 1000, ratio=(10.0, 100.0))
+    return s_c, phis, w
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.floats(-math.pi, math.pi),
+    weighted=st.booleans(),
+)
+def test_estimate_covariance_rotates_with_the_events(seed, delta, weighted):
+    s_c, phis, w = eccentric_offsets(seed)
+    w = w if weighted else None
+    s1, s2 = invert_moments(moments_from_offsets((s_c, phis), w))
+    assert s1 > s2  # the quartic branch, not the isotropic shortcut
+    cov = estimate_covariance((s_c, phis), w)
+    got = estimate_covariance(rotate_events(s_c, phis, delta), w)
+    scale = np.linalg.norm(cov)
+    assert np.linalg.norm(got - rotate_covariance(cov, delta)) <= 1e-12 * scale
+
+
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+def test_estimate_covariance_ignores_a_fold(seed, weighted):
+    s_c, phis, w = eccentric_offsets(seed)
+    w = w if weighted else None
+    # (s, phi) and (-s, phi -+ pi) are the same line
+    flip = np.random.default_rng(seed).random(phis.size) < 0.5
+    folded = (
+        np.where(flip, -s_c, s_c),
+        np.where(flip, phis - math.pi * np.sign(phis), phis),
+    )
+    cov = estimate_covariance((s_c, phis), w)
+    got = estimate_covariance(folded, w)
+    assert np.linalg.norm(got - cov) <= 1e-12 * np.linalg.norm(cov)
+
+
+def test_noiseless_offsets_take_the_isotropic_shortcut():
+    # the marginal of noiseless offsets is not Gaussian: its fourth
+    # moment is low enough that moment inversion clamps to isotropy
+    m = moments_from_offsets(pseudo_offsets(0.09, 0.01, 0.4))
+    s1, s2 = invert_moments(m)
+    assert s1 == s2
+    assert solve_orientation(m, s1, s2) == 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the isotropic shortcut returns phi0 = 0, a lab-frame axis, "
+    "so refine_sigmas fits the variances along x and y",
+)
+@given(delta=st.floats(-math.pi, math.pi))
+def test_isotropic_shortcut_rotates_with_the_events(delta):
+    s_c, phis = pseudo_offsets(0.09, 0.01, 0.4)
+    cov = estimate_covariance((s_c, phis))
+    got = estimate_covariance(rotate_events(s_c, phis, delta))
+    scale = np.linalg.norm(cov)
+    assert np.linalg.norm(got - rotate_covariance(cov, delta)) <= 1e-12 * scale
 
 
 # --------------------------------------------------- cached angle features
@@ -327,7 +505,8 @@ def test_cached_angle_features_of_a_subset_give_bitwise_equal_estimates():
 
 def test_cached_angle_features_keep_the_isotropic_orientation():
     s_c, phis = pseudo_offsets(0.04, 0.04, 0.3)
-    assert solve_orientation(cached(s_c, phis), None, 0.04, 0.04) == 0.0
+    m = moments_from_offsets(cached(s_c, phis))
+    assert solve_orientation(m, 0.04, 0.04) == 0.0
     zero = (np.zeros(200), np.linspace(-1.5, 1.5, 200))
     got = estimate_covariance(cached(*zero))
     assert np.array_equal(got, estimate_covariance(zero))
@@ -579,7 +758,8 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     calls = collections.Counter()
     seams = (
         "fit_mean", "center_offsets", "estimate_covariance",
-        "solve_orientation", "refine_sigmas", "_memberships_arrays",
+        "moments_from_offsets", "solve_orientation", "refine_sigmas",
+        "_memberships_arrays",
     )
     for name in seams:
         def counted(*args, _name=name, _original=getattr(est, name), **kwargs):
@@ -598,6 +778,7 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     covariances = K * (1 + phase2)  # once after phase 1, then per M-step
     assert calls["center_offsets"] == covariances
     assert calls["estimate_covariance"] == covariances
+    assert calls["moments_from_offsets"] == covariances
     assert calls["solve_orientation"] == 2 * covariances
     assert calls["refine_sigmas"] == covariances
 
