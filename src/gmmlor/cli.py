@@ -41,21 +41,22 @@ from .estimate import (
     trace_to_jsonl,
 )
 from .metrics import (
+    _cell_centers,
     evaluate_against_truth,
     report_to_dict,
     union_bounding_box,
 )
 from .model import (
     FORMAT_VERSION,
+    _mixture_density,
     check_format_version,
-    density_at_points,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
 )
 from .rng import derive_seed
-from .simulate import read_lors_csv, simulate_lors, write_lors_csv
+from .simulate import _write_rows, read_lors_csv, simulate_lors, write_lors_csv
 
 log = logging.getLogger("gmmlor.cli")
 
@@ -145,27 +146,31 @@ def _resolve_fit_config(args) -> FitConfig:
 
 
 def _raster_grid(models, grid_n: int):
-    """Shared cell-center mesh covering the models plus four sigma."""
-    x_lo, x_hi, y_lo, y_hi = union_bounding_box(models, n_sigma=4.0)
-    hx = (x_hi - x_lo) / grid_n
-    hy = (y_hi - y_lo) / grid_n
-    x = x_lo + (np.arange(grid_n) + 0.5) * hx
-    y = y_lo + (np.arange(grid_n) + 0.5) * hy
-    gx, gy = np.meshgrid(x, y, indexing="xy")
+    """Shared cell-center grid covering the models plus four sigma, as
+    the header line, a (1, grid_n) row of x and a (grid_n, 1) column of
+    y."""
+    box = union_bounding_box(models, n_sigma=4.0)
+    x, y = _cell_centers(box, grid_n)
+    x_lo, x_hi, y_lo, y_hi = box
     header = (
         f"# nx={grid_n} ny={grid_n} "
         f"x_lo={x_lo:.17g} x_hi={x_hi:.17g} "
         f"y_lo={y_lo:.17g} y_hi={y_hi:.17g}"
     )
-    return header, np.column_stack((gx.ravel(), gy.ravel()))
+    return header, x[np.newaxis, :], y[:, np.newaxis]
 
 
-def _write_raster_csv(path, header: str, points, values) -> None:
+def _write_raster_csv(path, header: str, x, y, values) -> None:
+    """Write a raster as x,y,value rows with x varying fastest; ``values``
+    is indexed [y, x] as :func:`_raster_grid`'s row and column give it."""
+    ny, nx = values.shape
+    columns = (
+        np.tile(x.ravel(), ny), np.repeat(y.ravel(), nx), values.ravel()
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         fh.write("x,y,value\n")
-        for (px, py), v in zip(points, values):
-            fh.write(f"{px:.17g},{py:.17g},{v:.17g}\n")
+        _write_rows(fh, "{:.17g},{:.17g},{:.17g}\n", columns)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +261,15 @@ def cmd_evaluate(args) -> int:
         payload.update(report_to_dict(report))
         _write_json(args.out, payload)
     if args.plot_data is not None:
-        header, points = _raster_grid((truth, estimated), args.plot_grid)
-        _write_raster_csv(
-            args.plot_data + "_truth.csv",
-            header,
-            points,
-            density_at_points(truth, points),
-        )
-        _write_raster_csv(
-            args.plot_data + "_estimate.csv",
-            header,
-            points,
-            density_at_points(estimated, points),
-        )
+        header, x, y = _raster_grid((truth, estimated), args.plot_grid)
+        for suffix, model in (("_truth", truth), ("_estimate", estimated)):
+            _write_raster_csv(
+                args.plot_data + suffix + ".csv",
+                header,
+                x,
+                y,
+                _mixture_density(model, x, y),
+            )
     return EXIT_OK
 
 

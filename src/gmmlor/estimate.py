@@ -193,6 +193,17 @@ def _wsum(w, *features) -> float:
     return float(np.einsum(subscripts, w, *features))
 
 
+def _as_weights(weights, n: int) -> np.ndarray:
+    """The one coercion of per-event weights: ones for None, else an
+    (n,) float array."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise InputError(f"weights must have shape ({n},), got {w.shape}")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedMoments:
     """Weighted averages of the centered offsets that the covariance
@@ -240,7 +251,7 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
     """
     batch = _as_arrays(offsets)
     s_c = batch[0]
-    w = np.ones_like(s_c) if weights is None else np.asarray(weights, float)
+    w = _as_weights(weights, s_c.size)
     mass = float(np.sum(w))
     if mass <= 0.0:
         raise InputError("total weight must be positive")
@@ -519,7 +530,7 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     """
     batch = _as_arrays(lors)
     s = batch[0]
-    p = np.ones_like(s) if weights is None else np.asarray(weights, float)
+    p = _as_weights(weights, s.size)
     si, co = batch.angles.sin, batch.angles.cos
     a = _wsum(p, si, si)
     b = _wsum(p, si, co)

@@ -136,9 +136,15 @@ def write_lors_csv(path, s, phi, labels=None) -> None:
         header, row = CSV_HEADER_LABELED, "{:.17g},{:.17g},{:d}\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, s.size, _CSV_CHUNK_ROWS):
-            chunk = [col[i:i + _CSV_CHUNK_ROWS].tolist() for col in columns]
-            fh.write("".join(map(row.format, *chunk)))
+        _write_rows(fh, row, columns)
+
+
+def _write_rows(fh, row: str, columns) -> None:
+    """Write ``row.format(*values)`` for each row of the equal-length 1-D
+    ``columns``, formatting :data:`_CSV_CHUNK_ROWS` rows per write."""
+    for i in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = [col[i:i + _CSV_CHUNK_ROWS].tolist() for col in columns]
+        fh.write("".join(map(row.format, *chunk)))
 
 
 def read_lors_csv(path):

@@ -223,6 +223,38 @@ def test_evaluate_plot_data_rasters(tmp_path, truth_path):
     assert t_lines[2:] == e_lines[2:]
 
 
+def test_evaluate_plot_data_matches_a_row_by_row_raster(
+    tmp_path, truth_path, benchmark_mixture, monkeypatch
+):
+    # 7 rows per write: the 16 x 16 raster crosses 36 chunk boundaries
+    monkeypatch.setattr("gmmlor.simulate._CSV_CHUNK_ROWS", 7)
+    est_path = str(tmp_path / "estimate.json")
+    estimate = MixtureModel2D(tuple(
+        make_component(c.mean + (0.3, -0.2), 1.5 * c.covariance, c.weight)
+        for c in benchmark_mixture.components
+    ))
+    save_model(estimate, est_path)
+    prefix = str(tmp_path / "viz")
+    assert main([
+        "evaluate", est_path, "--model", truth_path,
+        "--grid", "64", "--plot-data", prefix, "--plot-grid", "16",
+    ]) == 0
+    for suffix, path in (("_truth", truth_path), ("_estimate", est_path)):
+        model = load_model(path)
+        text = (tmp_path / f"viz{suffix}.csv").read_text(encoding="utf-8")
+        header = text.split("\n", 1)[0]
+        box = dict(field.split("=") for field in header[2:].split())
+        x_lo, x_hi = float(box["x_lo"]), float(box["x_hi"])
+        y_lo, y_hi = float(box["y_lo"]), float(box["y_hi"])
+        lines = [header, "x,y,value"]
+        for j in range(16):
+            y = y_lo + (j + 0.5) * ((y_hi - y_lo) / 16)
+            for i in range(16):
+                x = x_lo + (i + 0.5) * ((x_hi - x_lo) / 16)
+                lines.append(f"{x:.17g},{y:.17g},{model.density((x, y)):.17g}")
+        assert text == "\n".join(lines) + "\n"
+
+
 # ------------------------------------------------------------------ replicate
 
 def test_replicate_small_study(tmp_path, single_path):

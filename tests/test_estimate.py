@@ -102,6 +102,14 @@ def test_moments_weights_default_to_uniform():
     assert a.mass == pytest.approx(b.mass, rel=1e-14)
 
 
+@pytest.mark.parametrize("reader", [fit_mean, moments_from_offsets])
+@pytest.mark.parametrize("shape", [(3,), (5, 1), (1, 5)])
+def test_weights_of_the_wrong_shape_are_input_errors(reader, shape):
+    events = (np.linspace(-0.5, 0.5, 5), np.linspace(-1.2, 1.2, 5))
+    with pytest.raises(InputError, match="weights"):
+        reader(events, np.ones(shape))
+
+
 # ------------------------------------------------------------ moment inversion
 
 def test_invert_moments_oracle():

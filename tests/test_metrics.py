@@ -4,17 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmmlor import (
+    EigenDecomposition2D,
+    FitConfig,
     InputError,
     MixtureModel2D,
+    SingularCovarianceError,
+    covariance_from_eigen,
+    density_at_points,
     evaluate_against_truth,
+    fit,
     kl_divergence,
     match_components,
     parameter_errors,
     report_to_dict,
+    simulate_lors,
 )
-from conftest import benchmark_components, make_component
+from gmmlor.metrics import union_bounding_box
+from conftest import BENCHMARK_COUNTS, benchmark_components, make_component
 
 
 def gaussian(mean, cov=None, weight=1.0):
@@ -200,3 +210,125 @@ def test_report_without_kl(benchmark_mixture):
     )
     assert report.kl_divergence is None
     assert report_to_dict(report)["kl_divergence"] is None
+
+
+# ------------------------------------------------- KL against a point oracle
+
+def kl_on_points(estimated, truth, grid_n=512, n_sigma=6.0):
+    """The KL quadrature as a point array: the (grid_n^2, 2) cell centres
+    in "ij" order, the (N, 2) density, then the floored log sum."""
+    x_lo, x_hi, y_lo, y_hi = union_bounding_box(
+        (estimated, truth), n_sigma=n_sigma
+    )
+    hx = (x_hi - x_lo) / grid_n
+    hy = (y_hi - y_lo) / grid_n
+    x = x_lo + (np.arange(grid_n) + 0.5) * hx
+    y = y_lo + (np.arange(grid_n) + 0.5) * hy
+    gx, gy = np.meshgrid(x, y, indexing="ij")
+    pts = np.column_stack((gx.ravel(), gy.ravel()))
+    p = density_at_points(estimated, pts)
+    q = density_at_points(truth, pts)
+    logs = np.log(np.maximum(p, 1e-300)) - np.log(np.maximum(q, 1e-300))
+    return float(np.sum(p * logs) * hx * hy)
+
+
+def random_component(rng, weight, x_spread):
+    """A component with its mean within x_spread of 0 in x and 1 in y,
+    and principal variances between 0.01 and 1 at a random angle."""
+    mean = (rng.uniform(-x_spread, x_spread), rng.uniform(-1.0, 1.0))
+    e = EigenDecomposition2D(*sorted(rng.uniform(0.01, 1.0, 2))[::-1],
+                             rng.uniform(-math.pi / 2, math.pi / 2))
+    return make_component(mean, covariance_from_eigen(e), weight)
+
+
+def random_mixture(rng, k, x_spread):
+    """k random components with weights drawn from [0.2, 1], normalized."""
+    w = rng.uniform(0.2, 1.0, k)
+    w /= math.fsum(w)
+    w[-1] = 1.0 - math.fsum(w[:-1])
+    return MixtureModel2D(
+        tuple(random_component(rng, wk, x_spread) for wk in w)
+    )
+
+
+@pytest.mark.parametrize("fit_seed", range(5))
+def test_kl_matches_the_point_oracle_on_benchmark_fits(
+    benchmark_mixture, fit_seed
+):
+    sim = simulate_lors(benchmark_mixture, counts=BENCHMARK_COUNTS,
+                        seed=100 + fit_seed)
+    est = fit((sim.s, sim.phi),
+              FitConfig(K=3, weight_tol=1e-3, seed=fit_seed)).model
+    want = kl_on_points(est, benchmark_mixture)
+    assert kl_divergence(est, benchmark_mixture) == pytest.approx(
+        want, rel=1e-12, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("grid_n", [2, 3, 127, 512])
+def test_kl_matches_the_point_oracle_on_oblong_boxes(grid_n):
+    rng = np.random.default_rng(grid_n)
+    for k_est, k_truth in ((1, 4), (2, 3), (3, 1), (4, 2)):
+        est = random_mixture(rng, k_est, x_spread=40.0)
+        truth = random_mixture(rng, k_truth, x_spread=40.0)
+        box = union_bounding_box((est, truth))
+        assert box[1] - box[0] > 2.0 * (box[3] - box[2])
+        want = kl_on_points(est, truth, grid_n=grid_n)
+        got = kl_divergence(est, truth, grid_n=grid_n)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("singular_side", ["estimated", "truth"])
+def test_kl_refuses_a_singular_component(benchmark_mixture, singular_side):
+    flat = make_component((0.2, 0.1), [[0.04, 0.02], [0.02, 0.01]], 0.5)
+    comps = list(benchmark_components())
+    comps[0] = flat
+    singular = MixtureModel2D(tuple(comps))
+    pair = (
+        (singular, benchmark_mixture)
+        if singular_side == "estimated"
+        else (benchmark_mixture, singular)
+    )
+    with pytest.raises(SingularCovarianceError):
+        kl_divergence(*pair, grid_n=64)
+
+
+# ------------------------------------------------------ KL invariance
+
+def mixtures():
+    """Mixtures of random_mixture with 1 to 3 components and means in
+    [-2, 2] x [-1, 1]."""
+    return st.tuples(st.integers(1, 3), st.integers(0, 2**32 - 1)).map(
+        lambda ks: random_mixture(np.random.default_rng(ks[1]), ks[0], 2.0)
+    )
+
+
+def translated(model, t):
+    return MixtureModel2D(tuple(
+        make_component(c.mean + t, c.covariance, c.weight)
+        for c in model.components
+    ))
+
+
+@given(est=mixtures(), truth=mixtures(), data=st.data())
+def test_kl_ignores_the_component_order(est, truth, data):
+    est_order = data.draw(st.permutations(range(len(est))))
+    truth_order = data.draw(st.permutations(range(len(truth))))
+    want = kl_divergence(est, truth, grid_n=128)
+    got = kl_divergence(
+        shuffled(est, est_order), shuffled(truth, truth_order), grid_n=128
+    )
+    # equal models give KL 0 in one order and a few 1e-18 in another
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@given(
+    est=mixtures(),
+    truth=mixtures(),
+    t=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+)
+def test_kl_ignores_a_common_translation(est, truth, t):
+    t = np.asarray(t)
+    want = kl_divergence(est, truth, grid_n=128)
+    got = kl_divergence(translated(est, t), translated(truth, t), grid_n=128)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
