@@ -20,7 +20,6 @@ from .estimate import (
     DEFAULT_VARIANCE_FLOOR,
     FitConfig,
     FitResult,
-    FitState,
     TraceRecord,
     WeightedMoments,
     center_offsets,
@@ -34,7 +33,6 @@ from .estimate import (
     refine_sigmas,
     solve_orientation,
     trace_to_jsonl,
-    update_memberships,
 )
 from .metrics import (
     FitReport,
@@ -49,9 +47,7 @@ from .model import (
     EigenDecomposition2D,
     GaussianComponent2D,
     LineOfResponse,
-    MembershipMatrix,
     MixtureModel2D,
-    canonicalize_lor,
     canonicalize_orientation,
     covariance_from_eigen,
     density,
@@ -63,7 +59,6 @@ from .model import (
     save_model,
 )
 from .projection import (
-    marginal_pdf_sc,
     mean_sinusoid,
     projection_variance,
     theoretical_moments,
@@ -89,12 +84,10 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "FitResult",
-    "FitState",
     "GaussianComponent2D",
     "GmmLorError",
     "InputError",
     "LineOfResponse",
-    "MembershipMatrix",
     "MixtureModel2D",
     "NumericalError",
     "SeededStream",
@@ -102,7 +95,6 @@ __all__ = [
     "SingularCovarianceError",
     "TraceRecord",
     "WeightedMoments",
-    "canonicalize_lor",
     "canonicalize_orientation",
     "center_offsets",
     "config_from_dict",
@@ -119,7 +111,6 @@ __all__ = [
     "invert_moments",
     "kl_divergence",
     "load_model",
-    "marginal_pdf_sc",
     "match_components",
     "mean_sinusoid",
     "model_from_dict",
@@ -136,6 +127,5 @@ __all__ = [
     "solve_quartic",
     "theoretical_moments",
     "trace_to_jsonl",
-    "update_memberships",
     "write_lors_csv",
 ]

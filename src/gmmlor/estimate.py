@@ -36,7 +36,6 @@ from .model import (
     EigenDecomposition2D,
     GaussianComponent2D,
     LineOfResponse,
-    MembershipMatrix,
     MixtureModel2D,
     canonicalize_orientation,
     covariance_from_eigen,
@@ -155,12 +154,10 @@ def trace_to_jsonl(trace) -> str:
 
 @dataclass
 class FitState:
-    """Snapshot at the end of a fit: model, memberships, progress flags."""
+    """Why a fit stopped: its iteration count over both phases, and
+    whether the weights settled before the iteration cap."""
 
-    model: MixtureModel2D
-    memberships: MembershipMatrix
     iteration: int
-    phase: int
     converged: bool
 
 
@@ -601,22 +598,6 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     return logp, float(np.sum(row_max + np.log(row_sum)))
 
 
-def update_memberships(model: MixtureModel2D, lors) -> MembershipMatrix:
-    """Responsibilities of each model component for each LoR.
-
-    Row i is the posterior over components given LoR i: mixing weight
-    times the projected density along the line, normalized across
-    components.  Rows whose numerators all underflow double precision
-    fall back to the uniform distribution over components.
-    """
-    s, phi = _as_arrays(lors)
-    means = [c.mean for c in model.components]
-    covariances = [c.covariance for c in model.components]
-    tau = [c.weight for c in model.components]
-    resp, _ = _memberships_arrays(s, phi, means, covariances, tau)
-    return MembershipMatrix(resp)
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -726,7 +707,7 @@ def _run_single_fit(
             break
 
     resp = None
-    resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+    _, loglik = _memberships_arrays(s, phi, means, covariances, tau)
     if np.any(tau <= 0.0):
         k = int(np.argmin(tau))
         raise ComponentDeathError(
@@ -743,16 +724,9 @@ def _run_single_fit(
             for k in range(K)
         )
     )
-    state = FitState(
-        model=model,
-        memberships=MembershipMatrix(resp),
-        iteration=len(trace),
-        phase=2,
-        converged=converged,
-    )
     return FitResult(
         model=model,
-        state=state,
+        state=FitState(iteration=len(trace), converged=converged),
         trace=trace,
         loglik=loglik,
         restart_index=0,

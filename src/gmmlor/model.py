@@ -1,4 +1,4 @@
-"""Core domain types: mixture components, lines of response, memberships.
+"""Core domain types: mixture components and lines of response.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -110,9 +109,6 @@ class MixtureModel2D:
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
 
-    def density(self, point) -> float:
-        return density(self, point)
-
 
 @dataclass(frozen=True)
 class LineOfResponse:
@@ -127,62 +123,18 @@ class LineOfResponse:
     phi: float
 
     def __post_init__(self):
-        s, phi = canonicalize_lor(self.s, self.phi)
+        s, phi = float(self.s), float(self.phi)
+        if not math.isfinite(phi):
+            raise InputError(f"phi must be finite, got {phi}")
+        if not -math.pi / 2.0 <= phi <= math.pi / 2.0:
+            k = math.floor((phi + math.pi / 2.0) / math.pi)
+            phi -= k * math.pi
+            # guard against rounding drift at the fold boundary
+            phi = min(max(phi, -math.pi / 2.0), math.pi / 2.0)
+            if k % 2:
+                s = -s
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "phi", phi)
-
-
-def canonicalize_lor(s: float, phi: float) -> tuple[float, float]:
-    """Fold (s, phi) into the canonical sinogram domain phi in [-pi/2, pi/2]."""
-    s, phi = float(s), float(phi)
-    if not math.isfinite(phi):
-        raise InputError(f"phi must be finite, got {phi}")
-    if -math.pi / 2.0 <= phi <= math.pi / 2.0:
-        return s, phi
-    k = math.floor((phi + math.pi / 2.0) / math.pi)
-    phi -= k * math.pi
-    # guard against rounding drift at the fold boundary
-    phi = min(max(phi, -math.pi / 2.0), math.pi / 2.0)
-    if k % 2:
-        s = -s
-    return s, phi
-
-
-class MembershipMatrix:
-    """N x K matrix of responsibilities p_ik; every row sums to one."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2:
-            raise InputError(f"memberships must be 2-D, got shape {arr.shape}")
-        if arr.size and (arr.min() < -0.0 or arr.max() > 1.0 + WEIGHT_SUM_ATOL):
-            raise InputError("membership entries must lie in [0, 1]")
-        rows = arr.sum(axis=1)
-        if arr.size and np.max(np.abs(rows - 1.0)) > WEIGHT_SUM_ATOL:
-            worst = float(np.max(np.abs(rows - 1.0)))
-            raise InputError(f"membership rows must sum to 1 (worst residual {worst:.3e})")
-        arr.setflags(write=False)
-        self.entries = arr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def column(self, k: int) -> np.ndarray:
-        return self.entries[:, k]
-
-    def masses(self) -> np.ndarray:
-        """Per-component responsibility totals L_k = sum_i p_ik."""
-        return self.entries.sum(axis=0)
-
-    @classmethod
-    def one_hot(cls, labels: Sequence[int], k: int) -> "MembershipMatrix":
-        labels = np.asarray(labels, dtype=int)
-        entries = np.zeros((labels.size, k))
-        entries[np.arange(labels.size), labels] = 1.0
-        return cls(entries)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCovarianceError, InputError
-from .model import EigenDecomposition2D, covariance_from_eigen
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-#: Gauss-Legendre order for the angle average in :func:`marginal_pdf_sc`.
-#: The integrand is smooth, so 201 nodes put the quadrature error far
-#: below the statistical noise of any moment estimate built on top.
-MARGINAL_QUAD_NODES = 201
+from .model import EigenDecomposition2D
 
 SIGMA_P_SQ_FLOOR = 1e-15
 
@@ -125,36 +118,6 @@ def log_line_integral_profile(covariance, mean, s, phi) -> np.ndarray:
     # is meaningful and handled by the membership normalizer
     with np.errstate(over="ignore"):
         return -0.5 * (np.log(2.0 * math.pi * var) + s_c * s_c / var)
-
-
-def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    # map from [-1, 1] to [-pi/2, pi/2]
-    return x * (math.pi / 2.0), w * (math.pi / 2.0)
-
-
-_MARGINAL_NODES, _MARGINAL_WEIGHTS = _legendre_nodes(MARGINAL_QUAD_NODES)
-
-
-def marginal_pdf_sc(
-    e: EigenDecomposition2D, s_c: float, *, nodes: int | None = None
-) -> float:
-    """Density of the centered offset s_c under a uniform angle.
-
-    Averages the per-angle normal profile over phi in [-pi/2, pi/2] with
-    fixed-order Gauss-Legendre quadrature.  Even in s_c by construction.
-    ``nodes`` overrides the quadrature order (used by self-consistency
-    tests); the default is :data:`MARGINAL_QUAD_NODES`.
-    """
-    if e.sigma2_sq <= 0.0:
-        raise InputError("marginal_pdf_sc requires sigma2_sq > 0")
-    if nodes is None:
-        x, w = _MARGINAL_NODES, _MARGINAL_WEIGHTS
-    else:
-        x, w = _legendre_nodes(nodes)
-    var = projection_variance(covariance_from_eigen(e), x)
-    vals = np.exp(-0.5 * s_c * s_c / var) / (_SQRT_TWO_PI * np.sqrt(var))
-    return float(np.dot(w, vals) / math.pi)
 
 
 def theoretical_moments(e: EigenDecomposition2D) -> tuple[float, float]:

@@ -4,11 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmmlor import MixtureModel2D, load_model, read_lors_csv, save_model
+from gmmlor import (
+    MixtureModel2D,
+    density,
+    load_model,
+    read_lors_csv,
+    save_model,
+)
 from gmmlor.cli import main
 from conftest import make_component
 
@@ -55,7 +62,7 @@ def test_generate_is_deterministic(tmp_path, truth_path):
             "generate", "--model", truth_path, "--counts", "30,20,10",
             "--seed", "7", "--out", out,
         ]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_generate_single_event(tmp_path, truth_path):
@@ -139,7 +146,7 @@ def test_fit_single_component(tmp_path, single_path):
     model = load_model(out)
     assert len(model.components) == 1
     assert np.allclose(model.components[0].mean, (0.3, -0.5), atol=0.05)
-    trace_lines = open(out + ".trace.jsonl").read().splitlines()
+    trace_lines = Path(out + ".trace.jsonl").read_text().splitlines()
     assert trace_lines
     for line in trace_lines:
         rec = json.loads(line)
@@ -195,7 +202,7 @@ def test_evaluate_model_against_itself(tmp_path, truth_path, capsys):
     out = capsys.readouterr().out
     assert out.count("component") == 3
     assert "kl=" in out
-    payload = json.loads(open(report).read())
+    payload = json.loads(Path(report).read_text())
     assert payload["matching"] == [0, 1, 2]
     assert max(payload["mean_errors"]) == 0.0
     assert abs(payload["kl_divergence"]) < 1e-6
@@ -212,8 +219,8 @@ def test_evaluate_plot_data_rasters(tmp_path, truth_path):
         "--grid", "64", "--plot-data", prefix, "--plot-grid", "16",
     ])
     assert rc == 0
-    t_lines = open(prefix + "_truth.csv").read().splitlines()
-    e_lines = open(prefix + "_estimate.csv").read().splitlines()
+    t_lines = Path(prefix + "_truth.csv").read_text().splitlines()
+    e_lines = Path(prefix + "_estimate.csv").read_text().splitlines()
     # shared grid header, then a column header, then 16x16 samples
     assert t_lines[0] == e_lines[0]
     assert t_lines[0].startswith("# nx=16 ny=16 ")
@@ -251,7 +258,7 @@ def test_evaluate_plot_data_matches_a_row_by_row_raster(
             y = y_lo + (j + 0.5) * ((y_hi - y_lo) / 16)
             for i in range(16):
                 x = x_lo + (i + 0.5) * ((x_hi - x_lo) / 16)
-                lines.append(f"{x:.17g},{y:.17g},{model.density((x, y)):.17g}")
+                lines.append(f"{x:.17g},{y:.17g},{density(model, (x, y)):.17g}")
         assert text == "\n".join(lines) + "\n"
 
 
@@ -265,11 +272,11 @@ def test_replicate_small_study(tmp_path, single_path):
         "--grid", "128", "--out", out,
     ])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("replicate,sim_seed,fit_seed,status,")
     assert len(lines) == 3
     assert all(",ok," in line for line in lines[1:])
-    summary = json.loads(open(out + ".summary.json").read())
+    summary = json.loads(Path(out + ".summary.json").read_text())
     assert summary["replicates"] == 2
     assert summary["completed"] == 2
     assert summary["status_counts"] == {"ok": 2}
@@ -284,7 +291,7 @@ def test_replicate_is_deterministic(tmp_path, single_path):
             "--replicates", "2", "--seed", "11", "--k", "1",
             "--grid", "64", "--out", out,
         ]) == 0
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
 
 def test_replicate_jobs_do_not_change_the_study(tmp_path, truth_path):
@@ -296,7 +303,7 @@ def test_replicate_jobs_do_not_change_the_study(tmp_path, truth_path):
             "--grid", "128", "--out", out,
         ]) == 0
     for suffix in ("", ".summary.json"):
-        a, b = (open(out + suffix, "rb").read() for out in outs)
+        a, b = (Path(out + suffix).read_bytes() for out in outs)
         assert a == b
 
 

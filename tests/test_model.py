@@ -10,9 +10,8 @@ import gmmlor
 from gmmlor import (
     GaussianComponent2D,
     InputError,
-    MembershipMatrix,
+    LineOfResponse,
     MixtureModel2D,
-    canonicalize_lor,
     canonicalize_orientation,
     covariance_from_eigen,
     density,
@@ -145,7 +144,8 @@ def test_canonicalize_lor_preserves_the_line():
     for _ in range(300):
         s = rng.normal() * 3.0
         phi = rng.uniform(-4 * math.pi, 4 * math.pi)
-        s2, phi2 = canonicalize_lor(s, phi)
+        lor = LineOfResponse(s, phi)
+        s2, phi2 = lor.s, lor.phi
         assert -math.pi / 2 <= phi2 <= math.pi / 2
         # any point on the original line stays on the canonical one
         n = np.array([-math.sin(phi), math.cos(phi)])
@@ -160,9 +160,15 @@ def test_canonicalize_lor_preserves_the_line():
 def test_canonicalize_lor_is_idempotent():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        s2, phi2 = canonicalize_lor(rng.normal(), rng.uniform(-7, 7))
-        s3, phi3 = canonicalize_lor(s2, phi2)
-        assert (s3, phi3) == (s2, phi2)
+        once = LineOfResponse(rng.normal(), rng.uniform(-7, 7))
+        twice = LineOfResponse(once.s, once.phi)
+        assert (twice.s, twice.phi) == (once.s, once.phi)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_lor_rejects_a_non_finite_angle(phi):
+    with pytest.raises(InputError):
+        LineOfResponse(0.5, phi)
 
 
 def test_canonicalize_orientation_range_and_direction():
@@ -173,33 +179,6 @@ def test_canonicalize_orientation_range_and_direction():
         assert -math.pi / 2 < out <= math.pi / 2
         # same axis modulo pi
         assert abs(math.remainder(out - phi0, math.pi)) < 1e-12
-
-
-# ------------------------------------------------------------ membership rows
-
-def test_membership_one_hot_layout():
-    mm = MembershipMatrix.one_hot([2, 0, 1, 0], 3)
-    expect = np.array(
-        [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=float
-    )
-    assert np.array_equal(mm.entries, expect)
-    assert mm.shape == (4, 3)
-    assert np.array_equal(mm.masses(), [2.0, 1.0, 1.0])
-    assert np.array_equal(mm.column(2), [1.0, 0.0, 0.0, 0.0])
-
-
-def test_membership_rejects_bad_rows():
-    with pytest.raises(InputError):
-        MembershipMatrix(np.array([[0.5, 0.4]]))
-    with pytest.raises(InputError):
-        MembershipMatrix(np.array([[1.2, -0.2]]))
-    with pytest.raises(InputError):
-        MembershipMatrix(np.ones(3))  # must be 2-D
-
-
-def test_membership_accepts_soft_rows():
-    mm = MembershipMatrix(np.array([[0.25, 0.75], [0.6, 0.4]]))
-    assert np.allclose(mm.masses(), [0.85, 1.15])
 
 
 # -------------------------------------------------------------- serialization
