@@ -68,6 +68,14 @@ _IMAG_RTOL = 1e-9
 
 _GRID_POINTS = 720
 
+#: Events per block of the passes over every event (phase-1 relabelling
+#: and the E-step).  A block's float temporaries take 128 KiB each, so a
+#: pass stays in cache instead of streaming N-length arrays through
+#: memory.  Fitting the 10^6-event benchmark scan on a 2-core Xeon (median
+#: of 3) took 4.5 s at 2^12, 4.2 s at 2^14, 4.9 s at 2^17 and 5.7 s in
+#: one block.
+_BLOCK_EVENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -181,10 +189,13 @@ class FitResult:
 def _wsum(w, *features) -> float:
     """sum_i w_i times the product of the features at i.
 
-    Every per-event weighted sum goes through this one reduction.
-    np.dot would hand long sums to BLAS, which splits them across its
-    threads, so the last digits of a fit would depend on the host's
-    thread count; einsum adds in the same order everywhere.
+    Every per-event weighted sum goes through this one reduction, or
+    through the per-label sums of phase 1 (:func:`_label_pass`), which
+    np.bincount takes.  np.dot would hand long sums to BLAS, which
+    splits them across its threads, so the last digits of a fit would
+    depend on the host's thread count; einsum adds in the same order
+    everywhere, and so does np.bincount, a single loop in NumPy itself
+    that adds each label's weights in event order.
     """
     subscripts = ",".join("i" * (1 + len(features))) + "->"
     return float(np.einsum(subscripts, w, *features))
@@ -469,10 +480,12 @@ def _as_arrays(lors) -> _Batch:
     Accepts an (s, phi) or (s_c, phi) array pair, an (N, 2) array, or a
     sequence of :class:`LineOfResponse` records.  A tuple of two records
     is a sequence of records, not an array pair.  Returns a
-    :class:`_Batch`, which keeps the angle features a batch passed in
-    already carries; other input gets fresh ones, each computed on first
-    use.
+    :class:`_Batch` with fresh angle features, each computed on first
+    use, after checking that every value is finite.  A batch passed in
+    comes back as it is: it was checked where it was built.
     """
+    if isinstance(lors, _Batch):
+        return lors  # checked where it was built
     if (
         isinstance(lors, tuple)
         and len(lors) == 2
@@ -493,14 +506,16 @@ def _as_arrays(lors) -> _Batch:
         raise InputError("s and phi must be matching 1-D arrays")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
         raise InputError("LoRs contain non-finite values")
-    angles = lors.angles if isinstance(lors, _Batch) else _Angles(phi)
-    return _Batch(s, phi, angles)
+    return _Batch(s, phi, _Angles(phi))
 
 
 class _Batch(tuple):
     """An (s, phi) or (s_c, phi) pair that carries its events' angle
     features, so the functions it is passed to read the sines and
-    cosines instead of computing them.  It unpacks as the plain pair."""
+    cosines instead of computing them.  It unpacks as the plain pair.
+
+    Its values are finite: :func:`_as_arrays` and :func:`center_offsets`
+    check them when they build one, so no reader checks them again."""
 
     def __new__(cls, s, phi, angles):
         batch = super().__new__(cls, (s, phi))
@@ -529,12 +544,18 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     s = batch[0]
     p = _as_weights(weights, s.size)
     si, co = batch.angles.sin, batch.angles.cos
-    a = _wsum(p, si, si)
-    b = _wsum(p, si, co)
-    c = _wsum(p, co, co)
-    r1 = -_wsum(p, s, si)
-    r2 = _wsum(p, s, co)
+    return _solve_mean(
+        _wsum(p, si, si), _wsum(p, si, co), _wsum(p, co, co),
+        _wsum(p, s, si), _wsum(p, s, co),
+    )
 
+
+def _solve_mean(a, b, c, s_sin, s_cos) -> np.ndarray:
+    """The mean from the weighted sums of sin^2, sin cos, cos^2,
+    s sin and s cos over the events: the closed-form solution of the
+    2x2 normal system of :func:`fit_mean`."""
+    r1 = -s_sin
+    r2 = s_cos
     mid = 0.5 * (a + c)
     rad = math.hypot(0.5 * (a - c), b)
     lo = mid - rad
@@ -550,10 +571,20 @@ def fit_mean(lors, weights=None) -> np.ndarray:
 
 def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of each LoR from the mean sinusoid of ``mean``, as the
-    (s_c, phi) pair the covariance pipeline takes."""
+    (s_c, phi) pair the covariance pipeline takes.  Offsets that
+    overflow, or a non-finite mean, raise :class:`InputError`."""
     batch = _as_arrays(lors)
     s, phi = batch
-    return _Batch(s - mean_sinusoid(batch.angles, mean), phi, batch.angles)
+    s_c = s - mean_sinusoid(batch.angles, mean)
+    if not np.all(np.isfinite(s_c)):
+        raise InputError("offsets from the mean are not finite")
+    return _Batch(s_c, phi, batch.angles)
+
+
+def _blocks(n: int):
+    """Slices of at most :data:`_BLOCK_EVENTS` consecutive events that
+    cover events 0 to n - 1 in order."""
+    return (slice(i, i + _BLOCK_EVENTS) for i in range(0, n, _BLOCK_EVENTS))
 
 
 def _memberships_arrays(s, phi, means, covariances, tau):
@@ -563,39 +594,50 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     density, computed in log space and normalized after subtracting the
     row maximum so distant components underflow gracefully.  Rows where
     every component underflows entirely fall back to uniform.  Returns
-    (memberships, sum of per-LoR log marginal densities).
+    (memberships, sum of per-LoR log marginal densities).  ``phi`` may
+    be an :class:`_Angles`, whose sines and cosines are then read, not
+    computed.
 
-    The memberships are normalized in place in the (N, K) array of log
-    densities, so the step holds one N x K array, not several.
+    The step runs over blocks of events, each normalized in place in its
+    rows of the (N, K) result, so its temporaries stay block-sized.  Each
+    row's arithmetic is the same as in one pass over every event, and the
+    per-event log marginals are summed once at the end, so neither output
+    depends on the block size.
     """
     K = len(tau)
-    angles = _Angles(phi)
-    logp = np.empty((s.size, K))
-    for k in range(K):
-        if tau[k] <= 0.0:
-            logp[:, k] = -np.inf
-        else:
-            logp[:, k] = math.log(tau[k]) + log_line_integral_profile(
-                covariances[k], means[k], s, angles
-            )
-    row_max = logp[:, 0].copy()
-    for k in range(1, K):
-        np.maximum(row_max, logp[:, k], out=row_max)
-    bad = ~np.isfinite(row_max)
-    underflow = bool(np.any(bad))
+    angles = phi if isinstance(phi, _Angles) else _Angles(phi)
+    resp = np.empty((s.size, K))
+    log_marginal = np.empty(s.size)
+    underflow = False
+    for block in _blocks(s.size):
+        logp = resp[block]
+        s_b, angles_b = s[block], angles.take(block)
+        for k in range(K):
+            if tau[k] <= 0.0:
+                logp[:, k] = -np.inf
+            else:
+                logp[:, k] = math.log(tau[k]) + log_line_integral_profile(
+                    covariances[k], means[k], s_b, angles_b
+                )
+        row_max = logp[:, 0].copy()
+        for k in range(1, K):
+            np.maximum(row_max, logp[:, k], out=row_max)
+        bad = ~np.isfinite(row_max)
+        if np.any(bad):
+            # exp(0 - 0) in every column normalizes to exactly 1 / K
+            underflow = True
+            logp[bad] = 0.0
+            row_max[bad] = 0.0
+        logp -= row_max[:, None]
+        np.exp(logp, out=logp)
+        # np.sum(axis=1), not a column-by-column sum: the two round the
+        # same way only while K < 8
+        row_sum = np.sum(logp, axis=1)
+        logp /= row_sum[:, None]
+        np.add(row_max, np.log(row_sum), out=log_marginal[block])
     if underflow:
-        # exp(0 - 0) in every column normalizes to exactly 1 / K
-        logp[bad] = 0.0
-        row_max[bad] = 0.0
-    logp -= row_max[:, None]
-    np.exp(logp, out=logp)
-    # np.sum(axis=1), not a column-by-column sum: the two round the
-    # same way only while K < 8
-    row_sum = np.sum(logp, axis=1)
-    logp /= row_sum[:, None]
-    if underflow:
-        return logp, -math.inf
-    return logp, float(np.sum(row_max + np.log(row_sum)))
+        return resp, -math.inf
+    return resp, float(np.sum(log_marginal))
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +668,39 @@ def _nearest_sinusoid(batch, means):
     return labels
 
 
+def _label_pass(batch, labels, K: int, means=None):
+    """One pass of phase 1 over the events, block by block.
+
+    Given ``means``, each event is first relabelled in place in
+    ``labels`` to the nearest of their sinusoids.  Returns the events per
+    label and a (5, K) array of the per-label sums of sin^2, sin cos,
+    cos^2, s sin and s cos, the arguments of :func:`_solve_mean`.  The
+    sums are the sufficient statistics of the hard-assignment mean fit
+    (incremental EM, Neal & Hinton 1998), so the pass gathers no
+    cluster's events.
+    """
+    # the batch keeps its sines and cosines from the first pass on, and
+    # each block reads views of them
+    s, si, co = batch[0], batch.angles.sin, batch.angles.cos
+    counts = np.zeros(K, dtype=np.int64)
+    sums = np.zeros((5, K))
+    for block in _blocks(s.size):
+        if means is not None:
+            labels[block] = _nearest_sinusoid(batch.take(block), means)
+        lab, s_b, si_b, co_b = labels[block], s[block], si[block], co[block]
+        counts += np.bincount(lab, minlength=K)
+        features = (
+            si_b * si_b, si_b * co_b, co_b * co_b, s_b * si_b, s_b * co_b
+        )
+        for row, feature in zip(sums, features):
+            row += np.bincount(lab, weights=feature, minlength=K)
+    return counts, sums
+
+
 def _run_single_fit(
     batch, config: FitConfig, assignment, trace, on_iteration
 ) -> FitResult:
-    s, phi = batch
+    s = batch[0]
     n, K = s.size, config.K
 
     def record(phase, weights, loglik):
@@ -643,28 +714,27 @@ def _run_single_fit(
         if on_iteration is not None:
             on_iteration(rec)
 
-    # phase 1: hard assignments, means only
+    # phase 1: hard assignments, means only; ``assignment`` is
+    # relabelled in place
     means = np.zeros((K, 2))
     prev_means = None
+    counts, sums = _label_pass(batch, assignment, K)
     for _ in range(config.max_iters_phase1):
-        counts = np.bincount(assignment, minlength=K)
         for k in range(K):
             if counts[k] == 0:
                 raise ComponentDeathError(
                     component=k, mass=0.0, iteration=len(trace)
                 )
-            idx = np.flatnonzero(assignment == k)
-            means[k] = fit_mean(batch.take(idx))
+            means[k] = _solve_mean(*sums[:, k])
         record(1, counts / n, None)
         if prev_means is not None:
             delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
             if delta < config.mean_tol:
                 break
         prev_means = means.copy()
-        assignment = _nearest_sinusoid(batch, means)
+        counts, sums = _label_pass(batch, assignment, K, means)
 
     covariances = np.empty((K, 2, 2))
-    counts = np.bincount(assignment, minlength=K)
     for k in range(K):
         if counts[k] == 0:
             raise ComponentDeathError(
@@ -681,7 +751,9 @@ def _run_single_fit(
     converged = False
     for _ in range(config.max_iters_phase2):
         resp = None  # the E-step builds its own; drop the last one first
-        resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+        resp, loglik = _memberships_arrays(
+            s, batch.angles, means, covariances, tau
+        )
         masses = np.sum(resp, axis=0)
         for k in range(K):
             if masses[k] < mass_floor:
@@ -707,7 +779,7 @@ def _run_single_fit(
             break
 
     resp = None
-    _, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+    _, loglik = _memberships_arrays(s, batch.angles, means, covariances, tau)
     if np.any(tau <= 0.0):
         k = int(np.argmin(tau))
         raise ComponentDeathError(

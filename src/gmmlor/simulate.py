@@ -147,12 +147,64 @@ def _write_rows(fh, row: str, columns) -> None:
         fh.write("".join(map(row.format, *chunk)))
 
 
+#: ASCII separators that np.loadtxt strips from around a number as
+#: whitespace but float() rejects.
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def read_lors_csv(path):
     """Read a LoR CSV back into (s, phi, labels-or-None).
 
     Rejects missing/against-header columns and non-finite values; the
     label column is optional but must be integral when present.
+
+    np.loadtxt parses the file in C.  A file it cannot parse, or in
+    which it finds a non-finite value, is read again row by row, so the
+    values accepted (a quoted field, ``1_0``) and the line-numbered
+    errors are those of the row reader alone.
     """
+    parsed = _parse_lors_csv(path)
+    return parsed if parsed is not None else _read_lors_rows(path)
+
+
+def _parse_lors_csv(path):
+    """(s, phi, labels-or-None) as np.loadtxt reads them, or None for a
+    file that the row reader must judge."""
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                if any(c in chunk for c in _LOADTXT_ONLY_SPACES):
+                    return None
+        with open(path, "r", encoding="utf-8") as fh:
+            header = tuple(h.strip() for h in fh.readline().split(","))
+            if not fh.readline().strip():
+                return None  # np.loadtxt would warn of no data
+        if header not in (CSV_HEADER, CSV_HEADER_LABELED):
+            return None
+        labeled = header == CSV_HEADER_LABELED
+        dtype = [("s", float), ("phi", float)]
+        converters = None
+        if labeled:
+            # int() as in the row reader: np.loadtxt's own integer
+            # parser takes "3.0" in NumPy 1.x and rejects it in 2.x
+            dtype.append(("label", np.int64))
+            converters = {2: int}
+        rows = np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+            encoding="utf-8", converters=converters, ndmin=1,
+        )
+    except (OSError, ValueError, OverflowError):
+        return None
+    s = np.ascontiguousarray(rows["s"])
+    phi = np.ascontiguousarray(rows["phi"])
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
+        return None
+    labels = np.ascontiguousarray(rows["label"]) if labeled else None
+    return s, phi, labels
+
+
+def _read_lors_rows(path):
+    """:func:`read_lors_csv` one row at a time with the csv module."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:

@@ -40,7 +40,14 @@ from gmmlor import (
     theoretical_moments,
     trace_to_jsonl,
 )
-from gmmlor.estimate import _Batch, _memberships_arrays, _nearest_sinusoid
+from gmmlor.estimate import (
+    _BLOCK_EVENTS,
+    _Batch,
+    _label_pass,
+    _memberships_arrays,
+    _nearest_sinusoid,
+    _solve_mean,
+)
 from gmmlor.projection import _Angles, log_line_integral_profile
 from conftest import make_component
 
@@ -147,6 +154,30 @@ def test_moment_roundtrip_random_sigmas():
 
 
 # ------------------------------------------------------------------- mean fit
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("reader", [
+    fit_mean,
+    moments_from_offsets,
+    estimate_covariance,
+    lambda lors: center_offsets(lors, (0.1, -0.2)),
+    lambda lors: fit(lors, FitConfig(K=1)),
+])
+def test_non_finite_events_are_input_errors(reader, bad, column):
+    events = [np.linspace(-0.5, 0.5, 8), np.linspace(-1.2, 1.2, 8)]
+    events[column][3] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        reader(tuple(events))
+
+
+def test_offsets_that_overflow_are_input_errors():
+    # sin + cos > 1.09 on these angles, so 1.7e308 (sin + cos) overflows
+    events = (np.zeros(8), np.linspace(0.1, 1.4, 8))
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match="not finite"):
+            center_offsets(events, (-1.7e308, 1.7e308))
+
 
 def test_fit_mean_three_lines_exact():
     mu = np.array([1.0, 2.0])
@@ -599,6 +630,136 @@ def test_nearest_sinusoid_matches_argmin(K):
     assert np.array_equal(labels, np.argmin(dist, axis=1))
 
 
+# ------------------------------------------------------------ blocked passes
+
+B = _BLOCK_EVENTS
+BLOCK_SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
+
+
+def unblocked_memberships(s, phi, means, covariances, tau):
+    """The E-step as one pass over every event, normalized in place."""
+    K = len(tau)
+    angles = _Angles(phi)
+    logp = np.empty((s.size, K))
+    for k in range(K):
+        if tau[k] <= 0.0:
+            logp[:, k] = -np.inf
+        else:
+            logp[:, k] = math.log(tau[k]) + log_line_integral_profile(
+                covariances[k], means[k], s, angles
+            )
+    row_max = logp[:, 0].copy()
+    for k in range(1, K):
+        np.maximum(row_max, logp[:, k], out=row_max)
+    bad = ~np.isfinite(row_max)
+    underflow = bool(np.any(bad))
+    if underflow:
+        logp[bad] = 0.0
+        row_max[bad] = 0.0
+    logp -= row_max[:, None]
+    np.exp(logp, out=logp)
+    row_sum = np.sum(logp, axis=1)
+    logp /= row_sum[:, None]
+    if underflow:
+        return logp, -math.inf
+    return logp, float(np.sum(row_max + np.log(row_sum)))
+
+
+def random_events(n, rng):
+    return rng.normal(0.0, 1.0, n), rng.uniform(-math.pi / 2, math.pi / 2, n)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("K", [3, 9])
+def test_blocked_memberships_equal_the_unblocked_formula(n, K):
+    rng = np.random.default_rng(n + K)
+    means, covariances, tau = random_mixture_arrays(K, rng)
+    s, phi = random_events(n, rng)
+    ref, ref_loglik = unblocked_memberships(s, phi, means, covariances, tau)
+    for angles in (phi, cached(s, phi).angles):
+        resp, loglik = _memberships_arrays(s, angles, means, covariances, tau)
+        assert np.array_equal(resp, ref)
+        assert loglik == ref_loglik
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_memberships_with_a_zero_weight_column(n):
+    rng = np.random.default_rng(20 + n)
+    means, covariances, tau = random_mixture_arrays(3, rng)
+    tau = np.array([tau[0] + tau[1], 0.0, tau[2]])
+    s, phi = random_events(n, rng)
+    resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+    ref, ref_loglik = unblocked_memberships(s, phi, means, covariances, tau)
+    assert np.array_equal(resp, ref)
+    assert np.all(resp[:, 1] == 0.0)
+    assert loglik == ref_loglik
+
+
+def test_blocked_memberships_with_an_underflow_row_in_a_later_block():
+    rng = np.random.default_rng(31)
+    means, covariances, tau = random_mixture_arrays(3, rng)
+    s, phi = random_events(3 * B + 7, rng)
+    s[2 * B + 3] = 1e200  # every component underflows, in the third block
+    resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+    ref, ref_loglik = unblocked_memberships(s, phi, means, covariances, tau)
+    assert np.array_equal(resp, ref)
+    assert np.all(resp[2 * B + 3] == 1.0 / 3.0)
+    assert loglik == ref_loglik == -math.inf
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[1:])
+def test_label_pass_means_match_fit_mean_on_each_cluster(n):
+    rng = np.random.default_rng(50 + n)
+    s, phi = random_events(n, rng)
+    batch = cached(s, phi)
+    K = 3
+    labels = rng.integers(0, K, n)
+    counts, sums = _label_pass(batch, labels, K)
+    assert np.array_equal(counts, np.bincount(labels, minlength=K))
+    for k in range(K):
+        want = fit_mean(batch.take(np.flatnonzero(labels == k)))
+        got = _solve_mean(*sums[:, k])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_label_pass_relabels_as_the_unblocked_kernel(n):
+    rng = np.random.default_rng(60 + n)
+    s, phi = random_events(n, rng)
+    means = rng.normal(0.0, 1.0, size=(3, 2))
+    means[2] = means[0]  # every event ties between two labels
+    labels = np.full(n, 2, dtype=np.int64)
+    counts, _ = _label_pass(cached(s, phi), labels, 3, means)
+    want = _nearest_sinusoid(cached(s, phi), means)
+    assert np.array_equal(labels, want)
+    assert np.array_equal(counts, np.bincount(want, minlength=3))
+    assert counts[2] == 0
+
+
+def test_an_initially_empty_label_dies_in_the_first_iteration():
+    rng = np.random.default_rng(7)
+    s, phi = random_events(B + 5, rng)
+    labels = np.where(rng.random(B + 5) < 0.5, 0, 2)
+    with pytest.raises(ComponentDeathError) as death:
+        fit((s, phi), FitConfig(K=3, seed=0), initial_assignment=labels)
+    assert (death.value.component, death.value.iteration) == (1, 0)
+
+
+def test_a_label_drained_by_relabelling_dies_in_the_second_iteration():
+    # all lines pass through the origin: both means are the origin, and
+    # every tie goes to label 0, so label 1 is empty after one pass
+    n = B + 6
+    phis = np.linspace(-1.4, 1.4, n)
+    labels = np.arange(n) % 2
+    with pytest.raises(ComponentDeathError) as death:
+        fit(
+            (np.zeros(n), phis),
+            FitConfig(K=2, restarts=1, seed=0),
+            initial_assignment=labels,
+        )
+    assert (death.value.component, death.value.iteration) == (1, 1)
+
+
 # ----------------------------------------------------------------- memberships
 
 def memberships(model, s, phi):
@@ -794,7 +955,8 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     phase2 = sum(1 for rec in out.trace if rec.phase == 2)
     assert phase1 >= 1 and phase2 >= 1
     assert calls["_memberships_arrays"] == phase2 + 1
-    assert calls["fit_mean"] == K * (phase1 + phase2)
+    # phase 1 solves its means from per-label sums, not through fit_mean
+    assert calls["fit_mean"] == K * phase2
     covariances = K * (1 + phase2)  # once after phase 1, then per M-step
     assert calls["center_offsets"] == covariances
     assert calls["estimate_covariance"] == covariances

@@ -152,6 +152,92 @@ def test_csv_rejects_missing_file(tmp_path):
         read_lors_csv(tmp_path / "nope.csv")
 
 
+def read_outcome(reader, path):
+    """What ``reader`` makes of ``path``: its arrays, or its error."""
+    try:
+        return reader(path)
+    except InputError as exc:
+        return str(exc)
+
+
+CSV_PARITY_INPUTS = {
+    "one field": "s,phi\n1.0,2.0\n3.0\n",
+    "three fields in one row": "s,phi\n1.0,2.0\n1.0,2.0,3\n",
+    "three fields in every row": "s,phi\n1.0,2.0,0\n1.5,2.5,1\n",
+    "two fields, labelled": "s,phi,label\n1.0,2.0\n",
+    "nan after a blank line": "s,phi\n1.0,2.0\n\nnan,2.0\n",
+    "inf after a blank line": "s,phi\n1.0,2.0\n\n1.0,inf\n",
+    "overflow to inf": "s,phi\n1e400,2.0\n",
+    "hash line": "s,phi\n1.0,2.0\n# note\n3.0,4.0\n",
+    "whitespace-only line": "s,phi\n1.0,2.0\n   \n3.0,4.0\n",
+    "whitespace-only second line": "s,phi\n \n3.0,4.0\n",
+    "quoted field": 's,phi\n"1.5",2.0\n3.0,4.0\n',
+    "underscore": "s,phi\n1_0,2.0\n",
+    "file separator": "s,phi\n1.5\x1c,2.0\n",
+    "empty field": "s,phi\n1.0,\n",
+    "crlf": "s,phi\r\n1.0,2.0\r\n3.0,4.0\r\n",
+    "padded numbers": "s,phi\n 1.0 , 2.0\t\n",
+    "label 3.0": "s,phi,label\n1.0,2.0,3.0\n",
+    "label +3": "s,phi,label\n1.0,2.0,+3\n",
+    "label space 3": "s,phi,label\n1.0,2.0, 3\n",
+    "label 1_0": "s,phi,label\n1.0,2.0,1_0\n",
+    "header only": "s,phi\n",
+    "blank lines only": "s,phi\n\n\n",
+    "quoted header": '"s",phi\n1.0,2.0\n',
+    "unknown header": "x,phi\n1.0,2.0\n",
+    "empty file": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_PARITY_INPUTS))
+def test_csv_reader_agrees_with_the_row_reader(tmp_path, name):
+    path = tmp_path / "lors.csv"
+    path.write_bytes(CSV_PARITY_INPUTS[name].encode("utf-8"))
+    got = read_outcome(read_lors_csv, path)
+    want = read_outcome(gmmlor.simulate._read_lors_rows, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def test_csv_label_errors_do_not_depend_on_numpy(tmp_path):
+    # np.loadtxt reads "3.0" as the integer 3 in NumPy 1.x
+    path = tmp_path / "lors.csv"
+    path.write_text("s,phi,label\n1.0,2.0,0\n1.0,2.0,3.0\n")
+    with pytest.raises(InputError, match=r"line 3: .*'3\.0'"):
+        read_lors_csv(path)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_a_well_formed_csv_never_reaches_the_row_reader(
+    tmp_path, monkeypatch, benchmark_mixture, labeled
+):
+    res = simulate_lors(benchmark_mixture, counts=(30, 20, 10), seed=4)
+    path = tmp_path / "lors.csv"
+    write_lors_csv(path, res.s, res.phi, res.labels if labeled else None)
+    want = gmmlor.simulate._read_lors_rows(path)
+
+    def refuse(path):
+        raise AssertionError("row reader used")
+
+    monkeypatch.setattr(gmmlor.simulate, "_read_lors_rows", refuse)
+    s, phi, labels = read_lors_csv(path)
+    assert np.array_equal(s, want[0]) and s.flags.c_contiguous
+    assert np.array_equal(phi, want[1]) and phi.flags.c_contiguous
+    if labeled:
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want[2])
+    else:
+        assert labels is None
+
+
 def test_shuffle_preserves_events(benchmark_mixture):
     plain = simulate_lors(benchmark_mixture, counts=(40, 30, 20), seed=9)
     mixed = simulate_lors(benchmark_mixture, counts=(40, 30, 20), seed=9, shuffle=True)
