@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .estimate import _BLOCK_EVENTS
 # density_at_points is no longer called here, but benchmarks/tracing.py
 # wraps it as a layer seam under this module's name
 from .model import (  # noqa: F401
@@ -164,21 +165,30 @@ def kl_divergence(
     ``n_sigma`` of the largest standard deviation anywhere, so
     essentially all of both densities' mass is inside.  512 x 512
     midpoint cells push the quadrature error well below the tolerances
-    this number is held to.  Both densities are evaluated on the grid as
-    a column of x times a row of y, so no point array is built.
+    this number is held to.
+
+    Both densities are evaluated on tiles of grid rows, each a column of
+    x times the row of y, so no point array is built and a tile's
+    temporaries stay cache-sized.  Each tile writes its terms into its
+    rows of one grid_n x grid_n array, which is summed once at the end,
+    so the result does not depend on the tile size.
     """
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
     box = union_bounding_box((estimated, truth), n_sigma=n_sigma)
     x, y = _cell_centers(box, grid_n)
     x, y = x[:, np.newaxis], y[np.newaxis, :]
-    p = _mixture_density(estimated, x, y)
-    log_q = _mixture_density(truth, x, y)
-    np.log(np.maximum(log_q, _DENSITY_FLOOR, out=log_q), out=log_q)
-    terms = np.maximum(p, _DENSITY_FLOOR)
-    np.log(terms, out=terms)
-    terms -= log_q
-    terms *= p
+    terms = np.empty((grid_n, grid_n))
+    step = max(1, _BLOCK_EVENTS // grid_n)  # rows per tile
+    for rows in (slice(i, i + step) for i in range(0, grid_n, step)):
+        p = _mixture_density(estimated, x[rows], y)
+        log_q = _mixture_density(truth, x[rows], y)
+        np.log(np.maximum(log_q, _DENSITY_FLOOR, out=log_q), out=log_q)
+        tile = terms[rows]
+        np.maximum(p, _DENSITY_FLOOR, out=tile)
+        np.log(tile, out=tile)
+        tile -= log_q
+        tile *= p
     x_lo, x_hi, y_lo, y_hi = box
     hx = (x_hi - x_lo) / grid_n
     hy = (y_hi - y_lo) / grid_n

@@ -551,15 +551,24 @@ def test_cached_angle_features_keep_the_isotropic_orientation():
     assert got[0, 1] == 0.0  # phi0 = 0: axes along x and y
 
 
+def component_order_sum(rows):
+    """Sum of a (N, K) array's columns, added in component order."""
+    total = rows[:, 0].copy()
+    for k in range(1, rows.shape[1]):
+        total += rows[:, k]
+    return total
+
+
 def reference_memberships(s, phi, means, covariances, tau):
-    """The E-step with fresh arrays and np.max / np.sum over each row."""
+    """The E-step with fresh arrays, np.max over each row and the row
+    sum added in component order."""
     logp = np.column_stack([
         math.log(t) + log_line_integral_profile(c, m, s, phi)
         for m, c, t in zip(means, covariances, tau)
     ])
     row_max = np.max(logp, axis=1)
     shifted = np.exp(logp - row_max[:, None])
-    row_sum = np.sum(shifted, axis=1)
+    row_sum = component_order_sum(shifted)
     return shifted / row_sum[:, None], float(np.sum(row_max + np.log(row_sum)))
 
 
@@ -575,7 +584,7 @@ def random_mixture_arrays(K, rng):
 
 @pytest.mark.parametrize("K", [1, 3, 9])
 def test_memberships_match_the_row_reduction_reference_bitwise(K):
-    # K = 9 also pins the row sum: column-by-column addition rounds
+    # K = 9 also pins the row sum: component-order addition rounds
     # differently from np.sum once a row has 8 or more terms
     rng = np.random.default_rng(40 + K)
     means, covariances, tau = random_mixture_arrays(K, rng)
@@ -583,7 +592,8 @@ def test_memberships_match_the_row_reduction_reference_bitwise(K):
     phi = rng.uniform(-math.pi / 2, math.pi / 2, 2000)
     resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
     ref, ref_loglik = reference_memberships(s, phi, means, covariances, tau)
-    assert resp.flags.c_contiguous
+    # component-major: every column is one contiguous run of events
+    assert resp.T.flags.c_contiguous
     assert np.array_equal(resp, ref)
     assert loglik == ref_loglik
 
@@ -658,7 +668,7 @@ def unblocked_memberships(s, phi, means, covariances, tau):
         row_max[bad] = 0.0
     logp -= row_max[:, None]
     np.exp(logp, out=logp)
-    row_sum = np.sum(logp, axis=1)
+    row_sum = component_order_sum(logp)
     logp /= row_sum[:, None]
     if underflow:
         return logp, -math.inf
@@ -705,6 +715,42 @@ def test_blocked_memberships_with_an_underflow_row_in_a_later_block():
     assert np.array_equal(resp, ref)
     assert np.all(resp[2 * B + 3] == 1.0 / 3.0)
     assert loglik == ref_loglik == -math.inf
+
+
+@pytest.mark.parametrize("n", [1, B + 1, 3 * B + 7])
+def test_memberships_are_stored_component_major(n):
+    rng = np.random.default_rng(80 + n)
+    means, covariances, tau = random_mixture_arrays(3, rng)
+    s, phi = random_events(n, rng)
+    resp, _ = _memberships_arrays(s, phi, means, covariances, tau)
+    masses = np.sum(resp, axis=0)
+    for k in range(3):
+        assert resp[:, k].flags.c_contiguous
+        want = math.fsum(resp[:, k])
+        assert masses[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_fit_loglik_is_the_e_step_loglik_of_the_returned_model(
+    benchmark_mixture, monkeypatch
+):
+    import gmmlor.estimate as est
+
+    original = est._memberships_arrays
+    calls = []
+
+    def spy(s, phi, means, covariances, tau):
+        # the M-step overwrites means and covariances in place
+        calls.append((s, phi, means.copy(), covariances.copy(), tau.copy()))
+        return original(s, phi, means, covariances, tau)
+
+    monkeypatch.setattr(est, "_memberships_arrays", spy)
+    res = simulate_lors(benchmark_mixture, counts=(700, 500, 200), seed=3)
+    out = fit((res.s, res.phi), FitConfig(K=3, seed=0, weight_tol=1e-3))
+    s, phi, means, covariances, tau = calls[-1]
+    for k, comp in enumerate(out.model.components):
+        assert np.array_equal(means[k], comp.mean)
+        assert np.array_equal(covariances[k], comp.covariance)
+    assert out.loglik == original(s, phi, means, covariances, tau)[1]
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES[1:])

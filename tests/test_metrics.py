@@ -23,7 +23,9 @@ from gmmlor import (
     report_to_dict,
     simulate_lors,
 )
-from gmmlor.metrics import union_bounding_box
+from gmmlor.estimate import _BLOCK_EVENTS
+from gmmlor.metrics import _cell_centers, union_bounding_box
+from gmmlor.model import _mixture_density
 from conftest import BENCHMARK_COUNTS, benchmark_components, make_component
 
 
@@ -332,3 +334,43 @@ def test_kl_ignores_a_common_translation(est, truth, t):
     want = kl_divergence(est, truth, grid_n=128)
     got = kl_divergence(translated(est, t), translated(truth, t), grid_n=128)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+# ------------------------------------------------------ KL row tiles
+
+def untiled_kl(estimated, truth, grid_n, n_sigma=6.0):
+    """The KL quadrature on the whole grid at once: both densities as
+    grid_n x grid_n arrays, then the floored log terms summed once."""
+    box = union_bounding_box((estimated, truth), n_sigma=n_sigma)
+    x, y = _cell_centers(box, grid_n)
+    x, y = x[:, np.newaxis], y[np.newaxis, :]
+    p = _mixture_density(estimated, x, y)
+    log_q = _mixture_density(truth, x, y)
+    np.log(np.maximum(log_q, 1e-300, out=log_q), out=log_q)
+    terms = np.maximum(p, 1e-300)
+    np.log(terms, out=terms)
+    terms -= log_q
+    terms *= p
+    x_lo, x_hi, y_lo, y_hi = box
+    hx = (x_hi - x_lo) / grid_n
+    hy = (y_hi - y_lo) / grid_n
+    return float(np.sum(terms) * hx * hy)
+
+
+#: The grid size whose whole grid is exactly one tile.
+T = math.isqrt(_BLOCK_EVENTS)
+
+
+@pytest.mark.parametrize("grid_n", [2, T - 1, T, T + 1, 512, 700])
+def test_tiled_kl_equals_the_untiled_formula_bitwise(grid_n):
+    rng = np.random.default_rng(900 + grid_n)
+    est = random_mixture(rng, 3, x_spread=2.0)
+    truth = random_mixture(rng, 2, x_spread=2.0)
+    for a, b in ((est, truth), (truth, est)):
+        assert kl_divergence(a, b, grid_n=grid_n) == untiled_kl(a, b, grid_n)
+
+
+@pytest.mark.parametrize("grid_n", [1, 0, -3])
+def test_kl_refuses_a_grid_below_two_cells(benchmark_mixture, grid_n):
+    with pytest.raises(InputError):
+        kl_divergence(benchmark_mixture, benchmark_mixture, grid_n=grid_n)
