@@ -13,13 +13,14 @@ offsets (:func:`moments_from_offsets`) takes the weighted averages of
 t = s_c^2 and t^2, of cos and sin of 2 phi and 4 phi, and of t times
 cos and sin of 2 phi.  Every later step is a closed form in those
 averages: the radial moments fix the two principal variances, the
-angular dependence of the squared offsets fixes the orientation (a
-quartic in cos of the doubled angle), and a final weighted least
-squares refines the variances in the recovered frame.
+angular dependence of the squared offsets fixes the orientation (the
+best-scoring root of a quartic in exp(2i phi0)), and a final weighted
+least squares refines the variances in the recovered frame.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -57,16 +58,6 @@ DEATH_PATIENCE = 3
 #: Normal systems with condition number beyond this are refused: the
 #: data no longer pins down the quantity being solved for.
 CONDITION_LIMIT = 1e12
-
-#: Stationarity-residual filter for quartic roots, relative to the
-#: magnitude of the trigonometric coefficient set.
-_ROOT_RESIDUAL_RTOL = 1e-8
-
-#: Imaginary parts below this (relative) are treated as rounding noise
-#: when screening quartic roots for real stationary points.
-_IMAG_RTOL = 1e-9
-
-_GRID_POINTS = 720
 
 #: Events per block of the passes over every event (phase-1 relabelling
 #: and the E-step), and grid cells per row tile of the KL quadrature
@@ -308,22 +299,19 @@ def solve_orientation(
     """Orientation phi0 minimizing the squared-offset residual.
 
     With alpha = 2 phi the model for the squared offset is
-    e + c cos(alpha - alpha0), e = (s1 + s2)/2, c = (s2 - s1)/2.  In
-    x = cos(alpha0), y = sin(alpha0) the weighted mean squared residual
-    is, up to terms free of alpha0,
+    e + c cos(alpha - alpha0), e = (s1 + s2)/2, c = (s2 - s1)/2.  The
+    weighted mean squared residual is, up to terms free of alpha0,
 
-        L = c^2/2 ((x^2 - y^2) E[cos 4 phi] + 2 x y E[sin 4 phi])
-            + 2 c (x T_c + y T_s),   T_c = E[(e - t) cos 2 phi], T_s alike,
+        L = P cos 2 alpha0 + Q sin 2 alpha0 + R cos alpha0 + S sin alpha0,
 
-    and its derivative gives the stationarity condition
+    with P = c^2/2 E[cos 4 phi], Q = c^2/2 E[sin 4 phi], R = 2 c T_c,
+    S = 2 c T_s and T_c = E[(e - t) cos 2 phi], T_s alike.  In
+    z = exp(i alpha0) its stationarity condition is the quartic
 
-        A_s2 (y^2 - x^2) + A_sc x y + A_s y + A_c x = 0
+        (2iQ - 2P) z^4 + (iS - R) z^3 + (iS + R) z + (2iQ + 2P) = 0.
 
-    which together with x^2 + y^2 = 1 reduces to a quartic in x.  Real
-    roots are paired with both square-root branches of y, screened by
-    the stationarity residual, and ranked by L.  If no root survives
-    (flat objective, lost precision), a dense grid plus golden-section
-    refinement takes over.
+    The minimizer is a stationary point, so its angle is the phase of a
+    root; every root's phase is ranked by L and the best one wins.
     """
     dsig = sigma2_sq - sigma1_sq
     ssum = sigma1_sq + sigma2_sq
@@ -331,80 +319,25 @@ def solve_orientation(
         return 0.0  # isotropic: every orientation is stationary
 
     c_amp = 0.5 * dsig
-    Tc = 0.5 * ssum * m.cos2w - m.tcos2w
-    Ts = 0.5 * ssum * m.sin2w - m.tsin2w
-    A_s2 = c_amp * m.sin4w
-    A_sc = 2.0 * c_amp * m.cos4w
-    A_s = 2.0 * Tc
-    A_c = -2.0 * Ts
-
-    def objective_xy(x: float, y: float) -> float:
-        quad = (x * x - y * y) * m.cos4w + 2.0 * x * y * m.sin4w
-        return 0.5 * c_amp * c_amp * quad + 2.0 * c_amp * (x * Tc + y * Ts)
+    P = 0.5 * c_amp * c_amp * m.cos4w
+    Q = 0.5 * c_amp * c_amp * m.sin4w
+    R = 2.0 * c_amp * (0.5 * ssum * m.cos2w - m.tcos2w)
+    S = 2.0 * c_amp * (0.5 * ssum * m.sin2w - m.tsin2w)
+    if P == Q == R == S == 0.0:
+        return 0.0  # flat objective: likewise
 
     def objective(alpha0: float) -> float:
-        return objective_xy(math.cos(alpha0), math.sin(alpha0))
+        return (
+            P * math.cos(2.0 * alpha0) + Q * math.sin(2.0 * alpha0)
+            + R * math.cos(alpha0) + S * math.sin(alpha0)
+        )
 
-    a_scale = max(abs(A_s2), abs(A_sc), abs(A_s), abs(A_c))
-    candidates: list[tuple[float, float]] = []
-    if a_scale > 0.0:
-        c4 = 4.0 * A_s2 * A_s2 + A_sc * A_sc
-        c3 = 2.0 * A_sc * A_s - 4.0 * A_s2 * A_c
-        c2 = A_c * A_c + A_s * A_s - A_sc * A_sc - 4.0 * A_s2 * A_s2
-        c1 = 2.0 * A_s2 * A_c - 2.0 * A_sc * A_s
-        c0 = A_s2 * A_s2 - A_s * A_s
-        try:
-            roots = solve_quartic(c4, c3, c2, c1, c0)
-        except InputError:
-            roots = []
-        tol = _ROOT_RESIDUAL_RTOL * a_scale
-        for z in roots:
-            if abs(z.imag) > _IMAG_RTOL * max(1.0, abs(z)):
-                continue
-            x = z.real
-            if abs(x) > 1.0 + 1e-9:
-                continue
-            x = min(1.0, max(-1.0, x))
-            y_mag = math.sqrt(max(0.0, 1.0 - x * x))
-            for y in (y_mag, -y_mag):
-                resid = (
-                    A_s2 * (y * y - x * x)
-                    + A_sc * x * y
-                    + A_s * y
-                    + A_c * x
-                )
-                if abs(resid) <= tol:
-                    candidates.append((objective_xy(x, y), math.atan2(y, x)))
-
-    if candidates:
-        best = min(candidates, key=lambda pair: pair[0])
-        return canonicalize_orientation(0.5 * best[1])
-
-    # fallback: the objective is 2 pi periodic in alpha0
-    grid = np.linspace(-math.pi, math.pi, _GRID_POINTS, endpoint=False)
-    vals = [objective(a0) for a0 in grid]
-    i_best = int(np.argmin(vals))
-    span = 2.0 * math.pi / _GRID_POINTS
-    a0 = _golden_min(objective, grid[i_best] - span, grid[i_best] + span)
-    return canonicalize_orientation(0.5 * a0)
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    roots = solve_quartic(
+        complex(-2.0 * P, 2.0 * Q), complex(-R, S), 0.0,
+        complex(R, S), complex(2.0 * P, 2.0 * Q),
+    )
+    best = min((cmath.phase(z) for z in roots), key=objective)
+    return canonicalize_orientation(0.5 * best)
 
 
 def refine_sigmas(

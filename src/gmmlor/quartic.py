@@ -1,16 +1,17 @@
-"""Closed-form root extraction for quartic polynomials.
+"""Root extraction for quartic polynomials.
 
 The orientation estimate reduces to the roots of a quartic in
-cos(2 phi0).  They are computed here by Ferrari's method: depress the
-quartic, solve the resolvent cubic in closed form, split into two
-quadratics, then polish every root with a few Newton steps on the
-original polynomial to shed the rounding accumulated on the way.
+z = exp(2i phi0) with complex coefficients.  The roots are the
+eigenvalues of the polynomial's companion matrix, a backward-stable
+root finder in one LAPACK call (Edelman & Murakami 1995, Math. Comp.
+64, "Polynomial roots from companion matrix eigenvalues").
 """
 
 from __future__ import annotations
 
 import cmath
-import math
+
+import numpy as np
 
 from .errors import InputError
 
@@ -19,166 +20,31 @@ from .errors import InputError
 _LEADING_EPS = 1e-14
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def real_roots_quadratic(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a x^2 + b x + c, stable against cancellation."""
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    # q has no cancellation: b and its sign-matched sqrt add coherently
-    q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
-    if q == 0.0:
-        return [0.0, 0.0] if c == 0.0 else [0.0, -b / a]
-    return [q / a, c / q]
-
-
-def real_roots_cubic(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a x^3 + b x^2 + c x + d by the trigonometric method."""
-    if a == 0.0:
-        return real_roots_quadratic(b, c, d)
-    b, c, d = b / a, c / a, d / a
-    # depress: x = t - b/3
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        t = _cbrt(-0.5 * q + sq) + _cbrt(-0.5 * q - sq)
-        return [t - shift]
-    if p == 0.0:
-        # triple root at the shift point
-        return [-shift] * 3
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    theta = math.acos(arg) / 3.0
-    return [
-        m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift for k in range(3)
-    ]
-
-
-def _eval_poly(coeffs: tuple[float, ...], z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def _polish_complex(coeffs: tuple[float, ...], z: complex) -> complex:
-    """A few Newton steps on the full polynomial; never worsens |p(z)|."""
-    n = len(coeffs) - 1
-    deriv = tuple(c * (n - i) for i, c in enumerate(coeffs[:-1]))
-    best = z
-    best_val = abs(_eval_poly(coeffs, z))
-    for _ in range(3):
-        fp = _eval_poly(deriv, z)
-        if fp == 0.0:
-            break
-        z = z - _eval_poly(coeffs, z) / fp
-        val = abs(_eval_poly(coeffs, z))
-        if val < best_val:
-            best, best_val = z, val
-        if val == 0.0:
-            break
-    return best
-
-
-def _complex_quadratic(b: complex, c: complex) -> list[complex]:
-    """Both roots of y^2 + b y + c with complex coefficients."""
-    sq = cmath.sqrt(b * b - 4.0 * c)
-    # pick the sign that adds coherently with b
-    if (b.conjugate() * sq).real < 0.0:
-        sq = -sq
-    q = -0.5 * (b + sq)
-    if q == 0.0:
-        return [0.0 + 0.0j, -b]
-    return [q, c / q]
-
-
-def _roots_cubic_complex(a: float, b: float, c: float, d: float) -> list[complex]:
-    """All three roots of a real cubic: one real root, then deflate."""
-    b, c, d = b / a, c / a, d / a
-    candidates = real_roots_cubic(1.0, b, c, d)
-    r0 = min(
-        candidates,
-        key=lambda r: abs(((r + b) * r + c) * r + d),
-    )
-    r0 = _polish_complex((1.0, b, c, d), complex(r0)).real
-    # synthetic division by (x - r0)
-    q1 = b + r0
-    q0 = c + r0 * q1
-    return [complex(r0)] + _complex_quadratic(complex(q1), complex(q0))
-
-
 def solve_quartic(
-    c4: float, c3: float, c2: float, c1: float, c0: float
+    c4: complex, c3: complex, c2: complex, c1: complex, c0: complex
 ) -> list[complex]:
     """All roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, with multiplicity.
 
-    Returns four complex roots for a genuine quartic.  A leading
-    coefficient that is negligible against the rest demotes the
-    polynomial rather than amplifying noise through division, so the
-    list is shorter in that case.  Roots are sorted by real part then
-    imaginary part.
+    The coefficients may be real or complex.  Returns four complex roots
+    for a genuine quartic.  A leading coefficient that is negligible
+    against the rest demotes the polynomial rather than amplifying noise
+    through division, so the list is shorter in that case.  Roots are
+    sorted by real part then imaginary part.
     """
-    scale = max(abs(c4), abs(c3), abs(c2), abs(c1), abs(c0))
+    coeffs = (c4, c3, c2, c1, c0)
+    if not all(map(cmath.isfinite, coeffs)):
+        raise InputError("quartic coefficients must be finite")
+    mags = [abs(c) for c in coeffs]
+    scale = max(mags)
     if scale == 0.0:
         raise InputError("all quartic coefficients are zero")
-    if abs(c4) <= _LEADING_EPS * scale:
-        if abs(c3) <= _LEADING_EPS * scale:
-            if abs(c2) <= _LEADING_EPS * scale:
-                if abs(c1) <= _LEADING_EPS * scale:
-                    return []
-                return [complex(-c0 / c1)]
-            roots2 = _complex_quadratic(complex(c1 / c2), complex(c0 / c2))
-            return sorted(roots2, key=lambda z: (z.real, z.imag))
-        roots3 = _roots_cubic_complex(c3, c2, c1, c0)
-        return sorted(roots3, key=lambda z: (z.real, z.imag))
-
-    a, b, c, d = c3 / c4, c2 / c4, c1 / c4, c0 / c4
-    # depress: x = y - a/4
-    shift = a / 4.0
-    a2 = a * a
-    p = b - 3.0 * a2 / 8.0
-    q = c - a * b / 2.0 + a2 * a / 8.0
-    r = d - a * c / 4.0 + a2 * b / 16.0 - 3.0 * a2 * a2 / 256.0
-
-    biquadratic = abs(q) <= 1e-14 * (1.0 + abs(p) + abs(r))
-    m = 0.0
-    if not biquadratic:
-        # resolvent cubic: m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0
-        # has a positive root whenever q != 0 (product of roots > 0)
-        resolvent = real_roots_cubic(1.0, p, 0.25 * p * p - r, -0.125 * q * q)
-        m = max(resolvent)
-        if m <= 0.0:
-            biquadratic = True
-
-    roots: list[complex]
-    if biquadratic:
-        roots = []
-        for y2 in _complex_quadratic(complex(p), complex(r)):
-            y = cmath.sqrt(y2)
-            roots.extend((y - shift, -y - shift))
-    else:
-        s = math.sqrt(2.0 * m)
-        half = 0.5 * p + m
-        tail = q / (2.0 * s)
-        roots = [
-            y - shift
-            for y in _complex_quadratic(complex(-s), complex(half + tail))
-        ]
-        roots.extend(
-            y - shift
-            for y in _complex_quadratic(complex(s), complex(half - tail))
-        )
-
-    coeffs = (c4, c3, c2, c1, c0)
-    polished = [_polish_complex(coeffs, z) for z in roots]
-    return sorted(polished, key=lambda z: (z.real, z.imag))
+    lead = next(i for i, mag in enumerate(mags) if mag > _LEADING_EPS * scale)
+    degree = 4 - lead
+    if degree == 0:
+        return []
+    is_complex = any(isinstance(c, (complex, np.complexfloating)) for c in coeffs)
+    dtype = complex if is_complex else float
+    companion = np.eye(degree, k=-1, dtype=dtype)
+    companion[0] = np.array(coeffs[lead + 1:], dtype=dtype) / -coeffs[lead]
+    roots = np.linalg.eigvals(companion).tolist()
+    return sorted(map(complex, roots), key=lambda z: (z.real, z.imag))

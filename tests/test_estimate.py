@@ -258,15 +258,23 @@ def test_center_offsets_result_copies_and_pickles(clone):
 # ----------------------------------------------------------- orientation solve
 
 def test_orientation_recovered_exactly_on_clean_data():
-    for phi0 in np.linspace(-1.5, 1.5, 50):
+    # near the axes too, where a solve in cos(2 phi0) would lose sqrt(eps)
+    axes = (0.0, 1e-9, -1e-9, 1e-8, math.pi / 2 - 1e-9, 1e-9 - math.pi / 2)
+    for phi0 in (*np.linspace(-1.5, 1.5, 50), *axes):
         offs = pseudo_offsets(0.09, 0.01, phi0)
         got = solve_orientation(moments_from_offsets(offs), 0.09, 0.01)
-        assert abs(math.remainder(got - phi0, math.pi)) < 1e-9
+        assert abs(math.remainder(got - phi0, math.pi)) < 1e-12
 
 
 def test_orientation_isotropic_returns_zero():
     offs = pseudo_offsets(0.04, 0.04, 0.3)
     assert solve_orientation(moments_from_offsets(offs), 0.04, 0.04) == 0.0
+
+
+def test_orientation_of_a_flat_objective_returns_zero():
+    # no angular dependence at all: every orientation scores the same
+    m = WeightedMoments(0.05, 0.0033, 1.0)
+    assert solve_orientation(m, 0.09, 0.01) == 0.0
 
 
 def test_orientation_handles_mild_eccentricity():
@@ -986,7 +994,7 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     seams = (
         "fit_mean", "center_offsets", "estimate_covariance",
         "moments_from_offsets", "solve_orientation", "refine_sigmas",
-        "_memberships_arrays",
+        "_memberships_arrays", "solve_quartic",
     )
     for name in seams:
         def counted(*args, _name=name, _original=getattr(est, name), **kwargs):
@@ -1008,6 +1016,8 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     assert calls["estimate_covariance"] == covariances
     assert calls["moments_from_offsets"] == covariances
     assert calls["solve_orientation"] == 2 * covariances
+    # every call that is not isotropic solves one quartic
+    assert 0 < calls["solve_quartic"] <= calls["solve_orientation"]
     assert calls["refine_sigmas"] == covariances
 
 

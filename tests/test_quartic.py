@@ -1,4 +1,4 @@
-"""Closed-form quartic root solver and the real-root helpers."""
+"""Quartic root solver: companion-matrix eigenvalues."""
 
 import cmath
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gmmlor import InputError
-from gmmlor.quartic import real_roots_cubic, real_roots_quadratic, solve_quartic
+from gmmlor.quartic import solve_quartic
 
 
 def poly_eval(coeffs, z):
@@ -115,34 +115,24 @@ def test_constant_only_has_no_roots():
     assert solve_quartic(0.0, 0.0, 0.0, 0.0, 3.0) == []
 
 
-# ------------------------------------------------------- real-root helpers
-
-def test_real_quadratic_cases():
-    assert real_roots_quadratic(1.0, 0.0, 1.0) == []
-    r = sorted(real_roots_quadratic(1.0, -3.0, 2.0))
-    assert r == pytest.approx([1.0, 2.0], rel=1e-14)
-    assert real_roots_quadratic(0.0, 2.0, -1.0) == pytest.approx([0.5])
-
-
-def test_real_quadratic_avoids_cancellation():
-    # b^2 >> 4ac: the small root must keep full precision
-    roots = sorted(real_roots_quadratic(1.0, -1e8, 1.0))
-    assert roots[0] == pytest.approx(1e-8, rel=1e-12)
-    assert roots[1] == pytest.approx(1e8, rel=1e-12)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 1)])
+@pytest.mark.parametrize("slot", range(5))
+def test_non_finite_coefficients_raise(bad, slot):
+    coeffs = [1.0, -2.0, 0.5, 3.0, -1.0]
+    coeffs[slot] = bad
+    with pytest.raises(InputError):
+        solve_quartic(*coeffs)
 
 
-def test_real_cubic_three_roots():
-    r = sorted(real_roots_cubic(1.0, 0.0, -1.0, 0.0))
-    assert r == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
-
-
-def test_real_cubic_single_root():
-    r = real_roots_cubic(1.0, 0.0, 0.0, -8.0)
-    assert len(r) >= 1
-    assert min(abs(x - 2.0) for x in r) < 1e-12
-
-
-def test_real_cubic_triple_root():
-    r = real_roots_cubic(1.0, -3.0, 3.0, -1.0)  # (x-1)^3
-    for x in r:
-        assert abs(x - 1.0) < 1e-4
+def test_complex_coefficients_from_known_roots():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        expect = rng.normal(size=4) + 1j * rng.normal(size=4)
+        lead = complex(*rng.normal(size=2))
+        coeffs = lead * np.poly(expect)
+        roots = solve_quartic(*coeffs)
+        assert len(roots) == 4
+        scale = np.sum(np.abs(coeffs))
+        for r in roots:
+            bound = 1e-8 * scale * max(1.0, abs(r)) ** 4
+            assert abs(poly_eval(coeffs, r)) <= bound
