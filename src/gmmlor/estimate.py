@@ -3,9 +3,12 @@
 The fit alternates two regimes.  Phase 1 works on hard assignments:
 each component's mean is the weighted least-squares fit of a sinusoid
 to its LoRs in (s, phi), and LoRs move to whichever mean sinusoid
-passes closest.  Phase 2 switches to soft memberships derived from the
-per-component projected densities and re-estimates means, covariances,
-and weights until the weights settle.
+passes closest.  The means come from running per-label sums that only
+the moving LoRs change, and a pass recomputes only the LoRs whose
+nearest sinusoid the last moves of the means can have changed.  Phase 2
+switches to soft memberships derived from the per-component projected
+densities and re-estimates means, covariances, and weights until the
+weights settle.
 
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
@@ -595,49 +598,128 @@ def _balanced_random_assignment(n: int, k: int, stream: SeededStream):
 
 
 def _nearest_sinusoid(batch, means):
-    """Label of the mean sinusoid passing closest to each event.
+    """Label of the mean sinusoid passing closest to each event, and the
+    gap from that distance to the second-closest (inf when K = 1).
 
     Components are compared one at a time, so no N x K array is built;
-    the strict < sends a tie to the lower label, as argmin would.
+    the strict < sends a tie to the lower label, as argmin would, and a
+    tie leaves a gap of 0.
     """
     s = batch[0]
     si, co = batch.angles.sin, batch.angles.cos
     best = np.abs(s + means[0, 0] * si - means[0, 1] * co)
+    second = np.full(s.size, np.inf)
     labels = np.zeros(s.size, dtype=np.int64)
     for k in range(1, len(means)):
         dist = np.abs(s + means[k, 0] * si - means[k, 1] * co)
         labels[dist < best] = k
-        np.minimum(best, dist, out=best)
-    return labels
+        nearer = np.minimum(best, dist)
+        np.maximum(best, dist, out=dist)
+        np.minimum(second, dist, out=second)
+        best = nearer
+    second -= best
+    return labels, second
 
 
-def _label_pass(batch, labels, K: int, means=None):
-    """One pass of phase 1 over the events, block by block.
+def _label_features(s, si, co):
+    """The five per-event features of :func:`_solve_mean`: sin^2,
+    sin cos, cos^2, s sin and s cos."""
+    return si * si, si * co, co * co, s * si, s * co
 
-    Given ``means``, each event is first relabelled in place in
-    ``labels`` to the nearest of their sinusoids.  Returns the events per
-    label and a (5, K) array of the per-label sums of sin^2, sin cos,
-    cos^2, s sin and s cos, the arguments of :func:`_solve_mean`.  The
-    sums are the sufficient statistics of the hard-assignment mean fit
-    (incremental EM, Neal & Hinton 1998), so the pass gathers no
-    cluster's events.
+
+def _label_pass(batch, labels, K: int):
+    """One pass over the events, block by block, that counts each label's
+    events and sums the features of :func:`_label_features` per label.
+
+    Returns the counts and a (5, K) array of sums, the arguments of
+    :func:`_solve_mean`.  The sums are the sufficient statistics of the
+    hard-assignment mean fit (incremental EM, Neal & Hinton 1998), so no
+    cluster's events are gathered.  Phase 1 takes it once, on the
+    starting labels; :class:`_HardLabels` then keeps the sums running.
     """
-    # the batch keeps its sines and cosines from the first pass on, and
-    # each block reads views of them
     s, si, co = batch[0], batch.angles.sin, batch.angles.cos
     counts = np.zeros(K, dtype=np.int64)
     sums = np.zeros((5, K))
     for block in _blocks(s.size):
-        if means is not None:
-            labels[block] = _nearest_sinusoid(batch.take(block), means)
-        lab, s_b, si_b, co_b = labels[block], s[block], si[block], co[block]
+        lab = labels[block]
         counts += np.bincount(lab, minlength=K)
-        features = (
-            si_b * si_b, si_b * co_b, co_b * co_b, s_b * si_b, s_b * co_b
-        )
+        features = _label_features(s[block], si[block], co[block])
         for row, feature in zip(sums, features):
             row += np.bincount(lab, weights=feature, minlength=K)
     return counts, sums
+
+
+class _HardLabels:
+    """Phase 1's labels with their per-label counts and sums, kept up to
+    date across relabelling passes, and with a bound that lets a pass
+    skip the events whose nearest sinusoid cannot have changed.
+
+    The distance |s + mu_x sin phi - mu_y cos phi| of an event to a mean
+    sinusoid is the distance from the point mu to the event's line, so
+    moving a mean by d changes every distance to it by at most d.  If
+    the means moved by at most d since an event was last relabelled, its
+    gap between the second-nearest and the nearest distance has shrunk
+    by at most 2 d (Elkan 2003; Hamerly 2010).  So each event keeps the
+    key gap + drift from its last relabel, where ``drift`` sums 2 d over
+    the passes, and a pass recomputes only the events whose key is not
+    above the current drift by more than a rounding margin.  A skipped
+    event keeps a label that is strictly nearest, which is what
+    :func:`_nearest_sinusoid` would give it; ties are always recomputed.
+    Keys start at -inf, so the first relabelling pass recomputes every
+    event.  Only the events that move change the counts and sums.
+    """
+
+    def __init__(self, batch, labels, K: int):
+        self.batch, self.labels, self.K = batch, labels, K
+        self.counts, self.sums = _label_pass(batch, labels, K)
+        self.keys = np.full(labels.size, -np.inf)
+        self.drift = 0.0
+        self.s_max = float(np.max(np.abs(batch[0])))
+
+    def relabel(self, means, moved_by: float) -> int:
+        """Move each event to the nearest of the sinusoids of ``means``,
+        given that no mean moved by more than ``moved_by`` since the last
+        pass.  Returns how many events were recomputed."""
+        self.drift += 2.0 * moved_by
+        # bounds the rounding of two computed distances and of the keys
+        margin = 1e-12 * (
+            self.s_max + 2.0 * float(np.max(np.abs(means))) + self.drift + 1.0
+        )
+        limit = self.drift + margin
+        s, si, co = self.batch[0], self.batch.angles.sin, self.batch.angles.cos
+        K, recomputed = self.K, 0
+        for idx in self._candidates(limit):
+            recomputed += idx.size
+            new, gap = _nearest_sinusoid(self.batch.take(idx), means)
+            self.keys[idx] = gap + self.drift
+            old = self.labels[idx]
+            moved = np.flatnonzero(new != old)
+            idx, old, new = idx[moved], old[moved], new[moved]
+            self.labels[idx] = new
+            self.counts += np.bincount(new, minlength=K)
+            self.counts -= np.bincount(old, minlength=K)
+            features = _label_features(s[idx], si[idx], co[idx])
+            for row, feature in zip(self.sums, features):
+                row += np.bincount(new, weights=feature, minlength=K)
+                row -= np.bincount(old, weights=feature, minlength=K)
+        return recomputed
+
+    def _candidates(self, limit):
+        """The events whose key is not above ``limit``, block by block,
+        in ascending runs of one to two blocks' worth, so that a pass
+        that recomputes few events handles them together."""
+        pending, held = [], 0
+        for block in _blocks(self.keys.size):
+            # not (key > limit), so that a NaN key is recomputed too
+            idx = np.flatnonzero(~(self.keys[block] > limit))
+            idx += block.start
+            pending.append(idx)
+            held += idx.size
+            if held >= _BLOCK_EVENTS:
+                yield np.concatenate(pending)
+                pending, held = [], 0
+        if held:
+            yield np.concatenate(pending)
 
 
 def _run_single_fit(
@@ -661,21 +743,24 @@ def _run_single_fit(
     # relabelled in place
     means = np.zeros((K, 2))
     prev_means = None
-    counts, sums = _label_pass(batch, assignment, K)
+    delta = 0.0
+    hard = _HardLabels(batch, assignment, K)
     for _ in range(config.max_iters_phase1):
         for k in range(K):
-            if counts[k] == 0:
+            if hard.counts[k] == 0:
                 raise ComponentDeathError(
                     component=k, mass=0.0, iteration=len(trace)
                 )
-            means[k] = _solve_mean(*sums[:, k])
-        record(1, counts / n, None)
+            means[k] = _solve_mean(*hard.sums[:, k])
+        record(1, hard.counts / n, None)
         if prev_means is not None:
             delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
             if delta < config.mean_tol:
                 break
         prev_means = means.copy()
-        counts, sums = _label_pass(batch, assignment, K, means)
+        hard.relabel(means, delta)
+    counts = hard.counts
+    hard = None  # its keys live through phase 1 only
 
     covariances = np.empty((K, 2, 2))
     for k in range(K):

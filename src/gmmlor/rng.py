@@ -73,8 +73,18 @@ class SeededStream:
         return (self.uniform01(n) - 0.5) * math.pi
 
     def permutation(self, n: int) -> np.ndarray:
-        """Permutation of range(n) by stable argsort of n uniforms."""
-        return np.argsort(self.uniform01(n), kind="stable")
+        """Permutation of range(n) by stable argsort of n uniforms.
+
+        The default sort is faster but not stable.  It gives the same
+        order unless two draws are equal, so the stable sort runs only
+        then.
+        """
+        u = self.uniform01(n)
+        order = np.argsort(u)
+        ranked = u[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(u, kind="stable")
+        return order
 
     def categorical(self, probs, n: int) -> np.ndarray:
         """n iid category labels with the given probabilities.

@@ -8,7 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -43,6 +43,7 @@ from gmmlor import (
 from gmmlor.estimate import (
     _BLOCK_EVENTS,
     _Batch,
+    _HardLabels,
     _label_pass,
     _memberships_arrays,
     _nearest_sinusoid,
@@ -249,7 +250,9 @@ def test_center_offsets_result_copies_and_pickles(clone):
     s_c, phi = clone(offs)
     assert np.array_equal(s_c, offs[0])
     assert np.array_equal(phi, phis)
-    assert np.array_equal(clone(offs).angles.sin2, np.sin(2.0 * phis))
+    copied = clone(offs).angles
+    assert "sin2" in vars(copied)
+    assert np.array_equal(copied.sin2, offs.angles.sin2)
     assert estimate_covariance(clone(offs)).tobytes() == (
         estimate_covariance(offs).tobytes()
     )
@@ -504,11 +507,23 @@ def test_noiseless_offsets_take_the_isotropic_shortcut():
     assert solve_orientation(m, s1, s2) == 0.0
 
 
+def rotation_examples(test):
+    """The rotations 0.3, 0.7 and 1.2 and a spread over [-pi, pi], as
+    explicit examples."""
+    for delta in (0.3, 0.7, 1.2, *np.linspace(-math.pi, math.pi, 9)):
+        test = example(delta=float(delta))(test)
+    return test
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the isotropic shortcut returns phi0 = 0, a lab-frame axis, "
     "so refine_sigmas fits the variances along x and y",
 )
+# explicit examples only: a generated failure would be written out as a
+# patch file on every run
+@settings(phases=[Phase.explicit])
+@rotation_examples
 @given(delta=st.floats(-math.pi, math.pi))
 def test_isotropic_shortcut_rotates_with_the_events(delta):
     s_c, phis = pseudo_offsets(0.09, 0.01, 0.4)
@@ -627,8 +642,10 @@ def test_nearest_sinusoid_sends_ties_to_the_lower_label():
     # exactly halfway between mu_y = 1 and mu_y = -1
     batch = cached(np.array([0.0, 0.9, -0.9]), np.zeros(3))
     up_down = np.array([[0.0, 1.0], [0.0, -1.0]])
-    assert _nearest_sinusoid(batch, up_down).tolist() == [0, 0, 1]
-    assert _nearest_sinusoid(batch, up_down[::-1]).tolist() == [0, 1, 0]
+    labels, gap = _nearest_sinusoid(batch, up_down)
+    assert labels.tolist() == [0, 0, 1]
+    assert gap[0] == 0.0
+    assert _nearest_sinusoid(batch, up_down[::-1])[0].tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 9])
@@ -643,9 +660,14 @@ def test_nearest_sinusoid_matches_argmin(K):
         + means[None, :, 0] * np.sin(phi)[:, None]
         - means[None, :, 1] * np.cos(phi)[:, None]
     )
-    labels = _nearest_sinusoid(cached(s, phi), means)
+    labels, gap = _nearest_sinusoid(cached(s, phi), means)
     assert labels.dtype == np.int64
     assert np.array_equal(labels, np.argmin(dist, axis=1))
+    if K == 1:
+        assert np.all(gap == np.inf)
+    else:
+        ranked = np.sort(dist, axis=1)
+        assert np.array_equal(gap, ranked[:, 1] - ranked[:, 0])
 
 
 # ------------------------------------------------------------ blocked passes
@@ -783,11 +805,75 @@ def test_label_pass_relabels_as_the_unblocked_kernel(n):
     means = rng.normal(0.0, 1.0, size=(3, 2))
     means[2] = means[0]  # every event ties between two labels
     labels = np.full(n, 2, dtype=np.int64)
-    counts, _ = _label_pass(cached(s, phi), labels, 3, means)
-    want = _nearest_sinusoid(cached(s, phi), means)
+    hard = _HardLabels(cached(s, phi), labels, 3)
+    assert hard.relabel(means, 0.0) == n  # the first pass sees every event
+    want = _nearest_sinusoid(cached(s, phi), means)[0]
     assert np.array_equal(labels, want)
-    assert np.array_equal(counts, np.bincount(want, minlength=3))
-    assert counts[2] == 0
+    assert np.array_equal(hard.counts, np.bincount(want, minlength=3))
+    assert hard.counts[2] == 0
+
+
+def assert_matches_a_full_pass(hard, batch, means):
+    """The labels are the kernel's, the counts np.bincount's, and the
+    running sums those of a full pass up to rounding: within 1e-12 of
+    the largest magnitude a label's sum could reach."""
+    want = _nearest_sinusoid(batch, means)[0]
+    assert np.array_equal(hard.labels, want)
+    counts, sums = _label_pass(batch, want, len(means))
+    assert np.array_equal(hard.counts, counts)
+    assert np.array_equal(counts, np.bincount(want, minlength=len(means)))
+    reach = np.maximum(counts, 1) * (1.0 + np.max(np.abs(batch[0])))
+    assert np.all(np.abs(hard.sums - sums) <= 1e-12 * reach)
+
+
+@settings(max_examples=30)
+@given(
+    K=st.sampled_from([1, 2, 3, 9]),
+    n=st.sampled_from(BLOCK_SIZES),
+    shift=st.sampled_from([-10.0, 0.0, 10.0]),
+    tie=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.sampled_from([0.0, 1e-15, 1e-3, 0.3, 3.0]), min_size=1, max_size=6
+    ),
+)
+def test_pruned_relabelling_matches_full_passes(K, n, shift, tie, seed, steps):
+    rng = np.random.default_rng(seed)
+    s, phi = random_events(n, rng)
+    # moving the image plane by t moves each line's s by n . t
+    t = np.array([shift, -shift])
+    s = s - t[0] * np.sin(phi) + t[1] * np.cos(phi)
+    batch = cached(s, phi)
+    means = rng.normal(0.0, 1.0, size=(K, 2)) + t
+    if tie and K >= 3:
+        means[2] = means[0]  # every event nearest to mean 0 ties
+    hard = _HardLabels(batch, rng.integers(0, K, n), K)
+    assert hard.relabel(means, 0.0) == n
+    assert_matches_a_full_pass(hard, batch, means)
+    for step in steps:
+        moved = means + step * rng.normal(0.0, 1.0, size=(K, 2))
+        if tie and K >= 3:
+            moved[2] = moved[0]
+        delta = float(np.max(np.linalg.norm(moved - means, axis=1)))
+        means = moved
+        recomputed = hard.relabel(means, delta)
+        assert_matches_a_full_pass(hard, batch, means)
+        if step == 0.0:
+            # with unchanged means only ties go through the kernel again
+            gap = _nearest_sinusoid(batch, means)[1]
+            assert recomputed == np.count_nonzero(gap == 0.0)
+
+
+def test_a_pass_with_unchanged_means_recomputes_no_event():
+    rng = np.random.default_rng(90)
+    s, phi = random_events(3 * B + 7, rng)
+    means = rng.normal(0.0, 1.0, size=(3, 2))
+    hard = _HardLabels(cached(s, phi), rng.integers(0, 3, s.size), 3)
+    assert hard.relabel(means, 0.0) == s.size
+    assert hard.relabel(means, 0.0) == 0
+    # a small move recomputes only the events whose gap it can close
+    near = hard.relabel(means + 1e-3, math.sqrt(2.0) * 1e-3)
+    assert 0 < near < s.size // 10
 
 
 def test_an_initially_empty_label_dies_in_the_first_iteration():

@@ -66,6 +66,23 @@ def test_permutation_is_a_permutation():
     assert np.array_equal(np.sort(p), np.arange(200))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 1000, 70_001])
+def test_permutation_is_the_stable_argsort_of_the_draws(n):
+    u = SeededStream(n).uniform01(n)
+    want = np.argsort(u, kind="stable")
+    assert np.array_equal(SeededStream(n).permutation(n), want)
+
+
+def test_permutation_with_equal_draws_keeps_them_in_draw_order(monkeypatch):
+    # few distinct values, so the default sort would be free to reorder
+    # equal draws; the stable fallback keeps them in draw order
+    draws = np.repeat([0.75, 0.25, 0.5, 0.0], 300)
+    np.random.default_rng(3).shuffle(draws)
+    monkeypatch.setattr(SeededStream, "uniform01", lambda self, n: draws)
+    p = SeededStream(0).permutation(draws.size)
+    assert np.array_equal(p, np.argsort(draws, kind="stable"))
+
+
 def test_categorical_frequencies():
     probs = np.array([0.2, 0.3, 0.5])
     n = 100000

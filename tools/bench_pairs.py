@@ -4,7 +4,12 @@ Runs ``benchmarks/run.py`` in two source checkouts, a parent and a
 change, alternating which of the two goes first in each pair, and
 summarises every end-to-end metric per side: median, quartiles, range,
 the change-over-parent ratio of the medians and how many pairs the
-change won.  One extra ``--trace 1`` run per side gives the per-layer
+change won.  Each metric also gets two verdicts: ``gain_rule_met``, the
+change won at least 9 of 10 pairs and its median beats the parent's by
+more than the parent's interquartile range; and ``within_bound``, the
+change's median is worse than the parent's by no more than the
+metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's
+median.  One extra ``--trace 1`` run per side gives the per-layer
 figures.  Run it from anywhere; each checkout runs its own copy of the
 benchmark::
 
@@ -69,21 +74,28 @@ def stats(values):
             "n": len(values)}
 
 
-def summarise(runs, better):
-    """Per-metric statistics of paired runs; ``better`` maps a metric
-    to "lower" or "higher"."""
+def summarise(runs, end_to_end):
+    """Per-metric statistics and verdicts of paired runs.
+
+    ``end_to_end`` is the list of metric definitions of
+    ``BENCHMARK.json``: each has a ``name``, ``better`` ("lower" or
+    "higher") and a relative ``bound``.
+    """
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
     out = {}
-    for metric, direction in better.items():
+    for definition in end_to_end:
+        metric = definition["name"]
         values = {side: [p[side][metric] for p in by_pair.values()]
                   for side in SIDES}
-        sign = 1.0 if direction == "lower" else -1.0
+        # sign * value is lower when better
+        sign = 1.0 if definition["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0
                    for p, c in zip(values["parent"], values["change"]))
         ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
         parent, change = stats(values["parent"]), stats(values["change"])
+        gain = sign * (parent["median"] - change["median"])
         out[metric] = {
             "parent": parent,
             "change": change,
@@ -93,6 +105,11 @@ def summarise(runs, better):
             "change_wins": wins,
             "ties": ties,
             "pairs": len(by_pair),
+            "gain_rule_met": bool(
+                10 * wins >= 9 * len(by_pair)
+                and gain > parent["q3"] - parent["q1"]),
+            "within_bound": bool(
+                -gain <= definition["bound"] * abs(parent["median"])),
         }
     return out
 
@@ -110,7 +127,6 @@ def main(argv=None):
     checkouts = {"parent": args.parent, "change": args.change}
     definition = json.loads(
         (Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in definition["end_to_end"]}
     seconds = definition["run_seconds"]
     parent_commit = subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
@@ -140,7 +156,7 @@ def main(argv=None):
             for name, metric in traced[side]["metrics"].items():
                 units[name] = metric["unit"]
         workloads[workload] = {
-            "end_to_end": summarise(runs, better),
+            "end_to_end": summarise(runs, definition["end_to_end"]),
             "failed_of_attempted": {
                 side: sorted({(r["failed"], r["attempted"], r["correct"])
                               for r in runs if r["side"] == side})
