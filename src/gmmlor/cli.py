@@ -23,7 +23,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -340,6 +339,10 @@ def cmd_replicate(args) -> int:
         for i in range(args.replicates)
     ]
     if args.jobs > 1:
+        # imported here: it pulls in multiprocessing, socket and
+        # subprocess, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_replicate_task, payloads))
     else:

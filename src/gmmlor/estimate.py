@@ -62,8 +62,8 @@ DEATH_PATIENCE = 3
 #: data no longer pins down the quantity being solved for.
 CONDITION_LIMIT = 1e12
 
-#: Events per block of the passes over every event (phase-1 relabelling
-#: and the E-step), and grid cells per row tile of the KL quadrature
+#: Events per block of the passes over every event (phase-1 relabelling,
+#: the E-step and the covariance moments), and grid cells per row tile of the KL quadrature
 #: (``metrics.kl_divergence``).  A block's float temporaries take 128 KiB
 #: each, so a pass stays in cache instead of streaming N-length arrays
 #: through memory.  On a 2-core Xeon with one BLAS thread, fitting the
@@ -254,26 +254,36 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
     The only step of the covariance pipeline that reads events; the
     others are closed forms in the returned :class:`WeightedMoments`.
     ``weights=None`` weighs every event 1.
+
+    The pass walks blocks of :data:`_BLOCK_EVENTS` events.  Each block
+    forms t = s_c^2 and its 2 phi and 4 phi features, takes the eight
+    weighted sums, and adds them to those of the blocks before it, so no
+    temporary outlives its block.  A batch of one block reads the
+    features of its own :class:`_Angles`, which keeps them for the next
+    call; a larger batch forms them per block from views of its sines
+    and cosines and keeps none.
     """
     batch = _as_arrays(offsets)
-    s_c = batch[0]
-    w = _as_weights(weights, s_c.size)
+    s_c, angles = batch[0], batch.angles
+    n = s_c.size
+    w = _as_weights(weights, n)
     mass = float(np.sum(w))
     if mass <= 0.0:
         raise InputError("total weight must be positive")
-    t = s_c * s_c
-    angles = batch.angles
-    return WeightedMoments(
-        m2w=_wsum(w, t) / mass,
-        m4w=_wsum(w, t, t) / mass,
-        mass=mass,
-        cos2w=_wsum(w, angles.cos2) / mass,
-        sin2w=_wsum(w, angles.sin2) / mass,
-        cos4w=_wsum(w, angles.cos4) / mass,
-        sin4w=_wsum(w, angles.sin4) / mass,
-        tcos2w=_wsum(w, t, angles.cos2) / mass,
-        tsin2w=_wsum(w, t, angles.sin2) / mass,
-    )
+    sums = None
+    for block in _blocks(n):
+        a = angles if n <= _BLOCK_EVENTS else angles.take(block)
+        w_b, s_b = w[block], s_c[block]
+        t = s_b * s_b
+        part = np.array([
+            _wsum(w_b, t), _wsum(w_b, t, t),
+            _wsum(w_b, a.cos2), _wsum(w_b, a.sin2),
+            _wsum(w_b, a.cos4), _wsum(w_b, a.sin4),
+            _wsum(w_b, t, a.cos2), _wsum(w_b, t, a.sin2),
+        ])
+        sums = part if sums is None else sums + part
+    m2w, m4w, *angular = (sums / mass).tolist()
+    return WeightedMoments(m2w, m4w, mass, *angular)
 
 
 def invert_moments(
@@ -515,7 +525,8 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     overflow, or a non-finite mean, raise :class:`InputError`."""
     batch = _as_arrays(lors)
     s, phi = batch
-    s_c = s - mean_sinusoid(batch.angles, mean)
+    s_c = mean_sinusoid(batch.angles, mean)
+    np.subtract(s, s_c, out=s_c)  # into the fresh sinusoid: one N-array
     if not np.all(np.isfinite(s_c)):
         raise InputError("offsets from the mean are not finite")
     return _Batch(s_c, phi, batch.angles)
@@ -686,32 +697,49 @@ class _HardLabels:
             self.s_max + 2.0 * float(np.max(np.abs(means))) + self.drift + 1.0
         )
         limit = self.drift + margin
-        s, si, co = self.batch[0], self.batch.angles.sin, self.batch.angles.cos
         K, recomputed = self.K, 0
-        for idx in self._candidates(limit):
-            recomputed += idx.size
-            new, gap = _nearest_sinusoid(self.batch.take(idx), means)
-            self.keys[idx] = gap + self.drift
-            old = self.labels[idx]
+        for run in self._candidates(limit):
+            events = self.batch.take(run)
+            recomputed += events[0].size
+            new, gap = _nearest_sinusoid(events, means)
+            self.keys[run] = gap + self.drift
+            old = self.labels[run]
             moved = np.flatnonzero(new != old)
-            idx, old, new = idx[moved], old[moved], new[moved]
-            self.labels[idx] = new
+            old, new = old[moved], new[moved]
+            features = _label_features(
+                events[0][moved], events.angles.sin[moved],
+                events.angles.cos[moved],
+            )
+            if isinstance(run, slice):
+                self.labels[run][moved] = new
+            else:
+                self.labels[run[moved]] = new
             self.counts += np.bincount(new, minlength=K)
             self.counts -= np.bincount(old, minlength=K)
-            features = _label_features(s[idx], si[idx], co[idx])
             for row, feature in zip(self.sums, features):
                 row += np.bincount(new, weights=feature, minlength=K)
                 row -= np.bincount(old, weights=feature, minlength=K)
         return recomputed
 
     def _candidates(self, limit):
-        """The events whose key is not above ``limit``, block by block,
-        in ascending runs of one to two blocks' worth, so that a pass
-        that recomputes few events handles them together."""
+        """The events whose key is not above ``limit``, block by block.
+
+        A block whose every event is a candidate comes as its slice, so
+        the pass reads views of it.  The others come as index arrays, in
+        ascending runs of one to two blocks' worth, so that a pass that
+        recomputes few events handles them together.
+        """
         pending, held = [], 0
         for block in _blocks(self.keys.size):
             # not (key > limit), so that a NaN key is recomputed too
-            idx = np.flatnonzero(~(self.keys[block] > limit))
+            due = ~(self.keys[block] > limit)
+            if due.all():
+                if held:
+                    yield np.concatenate(pending)
+                    pending, held = [], 0
+                yield block
+                continue
+            idx = np.flatnonzero(due)
             idx += block.start
             pending.append(idx)
             held += idx.size
@@ -768,9 +796,12 @@ def _run_single_fit(
             raise ComponentDeathError(
                 component=k, mass=0.0, iteration=len(trace)
             )
-        idx = np.flatnonzero(assignment == k)
-        offs = center_offsets(batch.take(idx), means[k])
-        covariances[k] = estimate_covariance(offs, None, config)
+        cluster = batch.take(np.flatnonzero(assignment == k))
+        covariances[k] = estimate_covariance(
+            center_offsets(cluster, means[k]), None, config
+        )
+        cluster = None  # the next cluster's copies would sit beside it
+    assignment = None  # the phase-1 labels are spent
     tau = counts / n
 
     # phase 2: soft memberships
@@ -797,8 +828,9 @@ def _run_single_fit(
         tau_new = masses / n
         for k in range(K):
             means[k] = fit_mean(batch, resp[:, k])
-            offs = center_offsets(batch, means[k])
-            covariances[k] = estimate_covariance(offs, resp[:, k], config)
+            covariances[k] = estimate_covariance(
+                center_offsets(batch, means[k]), resp[:, k], config
+            )
         record(2, tau_new, loglik)
         shift = float(np.max(np.abs(tau_new - tau)))
         tau = tau_new
@@ -869,14 +901,15 @@ def fit(
     last_death: ComponentDeathError | None = None
     for r in range(config.restarts):
         seed_r = config.seed if r == 0 else derive_seed(config.seed, r)
-        if r == 0 and initial_assignment is not None:
-            assignment = initial_assignment.astype(np.int64).copy()
-        else:
-            stream = SeededStream(seed_r)
-            assignment = _balanced_random_assignment(s.size, K, stream)
+        pinned = r == 0 and initial_assignment is not None
         try:
+            # the starting labels go straight into the call, so that the
+            # fit frees them once phase 1 is done with them
             result = _run_single_fit(
-                batch, config, assignment, [], on_iteration
+                batch, config,
+                initial_assignment.astype(np.int64) if pinned
+                else _balanced_random_assignment(s.size, K, SeededStream(seed_r)),
+                [], on_iteration,
             )
         except ComponentDeathError as death:
             last_death = death

@@ -36,6 +36,13 @@ class _Angles:
     cos 2x = (cos x - sin x)(cos x + sin x), a few products in place of
     a trigonometric call, within 1e-15 of np.sin and np.cos.  The
     projection functions below accept one wherever they accept ``phi``.
+
+    :meth:`take` with a slice gives views of the features computed so
+    far, and features computed on the result stay with the result.  The
+    fit keeps sin and cos of every event for its whole run; the 2 phi
+    and 4 phi features of a batch larger than one block are formed block
+    by block (``estimate.moments_from_offsets``) and never for every
+    event at once.
     """
 
     def __init__(self, phi):
@@ -67,7 +74,8 @@ class _Angles:
 
     def take(self, idx):
         """The features of the events ``idx`` selects, indexing those
-        already computed rather than computing them again."""
+        already computed rather than computing them again: views for a
+        slice, copies for an index array."""
         out = _Angles(self.phi[idx])
         for name, value in vars(self).items():
             if name != "phi":

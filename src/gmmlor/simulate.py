@@ -66,6 +66,11 @@ def simulate_lors(
     come out blocked by component unless ``shuffle`` is set, in which
     case a seeded permutation interleaves them; labels are permuted
     alongside so the pairing survives.
+
+    Each component writes its events straight into its run of the
+    preallocated s, phi and label arrays, and the permutation is applied
+    to one array at a time, so beside the three outputs only one
+    component's temporaries, or one permuted copy, exist at once.
     """
     stream = SeededStream(seed)
     if (counts is None) == (n_total is None):
@@ -82,31 +87,30 @@ def simulate_lors(
     if any(c < 0 for c in counts):
         raise InputError("counts must be nonnegative")
 
-    s_blocks, phi_blocks, label_blocks = [], [], []
+    n = sum(counts)
+    s, phi = np.empty(n), np.empty(n)
+    labels = np.empty(n, dtype=np.int64)
+    start = 0
     for k, (comp, n_k) in enumerate(zip(model.components, counts)):
         if n_k == 0:
             continue
+        block = slice(start, start + n_k)
+        start += n_k
         chol = cholesky_2x2(comp.covariance)
-        z = stream.standard_normal_pairs(n_k)
-        points = z @ chol.T + comp.mean
-        phi = stream.angles(n_k)
-        s = -points[:, 0] * np.sin(phi) + points[:, 1] * np.cos(phi)
-        s_blocks.append(s)
-        phi_blocks.append(phi)
-        label_blocks.append(np.full(n_k, k, dtype=np.int64))
+        points = stream.standard_normal_pairs(n_k) @ chol.T + comp.mean
+        phi[block] = stream.angles(n_k)
+        s[block] = (
+            -points[:, 0] * np.sin(phi[block])
+            + points[:, 1] * np.cos(phi[block])
+        )
+        labels[block] = k
 
-    if s_blocks:
-        s = np.concatenate(s_blocks)
-        phi = np.concatenate(phi_blocks)
-        labels = np.concatenate(label_blocks)
-    else:
-        s = np.empty(0)
-        phi = np.empty(0)
-        labels = np.empty(0, dtype=np.int64)
-
-    if shuffle and s.size:
-        perm = stream.permutation(s.size)
-        s, phi, labels = s[perm], phi[perm], labels[perm]
+    if shuffle and n:
+        perm = stream.permutation(n)
+        # one array at a time, so one permuted copy exists at once
+        s = s[perm]
+        phi = phi[perm]
+        labels = labels[perm]
 
     return SimulationResult(s=s, phi=phi, labels=labels, counts=tuple(counts))
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gmmlor
 from gmmlor import (
     MixtureModel2D,
     density,
@@ -305,6 +306,23 @@ def test_replicate_jobs_do_not_change_the_study(tmp_path, truth_path):
     for suffix in ("", ".summary.json"):
         a, b = (Path(out + suffix).read_bytes() for out in outs)
         assert a == b
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only replicate --jobs N with N > 1 imports it
+    src = str(Path(gmmlor.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gmmlor.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_replicate_malformed_counts(tmp_path, single_path):

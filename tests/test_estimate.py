@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -48,6 +49,7 @@ from gmmlor.estimate import (
     _memberships_arrays,
     _nearest_sinusoid,
     _solve_mean,
+    _wsum,
 )
 from gmmlor.projection import _Angles, log_line_integral_profile
 from conftest import make_component
@@ -760,6 +762,99 @@ def test_memberships_are_stored_component_major(n):
         assert masses[k] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+MOMENT_FIELDS = (
+    "m2w", "m4w", "cos2w", "sin2w", "cos4w", "sin4w", "tcos2w", "tsin2w",
+)
+
+
+def unblocked_moment_sums(s_c, phi, w):
+    """The eight weighted sums of :func:`moments_from_offsets`, in field
+    order, each as one reduction over every event, and the same sums of
+    the absolute terms."""
+    angles = _Angles(phi)
+    t = s_c * s_c
+    features = [
+        (t,), (t, t), (angles.cos2,), (angles.sin2,), (angles.cos4,),
+        (angles.sin4,), (t, angles.cos2), (t, angles.sin2),
+    ]
+    sums = [_wsum(w, *f) for f in features]
+    scales = [_wsum(np.abs(w), *(np.abs(x) for x in f)) for f in features]
+    return sums, scales
+
+
+def unblocked_moments(s_c, phi, w):
+    """:func:`moments_from_offsets` as one pass over every event."""
+    sums, _ = unblocked_moment_sums(s_c, phi, w)
+    mass = float(np.sum(w))
+    return WeightedMoments(
+        mass=mass, **{f: x / mass for f, x in zip(MOMENT_FIELDS, sums)}
+    )
+
+
+def moment_bits(m):
+    return np.array(dataclasses.astuple(m)).view(np.uint64).tolist()
+
+
+def shifted_offsets(n, shift, rng):
+    """n (s_c, phi) events about a point ``shift`` units along both axes,
+    and weights of which about a tenth are zero."""
+    s, phi = random_events(n, rng)
+    s = s - shift * np.sin(phi) - shift * np.cos(phi)
+    w = rng.uniform(0.0, 2.0, n)
+    w[rng.random(n) < 0.1] = 0.0
+    w[0] = 1.0  # a positive total weight at n = 1
+    return s, phi, w
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[:3])
+@pytest.mark.parametrize("shift", [-10.0, 10.0])
+def test_moments_of_one_block_equal_the_unblocked_formula_bitwise(n, shift):
+    rng = np.random.default_rng([n, int(shift) + 10])
+    s_c, phi, w = shifted_offsets(n, shift, rng)
+    want = moment_bits(unblocked_moments(s_c, phi, w))
+    assert moment_bits(moments_from_offsets((s_c, phi), w)) == want
+    assert moment_bits(moments_from_offsets(cached(s_c, phi), w)) == want
+    ones = moment_bits(unblocked_moments(s_c, phi, np.ones(n)))
+    assert moment_bits(moments_from_offsets((s_c, phi))) == ones
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[3:])
+@pytest.mark.parametrize("shift", [-10.0, 10.0])
+def test_blocked_moments_match_the_unblocked_formula(n, shift):
+    # the angle sums cancel to near 0, so each sum is bounded by the
+    # sum of its absolute terms, not by its own size
+    rng = np.random.default_rng([n, int(shift) + 10])
+    s_c, phi, w = shifted_offsets(n, shift, rng)
+    sums, scales = unblocked_moment_sums(s_c, phi, w)
+    for offsets in ((s_c, phi), cached(s_c, phi)):
+        m = moments_from_offsets(offsets, w)
+        assert m.mass == float(np.sum(w))
+        for field, want, scale in zip(MOMENT_FIELDS, sums, scales):
+            got = getattr(m, field) * m.mass
+            assert abs(got - want) <= 1e-12 * scale, field
+
+
+def test_blocked_moments_leave_the_batch_without_double_angle_features():
+    rng = np.random.default_rng(33)
+    s_c, phi, w = shifted_offsets(3 * B + 7, 0.0, rng)
+    angles = _Angles(phi)
+    angles.sin, angles.cos  # as the fit holds them
+    moments_from_offsets(_Batch(s_c, phi, angles), w)
+    assert set(vars(angles)) == {"phi", "sin", "cos"}
+
+
+@pytest.mark.parametrize("n", [1, B + 1])
+@pytest.mark.parametrize("mean", [(0.0, 0.0), (0.3, -0.7), (-10.0, 10.0)])
+def test_center_offsets_equal_the_plain_difference_bitwise(n, mean):
+    rng = np.random.default_rng(n)
+    s, phi = random_events(n, rng)
+    batch = cached(s, phi)
+    want = s - mean_sinusoid(batch.angles, mean)
+    s_c, got_phi = center_offsets(batch, mean)
+    assert s_c.tobytes() == want.tobytes()
+    assert got_phi is phi
+
+
 def test_fit_loglik_is_the_e_step_loglik_of_the_returned_model(
     benchmark_mixture, monkeypatch
 ):
@@ -874,6 +969,19 @@ def test_a_pass_with_unchanged_means_recomputes_no_event():
     # a small move recomputes only the events whose gap it can close
     near = hard.relabel(means + 1e-3, math.sqrt(2.0) * 1e-3)
     assert 0 < near < s.size // 10
+
+
+def test_whole_candidate_blocks_come_as_slices():
+    rng = np.random.default_rng(91)
+    s, phi = random_events(3 * B + 7, rng)
+    hard = _HardLabels(cached(s, phi), rng.integers(0, 3, s.size), 3)
+    blocks = [slice(i * B, (i + 1) * B) for i in range(4)]
+    assert list(hard._candidates(0.0)) == blocks  # keys start at -inf
+    hard.keys[B + 5] = 1.0  # one event of the second block is not due
+    runs = list(hard._candidates(0.0))
+    assert len(runs) == 4
+    assert runs[0] == blocks[0] and runs[2:] == blocks[2:]
+    assert np.array_equal(runs[1], np.delete(np.arange(B, 2 * B), 5))
 
 
 def test_an_initially_empty_label_dies_in_the_first_iteration():

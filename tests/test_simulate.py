@@ -17,6 +17,7 @@ from gmmlor import (
     write_lors_csv,
 )
 import gmmlor.simulate
+from gmmlor.rng import SeededStream, cholesky_2x2
 from conftest import BENCHMARK_COUNTS, make_component
 
 
@@ -255,3 +256,43 @@ def test_counts_validation(benchmark_mixture):
         simulate_lors(benchmark_mixture, counts=(10, -1, 5), seed=0)
     with pytest.raises(InputError):
         simulate_lors(benchmark_mixture)  # needs counts or n_total
+
+
+def concatenated_simulation(model, counts, seed, shuffle):
+    """simulate_lors from counts as per-component blocks, concatenated,
+    then permuted all at once."""
+    stream = SeededStream(seed)
+    s_blocks, phi_blocks, label_blocks = [], [], []
+    for k, (comp, n_k) in enumerate(zip(model.components, counts)):
+        if n_k == 0:
+            continue
+        chol = cholesky_2x2(comp.covariance)
+        z = stream.standard_normal_pairs(n_k)
+        points = z @ chol.T + comp.mean
+        phi = stream.angles(n_k)
+        s_blocks.append(-points[:, 0] * np.sin(phi) + points[:, 1] * np.cos(phi))
+        phi_blocks.append(phi)
+        label_blocks.append(np.full(n_k, k, dtype=np.int64))
+    if s_blocks:
+        s = np.concatenate(s_blocks)
+        phi = np.concatenate(phi_blocks)
+        labels = np.concatenate(label_blocks)
+    else:
+        s, phi, labels = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    if shuffle and s.size:
+        perm = stream.permutation(s.size)
+        s, phi, labels = s[perm], phi[perm], labels[perm]
+    return s, phi, labels
+
+
+@pytest.mark.parametrize("counts", [(0, 0, 0), (0, 1, 0), (40, 0, 20), (3500, 2500, 1000)])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_simulation_equals_the_concatenated_blocks_bitwise(
+    benchmark_mixture, counts, shuffle
+):
+    res = simulate_lors(benchmark_mixture, counts=counts, seed=5, shuffle=shuffle)
+    want = concatenated_simulation(benchmark_mixture, counts, 5, shuffle)
+    for got, ref in zip((res.s, res.phi, res.labels), want):
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    assert res.counts == counts
