@@ -8,7 +8,13 @@ the moving LoRs change, and a pass recomputes only the LoRs whose
 nearest sinusoid the last moves of the means can have changed.  Phase 2
 switches to soft memberships derived from the per-component projected
 densities and re-estimates means, covariances, and weights until the
-weights settle.
+weights settle.  Each phase-2 iteration is one pass over blocks of
+events: a block's memberships are formed, weigh that block's terms of
+every per-component sum, and are dropped.  The covariance moments are
+taken about the means that entered the iteration (lagged centering,
+which has the same fixed point as centering on the new means), so all
+the sums an iteration needs are known once its memberships are, and the
+means and covariances are then solved from K rows of 14 sums.
 
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
@@ -63,7 +69,8 @@ DEATH_PATIENCE = 3
 CONDITION_LIMIT = 1e12
 
 #: Events per block of the passes over every event (phase-1 relabelling,
-#: the E-step and the covariance moments), and grid cells per row tile of the KL quadrature
+#: the phase-2 pass with its E-step, and the covariance moments), and
+#: grid cells per row tile of the KL quadrature
 #: (``metrics.kl_divergence``).  A block's float temporaries take 128 KiB
 #: each, so a pass stays in cache instead of streaming N-length arrays
 #: through memory.  On a 2-core Xeon with one BLAS thread, fitting the
@@ -187,13 +194,15 @@ class FitResult:
 def _wsum(w, *features) -> float:
     """sum_i w_i times the product of the features at i.
 
-    Every per-event weighted sum goes through this one reduction, or
-    through the per-label sums of phase 1 (:func:`_label_pass`), which
-    np.bincount takes.  np.dot would hand long sums to BLAS, which
-    splits them across its threads, so the last digits of a fit would
-    depend on the host's thread count; einsum adds in the same order
-    everywhere, and so does np.bincount, a single loop in NumPy itself
-    that adds each label's weights in event order.
+    Every per-event weighted sum goes through this one reduction, its
+    row-wise einsum forms over K weight rows (:func:`_moment_sums` and
+    the phase-2 pass, :func:`_soft_pass`), or the per-label sums of
+    phase 1 (:func:`_label_pass`), which np.bincount takes.  np.dot
+    would hand long sums to BLAS, which splits them across its threads,
+    so the last digits of a fit would depend on the host's thread
+    count; einsum adds in the same order everywhere, and so does
+    np.bincount, a single loop in NumPy itself that adds each label's
+    weights in event order.
     """
     subscripts = ",".join("i" * (1 + len(features))) + "->"
     return float(np.einsum(subscripts, w, *features))
@@ -257,11 +266,11 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
 
     The pass walks blocks of :data:`_BLOCK_EVENTS` events.  Each block
     forms t = s_c^2 and its 2 phi and 4 phi features, takes the eight
-    weighted sums, and adds them to those of the blocks before it, so no
-    temporary outlives its block.  A batch of one block reads the
-    features of its own :class:`_Angles`, which keeps them for the next
-    call; a larger batch forms them per block from views of its sines
-    and cosines and keeps none.
+    weighted sums (:func:`_moment_sums`), and adds them to those of the
+    blocks before it, so no temporary outlives its block.  A batch of
+    one block reads the features of its own :class:`_Angles`, which
+    keeps them for the next call; a larger batch forms them per block
+    from views of its sines and cosines and keeps none.
     """
     batch = _as_arrays(offsets)
     s_c, angles = batch[0], batch.angles
@@ -270,18 +279,40 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
     mass = float(np.sum(w))
     if mass <= 0.0:
         raise InputError("total weight must be positive")
-    sums = None
+    sums = np.zeros(8)
     for block in _blocks(n):
         a = angles if n <= _BLOCK_EVENTS else angles.take(block)
-        w_b, s_b = w[block], s_c[block]
-        t = s_b * s_b
-        part = np.array([
-            _wsum(w_b, t), _wsum(w_b, t, t),
-            _wsum(w_b, a.cos2), _wsum(w_b, a.sin2),
-            _wsum(w_b, a.cos4), _wsum(w_b, a.sin4),
-            _wsum(w_b, t, a.cos2), _wsum(w_b, t, a.sin2),
-        ])
-        sums = part if sums is None else sums + part
+        s_b = s_c[None, block]
+        sums += _moment_sums(w[None, block], s_b * s_b, a)[0]
+    return _moments_from_sums(sums, mass)
+
+
+def _moment_sums(w, t, angles) -> np.ndarray:
+    """The weighted sums of t, t^2, cos and sin of 2 phi and 4 phi, and
+    t cos 2 phi and t sin 2 phi, the fields of :class:`WeightedMoments`
+    in order, over n events with angle features ``angles``: a (K, 8)
+    array, one row per row of the (K, n) weights ``w`` and squared
+    offsets ``t`` = s_c^2.
+
+    Each sum is one einsum over the events, which adds in the same order
+    on every host (see :func:`_wsum`); a row is bitwise the :func:`_wsum`
+    of the same terms.
+    """
+    return np.stack([
+        np.einsum("kn,kn->k", w, t),
+        np.einsum("kn,kn,kn->k", w, t, t),
+        np.einsum("kn,n->k", w, angles.cos2),
+        np.einsum("kn,n->k", w, angles.sin2),
+        np.einsum("kn,n->k", w, angles.cos4),
+        np.einsum("kn,n->k", w, angles.sin4),
+        np.einsum("kn,kn,n->k", w, t, angles.cos2),
+        np.einsum("kn,kn,n->k", w, t, angles.sin2),
+    ], axis=1)
+
+
+def _moments_from_sums(sums, mass: float) -> WeightedMoments:
+    """The moments whose eight weighted sums, in field order, are
+    ``sums`` over events of total weight ``mass``."""
     m2w, m4w, *angular = (sums / mass).tolist()
     return WeightedMoments(m2w, m4w, mass, *angular)
 
@@ -409,7 +440,13 @@ def estimate_covariance(
     pair.  Returns the symmetric positive-definite covariance matrix.
     """
     floor = config.variance_floor if config is not None else DEFAULT_VARIANCE_FLOOR
-    m = moments_from_offsets(offsets, weights)
+    return _covariance_from_moments(moments_from_offsets(offsets, weights), floor)
+
+
+def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
+    """The closed forms of :func:`estimate_covariance` after the moments:
+    the covariance with variance floor ``floor`` that the moments ``m``
+    give."""
     s1, s2 = invert_moments(m, floor)
     phi0 = solve_orientation(m, s1, s2)
     s1, s2, phi0 = refine_sigmas(m, phi0, floor)
@@ -522,14 +559,23 @@ def _solve_mean(a, b, c, s_sin, s_cos) -> np.ndarray:
 def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of each LoR from the mean sinusoid of ``mean``, as the
     (s_c, phi) pair the covariance pipeline takes.  Offsets that
-    overflow, or a non-finite mean, raise :class:`InputError`."""
+    overflow, or a non-finite mean, raise :class:`InputError`.
+
+    The offsets are written and checked block by block into one
+    N-length array, so the temporaries of :func:`mean_sinusoid` stay
+    block-sized.
+    """
     batch = _as_arrays(lors)
     s, phi = batch
-    s_c = mean_sinusoid(batch.angles, mean)
-    np.subtract(s, s_c, out=s_c)  # into the fresh sinusoid: one N-array
-    if not np.all(np.isfinite(s_c)):
-        raise InputError("offsets from the mean are not finite")
-    return _Batch(s_c, phi, batch.angles)
+    angles = batch.angles
+    angles.sin, angles.cos  # kept for the whole batch; blocks read views
+    s_c = np.empty_like(s)
+    for block in _blocks(s.size):
+        out = s_c[block]
+        np.subtract(s[block], mean_sinusoid(angles.take(block), mean), out=out)
+        if not np.all(np.isfinite(out)):
+            raise InputError("offsets from the mean are not finite")
+    return _Batch(s_c, phi, angles)
 
 
 def _blocks(n: int):
@@ -559,6 +605,9 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     Each event's arithmetic is the same as in one pass over every event,
     and the per-event log marginals are summed once at the end, so
     neither output depends on the block size.
+
+    The fit itself calls it on one block of events at a time
+    (:func:`_soft_blocks`), so it never holds every event's memberships.
     """
     K = len(tau)
     angles = phi if isinstance(phi, _Angles) else _Angles(phi)
@@ -595,6 +644,73 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     if underflow:
         return resp.T, -math.inf
     return resp.T, float(np.sum(log_marginal))
+
+
+def _soft_blocks(batch, means, covariances, tau):
+    """The E-step of the parameters ``means``, ``covariances`` and
+    ``tau`` block by block: for each block of :data:`_BLOCK_EVENTS`
+    events, its slice, its angle features, its (K, n) memberships and
+    the sum of its log marginals.  Each block is one call of
+    :func:`_memberships_arrays`, and its memberships die with it.  A batch
+    of one block passes its own :class:`_Angles`, which keeps the
+    2 phi and 4 phi features it forms for the next pass."""
+    s, angles = batch[0], batch.angles
+    for block in _blocks(s.size):
+        a = angles if s.size <= _BLOCK_EVENTS else angles.take(block)
+        resp, loglik = _memberships_arrays(s[block], a, means, covariances, tau)
+        yield block, a, resp.T, loglik
+        resp = None  # the next block's E-step would run beside it
+
+
+def _soft_pass(batch, means, covariances, tau):
+    """One phase-2 pass over the events: a (K, 14) array of
+    per-component sums, and the log-likelihood proxy of the entering
+    parameters.
+
+    Row k holds component k's membership mass, the five weighted sums of
+    :func:`_solve_mean` (as :func:`fit_mean` takes them) and the eight
+    weighted sums of :func:`_moment_sums` over the offsets from the
+    entering mean k, each weighted by the memberships of component k.
+    The sums are the sufficient statistics of the step (Neal & Hinton
+    1998), so they add block by block and no N-length or N x K array
+    outlives its block.  Offsets that overflow raise
+    :class:`InputError`, as in :func:`center_offsets`, and a block with
+    an underflow row makes the proxy -inf.
+    """
+    s, K = batch[0], len(tau)
+    sums = np.zeros((K, 14))
+    loglik = 0.0
+    for block, a, resp, block_loglik in _soft_blocks(
+        batch, means, covariances, tau
+    ):
+        loglik += block_loglik
+        s_b, si, co = s[block], a.sin, a.cos
+        t = np.empty_like(resp)
+        for k in range(K):
+            np.subtract(s_b, mean_sinusoid(a, means[k]), out=t[k])
+        if not np.all(np.isfinite(t)):
+            raise InputError("offsets from the mean are not finite")
+        np.multiply(t, t, out=t)  # the offsets are spent once squared
+        sums[:, 0] += np.sum(resp, axis=1)
+        for col, (x, y) in enumerate(
+            ((si, si), (si, co), (co, co), (s_b, si), (s_b, co)), start=1
+        ):
+            sums[:, col] += np.einsum("kn,n,n->k", resp, x, y)
+        sums[:, 6:] += _moment_sums(resp, t, a)
+        a = resp = t = None  # the next block's E-step would run beside them
+    return sums, loglik
+
+
+def _soft_loglik(batch, means, covariances, tau) -> float:
+    """The log-likelihood proxy of the parameters alone: the sum of the
+    E-step's per-block sums of log marginals, -inf after an underflow
+    row.  For a batch of one block it is the proxy that
+    :func:`_memberships_arrays` returns for every event."""
+    loglik = 0.0
+    for *spent, block_loglik in _soft_blocks(batch, means, covariances, tau):
+        loglik += block_loglik
+        spent = None  # the next block's E-step would run beside it
+    return loglik
 
 
 # ---------------------------------------------------------------------------
@@ -804,16 +920,14 @@ def _run_single_fit(
     assignment = None  # the phase-1 labels are spent
     tau = counts / n
 
-    # phase 2: soft memberships
+    # phase 2: soft memberships, one pass over the events per iteration;
+    # the means and covariances solve from the pass's per-component sums
     mass_floor = n * MASS_FLOOR_FACTOR / K
     low_streak = np.zeros(K, dtype=int)
     converged = False
     for _ in range(config.max_iters_phase2):
-        resp = None  # the E-step builds its own; drop the last one first
-        resp, loglik = _memberships_arrays(
-            s, batch.angles, means, covariances, tau
-        )
-        masses = np.sum(resp, axis=0)
+        sums, loglik = _soft_pass(batch, means, covariances, tau)
+        masses = sums[:, 0]
         for k in range(K):
             if masses[k] < mass_floor:
                 low_streak[k] += 1
@@ -827,9 +941,10 @@ def _run_single_fit(
                 low_streak[k] = 0
         tau_new = masses / n
         for k in range(K):
-            means[k] = fit_mean(batch, resp[:, k])
-            covariances[k] = estimate_covariance(
-                center_offsets(batch, means[k]), resp[:, k], config
+            means[k] = _solve_mean(*sums[k, 1:6])
+            covariances[k] = _covariance_from_moments(
+                _moments_from_sums(sums[k, 6:], float(masses[k])),
+                config.variance_floor,
             )
         record(2, tau_new, loglik)
         shift = float(np.max(np.abs(tau_new - tau)))
@@ -838,8 +953,7 @@ def _run_single_fit(
             converged = True
             break
 
-    resp = None
-    _, loglik = _memberships_arrays(s, batch.angles, means, covariances, tau)
+    loglik = _soft_loglik(batch, means, covariances, tau)
     if np.any(tau <= 0.0):
         k = int(np.argmin(tau))
         raise ComponentDeathError(

@@ -48,6 +48,8 @@ from gmmlor.estimate import (
     _label_pass,
     _memberships_arrays,
     _nearest_sinusoid,
+    _soft_loglik,
+    _soft_pass,
     _solve_mean,
     _wsum,
 )
@@ -855,6 +857,112 @@ def test_center_offsets_equal_the_plain_difference_bitwise(n, mean):
     assert got_phi is phi
 
 
+def shifted_mixture(n, shift, rng):
+    """n events about the point (shift, -shift), a 3-component mixture
+    near it whose memberships of many events are near 0, and the events
+    as a batch whose sines and cosines are computed, as the fit holds
+    them."""
+    means, covariances, tau = random_mixture_arrays(3, rng)
+    means = means + np.array([shift, -shift])
+    s, phi = random_events(n, rng)
+    s = s - shift * np.sin(phi) - shift * np.cos(phi)
+    angles = _Angles(phi)
+    angles.sin, angles.cos
+    return _Batch(s, phi, angles), means, np.array(covariances), tau
+
+
+def oracle_phase2_sums(batch, means, covariances, tau):
+    """The sums of one phase-2 pass from one call of the E-step over
+    every event: per component the mass, fit_mean's five sums and the
+    eight moment sums about the entering mean, and the same sums of the
+    absolute terms."""
+    s, phi = batch
+    resp, _ = _memberships_arrays(s, phi, means, covariances, tau)
+    si, co = np.sin(phi), np.cos(phi)
+    mean_terms = [(si, si), (si, co), (co, co), (s, si), (s, co)]
+    sums, scales = [], []
+    for k in range(len(tau)):
+        w = resp[:, k].copy()
+        s_c, _ = center_offsets((s, phi), means[k])
+        moment_sums, moment_scales = unblocked_moment_sums(s_c, phi, w)
+        sums.append(
+            [np.sum(w)] + [_wsum(w, *f) for f in mean_terms] + moment_sums
+        )
+        scales.append(
+            [np.sum(w)]
+            + [_wsum(w, *(np.abs(x) for x in f)) for f in mean_terms]
+            + moment_scales
+        )
+    return np.array(sums), np.array(scales), resp
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("shift", [-10.0, 10.0])
+def test_phase2_pass_sums_match_the_unblocked_formulas(n, shift):
+    rng = np.random.default_rng([n, int(shift) + 20])
+    batch, means, covariances, tau = shifted_mixture(n, shift, rng)
+    want, scale, resp = oracle_phase2_sums(batch, means, covariances, tau)
+    if n > 1:
+        assert np.min(resp) < 1e-6  # some memberships are near 0
+    got, loglik = _soft_pass(batch, means, covariances, tau)
+    assert got.shape == (3, 14)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    ref_loglik = _memberships_arrays(*batch, means, covariances, tau)[1]
+    assert loglik == pytest.approx(ref_loglik, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_closing_loglik_sums_the_e_step_blocks(n):
+    rng = np.random.default_rng([n, 30])
+    batch, means, covariances, tau = shifted_mixture(n, 0.0, rng)
+    want = _memberships_arrays(*batch, means, covariances, tau)[1]
+    got = _soft_loglik(batch, means, covariances, tau)
+    if n <= B:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_phase2_pass_with_an_underflow_row_in_a_later_block():
+    rng = np.random.default_rng(32)
+    batch, means, covariances, tau = shifted_mixture(3 * B + 7, 0.0, rng)
+    batch[0][2 * B + 3] = 1e200  # every component underflows there
+    assert _soft_loglik(batch, means, covariances, tau) == -math.inf
+    with np.errstate(over="ignore"):  # its squared offsets overflow
+        _, loglik = _soft_pass(batch, means, covariances, tau)
+    assert loglik == -math.inf
+
+
+def test_phase2_pass_refuses_offsets_that_overflow():
+    rng = np.random.default_rng(34)
+    batch, means, covariances, tau = shifted_mixture(B + 1, 0.0, rng)
+    means[1] = (-1.7e308, 1.7e308)
+    with np.errstate(over="ignore"), pytest.raises(InputError):
+        _soft_pass(batch, means, covariances, tau)
+
+
+def test_fit_hands_the_e_step_one_block_at_a_time(
+    benchmark_mixture, monkeypatch
+):
+    import gmmlor.estimate as est
+
+    original = est._memberships_arrays
+    sizes = []
+
+    def spy(s, phi, means, covariances, tau):
+        sizes.append(s.size)
+        return original(s, phi, means, covariances, tau)
+
+    monkeypatch.setattr(est, "_memberships_arrays", spy)
+    n = 3 * B + 7
+    res = simulate_lors(benchmark_mixture, n_total=n, seed=4, shuffle=True)
+    out = fit((res.s, res.phi), FitConfig(K=3, seed=0, weight_tol=1e-3))
+    passes = 1 + sum(1 for rec in out.trace if rec.phase == 2)
+    assert max(sizes) <= B
+    assert len(sizes) == 4 * passes
+    assert sum(sizes) == n * passes
+
+
 def test_fit_loglik_is_the_e_step_loglik_of_the_returned_model(
     benchmark_mixture, monkeypatch
 ):
@@ -1202,17 +1310,20 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     phase1 = sum(1 for rec in out.trace if rec.phase == 1)
     phase2 = sum(1 for rec in out.trace if rec.phase == 2)
     assert phase1 >= 1 and phase2 >= 1
+    # one block of events: one E-step per phase-2 pass, and the closing one
     assert calls["_memberships_arrays"] == phase2 + 1
-    # phase 1 solves its means from per-label sums, not through fit_mean
-    assert calls["fit_mean"] == K * phase2
+    # both phases solve their means from per-component sums
+    assert calls["fit_mean"] == 0
+    # the offsets of each phase-1 cluster go through the covariance
+    # pipeline once; phase 2 takes its moments in its one pass
+    assert calls["center_offsets"] == K
+    assert calls["estimate_covariance"] == K
+    assert calls["moments_from_offsets"] == K
     covariances = K * (1 + phase2)  # once after phase 1, then per M-step
-    assert calls["center_offsets"] == covariances
-    assert calls["estimate_covariance"] == covariances
-    assert calls["moments_from_offsets"] == covariances
     assert calls["solve_orientation"] == 2 * covariances
+    assert calls["refine_sigmas"] == covariances
     # every call that is not isotropic solves one quartic
     assert 0 < calls["solve_quartic"] <= calls["solve_orientation"]
-    assert calls["refine_sigmas"] == covariances
 
 
 def test_fit_trace_records_cover_both_phases(benchmark_mixture):

@@ -5,7 +5,9 @@ benchmark mixture, as tracemalloc counts the NumPy buffers allocated
 during the call.  A fit that kept N-length 2 phi and 4 phi features, the
 phase-1 labels or a spent offsets batch beside its memberships would
 exceed its bound, as would a simulator that held its per-component
-blocks beside their concatenation.
+blocks beside their concatenation.  Phase 2 holds no per-event array
+beyond what it starts with: every membership and offset it forms lives
+for one block of events.
 """
 
 import functools
@@ -13,8 +15,9 @@ import tracemalloc
 
 import numpy as np
 
-from gmmlor import FitConfig, fit, simulate_lors
-from gmmlor.estimate import _BLOCK_EVENTS
+import gmmlor.estimate as est
+from gmmlor import FitConfig, center_offsets, fit, simulate_lors
+from gmmlor.estimate import _BLOCK_EVENTS, _Batch
 from gmmlor.projection import _Angles
 
 N = 1 << 17
@@ -49,6 +52,48 @@ def test_fit_peak_per_event_above_its_inputs(benchmark_mixture):
     out, peak = traced_peak(lambda: fit((s, phi), config))
     assert out.converged
     assert peak <= 80 * N
+
+
+def test_phase2_peak_per_event_above_what_it_holds(
+    benchmark_mixture, monkeypatch
+):
+    # from the first phase-2 E-step to the end of the fit, the traced
+    # peak above what is held then; memberships of every event would
+    # take 24 bytes per event here
+    res = shuffled_events(benchmark_mixture)
+    s, phi = np.array(res.s), np.array(res.phi)
+    original = est._memberships_arrays
+    held = []
+
+    def spy(*args):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return original(*args)
+
+    monkeypatch.setattr(est, "_memberships_arrays", spy)
+    config = FitConfig(K=3, weight_tol=1e-3, seed=0)
+    tracemalloc.start()
+    try:
+        out = fit((s, phi), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.converged
+    assert peak - held[0] <= 16 * N
+
+
+def test_center_offsets_peak_per_event():
+    # the offsets themselves, and mean_sinusoid's temporaries for one
+    # block of events (three block-length arrays)
+    rng = np.random.default_rng(0)
+    s, phi = rng.normal(0.0, 1.0, N), rng.uniform(-1.5, 1.5, N)
+    angles = _Angles(phi)
+    angles.sin, angles.cos  # as the fit holds them
+    batch = _Batch(s, phi, angles)
+    out, peak = traced_peak(lambda: center_offsets(batch, (0.3, -0.2)))
+    assert out[0].size == N
+    assert peak <= 8 * N + 4 * 8 * _BLOCK_EVENTS
 
 
 def test_fit_forms_no_event_length_double_angle_features(
