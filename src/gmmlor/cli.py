@@ -206,7 +206,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    s, phi, _labels = read_lors_csv(args.lors)
+    s, phi = read_lors_csv(args.lors)[:2]  # a label column is not held
     config = _resolve_fit_config(args)
 
     def on_iteration(rec):

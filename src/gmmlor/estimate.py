@@ -5,7 +5,11 @@ each component's mean is the weighted least-squares fit of a sinusoid
 to its LoRs in (s, phi), and LoRs move to whichever mean sinusoid
 passes closest.  The means come from running per-label sums that only
 the moving LoRs change, and a pass recomputes only the LoRs whose
-nearest sinusoid the last moves of the means can have changed.  Phase 2
+nearest sinusoid the last moves of the means can have changed.  Phase 1
+holds one label per event, in the smallest unsigned type that holds K
+labels.  The handoff gives each hard cluster a covariance from the
+moment sums of its offsets, taken in one pass over blocks of events, so
+no cluster's events are gathered beyond one block's.  Phase 2
 switches to soft memberships derived from the per-component projected
 densities and re-estimates means, covariances, and weights until the
 weights settle.  Each phase-2 iteration is one pass over blocks of
@@ -18,9 +22,11 @@ means and covariances are then solved from K rows of 14 sums.
 
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
-offsets (:func:`moments_from_offsets`) takes the weighted averages of
-t = s_c^2 and t^2, of cos and sin of 2 phi and 4 phi, and of t times
-cos and sin of 2 phi.  Every later step is a closed form in those
+offsets takes the weighted averages of t = s_c^2 and t^2, of cos and
+sin of 2 phi and 4 phi, and of t times cos and sin of 2 phi: the
+handoff's pass and each phase-2 pass take their sums block by block
+(:func:`_moment_sums`), as :func:`moments_from_offsets` does for one
+batch of offsets.  Every later step is a closed form in those
 averages: the radial moments fix the two principal variances, the
 angular dependence of the squared offsets fixes the orientation (the
 best-scoring root of a quartic in exp(2i phi0)), and a final weighted
@@ -52,7 +58,7 @@ from .model import (
 )
 from .projection import _Angles, log_line_integral_profile, mean_sinusoid
 from .quartic import solve_quartic
-from .rng import SeededStream, derive_seed
+from .rng import _BLOCK_EVENTS, SeededStream, derive_seed
 
 #: Lower bound applied to estimated principal variances when no
 #: configuration is in play (image-plane units squared).
@@ -67,19 +73,6 @@ DEATH_PATIENCE = 3
 #: Normal systems with condition number beyond this are refused: the
 #: data no longer pins down the quantity being solved for.
 CONDITION_LIMIT = 1e12
-
-#: Events per block of the passes over every event (phase-1 relabelling,
-#: the phase-2 pass with its E-step, and the covariance moments), and
-#: grid cells per row tile of the KL quadrature
-#: (``metrics.kl_divergence``).  A block's float temporaries take 128 KiB
-#: each, so a pass stays in cache instead of streaming N-length arrays
-#: through memory.  On a 2-core Xeon with one BLAS thread, fitting the
-#: 10^6-event benchmark scan (median of 3) took 4.5 s at 2^12, 4.2 s at
-#: 2^14, 4.9 s at 2^17 and 5.7 s in one block.  A 512 x 512 KL between a
-#: fit of 7000 events and its truth, timed between fits (median of 30),
-#: took 21.6 ms in tiles of 2^12 cells, 17.2 ms at 2^13, 14.8 ms at 2^14,
-#: 14.2 ms at 2^15, 14.1 ms at 2^16 and 20.0 ms in one tile.
-_BLOCK_EVENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -717,10 +710,20 @@ def _soft_loglik(batch, means, covariances, tau) -> float:
 # driver
 
 
+def _label_dtype(K: int):
+    """The smallest unsigned integer type that holds the labels 0 to
+    K - 1: phase 1 holds one label per event, one byte up to K = 256."""
+    return np.min_scalar_type(K - 1)
+
+
 def _balanced_random_assignment(n: int, k: int, stream: SeededStream):
-    """Random hard assignment with near-equal cluster sizes."""
-    labels = np.empty(n, dtype=np.int64)
-    labels[stream.permutation(n)] = np.arange(n) % k
+    """Random hard assignment with near-equal cluster sizes: the event
+    at position i of a seeded permutation gets label i mod k.  The labels
+    are written one block of positions at a time."""
+    labels = np.empty(n, dtype=_label_dtype(k))
+    perm = stream.permutation(n)
+    for block in _blocks(n):
+        labels[perm[block]] = np.arange(block.start, min(block.stop, n)) % k
     return labels
 
 
@@ -801,7 +804,8 @@ class _HardLabels:
         self.counts, self.sums = _label_pass(batch, labels, K)
         self.keys = np.full(labels.size, -np.inf)
         self.drift = 0.0
-        self.s_max = float(np.max(np.abs(batch[0])))
+        s = batch[0]
+        self.s_max = float(max(np.max(s), -np.min(s)))  # max |s|
 
     def relabel(self, means, moved_by: float) -> int:
         """Move each event to the nearest of the sinusoids of ``means``,
@@ -866,6 +870,36 @@ class _HardLabels:
             yield np.concatenate(pending)
 
 
+def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
+    """The eight :func:`_moment_sums` of each hard cluster's offsets from
+    its mean sinusoid, every event weighing 1: a (K, 8) array, one row
+    per row of ``means``.
+
+    One pass over blocks of :data:`_BLOCK_EVENTS` events.  In each block
+    every cluster's events are gathered, centred by
+    :func:`center_offsets` (which checks that the offsets are finite),
+    and their sums added to the cluster's row, so the pass holds no
+    gathered copy beyond one block's.  The sums add block by block (Neal
+    & Hinton 1998), so for a batch of one block they are bitwise those
+    of :func:`moments_from_offsets` on each cluster's offsets.
+    """
+    K = len(means)
+    sums = np.zeros((K, 8))
+    for block in _blocks(batch[0].size):
+        lab = labels[block]
+        for k in range(K):
+            idx = np.flatnonzero(lab == k)
+            if idx.size == 0:
+                continue
+            idx += block.start
+            cluster = center_offsets(batch.take(idx), means[k])
+            s_c = cluster[0]
+            sums[k] += _moment_sums(
+                np.ones((1, idx.size)), (s_c * s_c)[None], cluster.angles
+            )[0]
+    return sums
+
+
 def _run_single_fit(
     batch, config: FitConfig, assignment, trace, on_iteration
 ) -> FitResult:
@@ -906,18 +940,21 @@ def _run_single_fit(
     counts = hard.counts
     hard = None  # its keys live through phase 1 only
 
-    covariances = np.empty((K, 2, 2))
+    # the handoff: each cluster's covariance from its moment sums, taken
+    # in one pass over the events
     for k in range(K):
         if counts[k] == 0:
             raise ComponentDeathError(
                 component=k, mass=0.0, iteration=len(trace)
             )
-        cluster = batch.take(np.flatnonzero(assignment == k))
-        covariances[k] = estimate_covariance(
-            center_offsets(cluster, means[k]), None, config
-        )
-        cluster = None  # the next cluster's copies would sit beside it
+    sums = _cluster_moment_sums(batch, assignment, means)
     assignment = None  # the phase-1 labels are spent
+    covariances = np.empty((K, 2, 2))
+    for k in range(K):
+        covariances[k] = _covariance_from_moments(
+            _moments_from_sums(sums[k], float(counts[k])),
+            config.variance_floor,
+        )
     tau = counts / n
 
     # phase 2: soft memberships, one pass over the events per iteration;
@@ -1021,7 +1058,7 @@ def fit(
             # fit frees them once phase 1 is done with them
             result = _run_single_fit(
                 batch, config,
-                initial_assignment.astype(np.int64) if pinned
+                initial_assignment.astype(_label_dtype(K)) if pinned
                 else _balanced_random_assignment(s.size, K, SeededStream(seed_r)),
                 [], on_iteration,
             )

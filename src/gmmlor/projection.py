@@ -41,8 +41,8 @@ class _Angles:
     far, and features computed on the result stay with the result.  The
     fit keeps sin and cos of every event for its whole run; the 2 phi
     and 4 phi features of a batch larger than one block are formed block
-    by block (``estimate.moments_from_offsets`` and the phase-2 pass)
-    and never for every event at once.
+    by block (``estimate.moments_from_offsets``, the phase-1 handoff and
+    the phase-2 pass) and never for every event at once.
     """
 
     def __init__(self, phi):

@@ -6,6 +6,11 @@ from raw words to uniforms, normals, angles, and permutations are all
 written out here, so a given seed produces byte-identical draws across
 platforms and numpy versions: bulk sampling never goes through
 ``Generator`` convenience methods whose algorithms are free to change.
+
+Each transformation works in place on the array it draws, so no step
+leaves a temporary beside the arrays a draw keeps.  The arithmetic and
+its order are those of the plain expressions in the docstrings, so the
+draws keep their bits.
 """
 
 from __future__ import annotations
@@ -15,6 +20,21 @@ import math
 import numpy as np
 
 from .errors import InputError
+
+#: Events per block of the passes over every event: the tie check of
+#: :meth:`SeededStream.permutation`, and in ``gmmlor.estimate`` the
+#: phase-1 passes, the phase-1 handoff, the phase-2 pass with its E-step
+#: and the covariance moments, and grid cells per row tile of the KL
+#: quadrature (``metrics.kl_divergence``).  A block's float temporaries
+#: take 128 KiB each, so a pass stays in cache instead of streaming
+#: N-length arrays through memory.  On a 2-core Xeon with one BLAS
+#: thread, fitting the 10^6-event benchmark scan (median of 3) took 4.5 s
+#: at 2^12, 4.2 s at 2^14, 4.9 s at 2^17 and 5.7 s in one block.  A
+#: 512 x 512 KL between a fit of 7000 events and its truth, timed between
+#: fits (median of 30), took 21.6 ms in tiles of 2^12 cells, 17.2 ms at
+#: 2^13, 14.8 ms at 2^14, 14.2 ms at 2^15, 14.1 ms at 2^16 and 20.0 ms in
+#: one tile.
+_BLOCK_EVENTS = 1 << 14
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -46,44 +66,62 @@ class SeededStream:
         return self._bits.random_raw(n)
 
     def uniform01(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1), 53-bit resolution."""
-        return (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)
+        """n doubles in [0, 1), 53-bit resolution: (raw >> 11) * 2^-53."""
+        raw = self._raw(n)
+        raw >>= np.uint64(11)
+        return raw * (2.0 ** -53)
 
     def open01(self, n: int) -> np.ndarray:
-        """n doubles in (0, 1), safe as log/division arguments."""
-        return ((self._raw(n) >> np.uint64(11)) + 1.0) * (2.0 ** -53)
+        """n doubles in (0, 1), safe as log/division arguments:
+        ((raw >> 11) + 1) * 2^-53."""
+        raw = self._raw(n)
+        raw >>= np.uint64(11)
+        out = np.add(raw, 1.0)
+        out *= 2.0 ** -53
+        return out
 
     def standard_normal_pairs(self, n_pairs: int) -> np.ndarray:
         """(n_pairs, 2) standard normals via Box-Muller.
 
         z0 = sqrt(-2 ln u1) cos(2 pi u2), z1 = the sine variant.  u1
         comes from :meth:`open01` so the log argument is never zero.
+        The radius is formed in u1's array, the angle in u2's, and each
+        column of the output in place.
         """
-        u1 = self.open01(n_pairs)
-        u2 = self.uniform01(n_pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
+        r = self.open01(n_pairs)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = self.uniform01(n_pairs)
+        theta *= 2.0 * math.pi
         out = np.empty((n_pairs, 2))
-        out[:, 0] = r * np.cos(theta)
-        out[:, 1] = r * np.sin(theta)
+        for column, trig in zip(out.T, (np.cos, np.sin)):
+            trig(theta, out=column)
+            column *= r
         return out
 
     def angles(self, n: int) -> np.ndarray:
         """n angles uniform on [-pi/2, pi/2): (u - 0.5) * pi."""
-        return (self.uniform01(n) - 0.5) * math.pi
+        u = self.uniform01(n)
+        u -= 0.5
+        u *= math.pi
+        return u
 
     def permutation(self, n: int) -> np.ndarray:
         """Permutation of range(n) by stable argsort of n uniforms.
 
         The default sort is faster but not stable.  It gives the same
         order unless two draws are equal, so the stable sort runs only
-        then.
+        then.  The sorted draws are compared one block of
+        :data:`_BLOCK_EVENTS` at a time, each block starting at the last
+        draw of the one before, so a tie across a block edge is seen too.
         """
         u = self.uniform01(n)
         order = np.argsort(u)
-        ranked = u[order]
-        if np.any(ranked[1:] == ranked[:-1]):
-            order = np.argsort(u, kind="stable")
+        for start in range(0, n, _BLOCK_EVENTS):
+            ranked = u[order[start:start + _BLOCK_EVENTS + 1]]
+            if np.any(ranked[1:] == ranked[:-1]):
+                return np.argsort(u, kind="stable")
         return order
 
     def categorical(self, probs, n: int) -> np.ndarray:

@@ -68,9 +68,11 @@ def simulate_lors(
     alongside so the pairing survives.
 
     Each component writes its events straight into its run of the
-    preallocated s, phi and label arrays, and the permutation is applied
-    to one array at a time, so beside the three outputs only one
-    component's temporaries, or one permuted copy, exist at once.
+    preallocated s, phi and label arrays (:func:`_draw_component`), and
+    the permutation is applied to one array at a time, so beside the
+    three outputs only one component's draws, or one permuted copy,
+    exist at once.  The draws are transformed in place, in the order of
+    the plain expressions, so they keep their bits.
     """
     stream = SeededStream(seed)
     if (counts is None) == (n_total is None):
@@ -96,13 +98,7 @@ def simulate_lors(
             continue
         block = slice(start, start + n_k)
         start += n_k
-        chol = cholesky_2x2(comp.covariance)
-        points = stream.standard_normal_pairs(n_k) @ chol.T + comp.mean
-        phi[block] = stream.angles(n_k)
-        s[block] = (
-            -points[:, 0] * np.sin(phi[block])
-            + points[:, 1] * np.cos(phi[block])
-        )
+        _draw_component(stream, comp, s[block], phi[block])
         labels[block] = k
 
     if shuffle and n:
@@ -113,6 +109,23 @@ def simulate_lors(
         labels = labels[perm]
 
     return SimulationResult(s=s, phi=phi, labels=labels, counts=tuple(counts))
+
+
+def _draw_component(stream: SeededStream, comp, s, phi) -> None:
+    """Draw one component's events into its runs ``s`` and ``phi`` of
+    the outputs: emission points x = L z + mean with L the Cholesky
+    factor of the covariance, angles, and
+    s = -x sin(phi) + y cos(phi), formed as y cos(phi) - x sin(phi),
+    which rounds the same."""
+    chol = cholesky_2x2(comp.covariance)
+    points = stream.standard_normal_pairs(s.size) @ chol.T
+    points += comp.mean
+    phi[:] = stream.angles(s.size)
+    np.sin(phi, out=s)
+    s *= points[:, 0]
+    y_cos = np.cos(phi)
+    y_cos *= points[:, 1]
+    np.subtract(y_cos, s, out=s)
 
 
 #: Rows formatted per write in :func:`write_lors_csv`: large enough that

@@ -45,8 +45,10 @@ from gmmlor.estimate import (
     _BLOCK_EVENTS,
     _Batch,
     _HardLabels,
+    _cluster_moment_sums,
     _label_pass,
     _memberships_arrays,
+    _moments_from_sums,
     _nearest_sinusoid,
     _soft_loglik,
     _soft_pass,
@@ -857,6 +859,55 @@ def test_center_offsets_equal_the_plain_difference_bitwise(n, mean):
     assert got_phi is phi
 
 
+def fit_held_batch(s, phi):
+    """(s, phi) as the fit holds it: sin and cos computed, no other
+    feature."""
+    angles = _Angles(phi)
+    angles.sin, angles.cos
+    return _Batch(s, phi, angles)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_handoff_sums_are_each_clusters_moment_sums(n):
+    # bitwise those of moments_from_offsets on each gathered cluster
+    # for one block; above it, within 1e-12 of the sum of absolute terms
+    rng = np.random.default_rng(80 + n)
+    s, phi = random_events(n, rng)
+    batch = fit_held_batch(s, phi)
+    means = rng.normal(0.0, 3.0, size=(3, 2))
+    labels = rng.integers(0, 3, n).astype(np.uint8)
+    sums = _cluster_moment_sums(batch, labels, means)
+    assert sums.shape == (3, 8)
+    for k in range(3):
+        idx = np.flatnonzero(labels == k)
+        if idx.size == 0:
+            assert not sums[k].any()
+            continue
+        offsets = center_offsets(batch.take(idx), means[k])
+        if n <= B:
+            got = _moments_from_sums(sums[k], float(idx.size))
+            want = moments_from_offsets(offsets)
+            assert moment_bits(got) == moment_bits(want)
+        else:
+            want, scales = unblocked_moment_sums(*offsets, np.ones(idx.size))
+            for field, got, w, scale in zip(
+                MOMENT_FIELDS, sums[k], want, scales
+            ):
+                assert abs(got - w) <= 1e-12 * scale, field
+    assert set(vars(batch.angles)) == {"phi", "sin", "cos"}
+
+
+def test_handoff_refuses_overflowing_offsets():
+    rng = np.random.default_rng(81)
+    s, phi = random_events(B + 1, rng)
+    phi[B] = 0.5  # -1.5e308 (sin + cos) overflows
+    labels = np.zeros(B + 1, dtype=np.uint8)
+    labels[B] = 1
+    means = np.array([[0.0, 0.0], [1.5e308, -1.5e308]])
+    with np.errstate(over="ignore"), pytest.raises(InputError):
+        _cluster_moment_sums(fit_held_batch(s, phi), labels, means)
+
+
 def shifted_mixture(n, shift, rng):
     """n events about the point (shift, -shift), a 3-component mixture
     near it whose memberships of many events are near 0, and the events
@@ -1304,21 +1355,35 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(est, name, counted)
-    res = simulate_lors(benchmark_mixture, counts=(700, 500, 200), seed=3)
+    handed_over = []
+    original_handoff = est._cluster_moment_sums
+
+    def handoff(batch, labels, means):
+        handed_over.append(labels.copy())
+        return original_handoff(batch, labels, means)
+
+    monkeypatch.setattr(est, "_cluster_moment_sums", handoff)
+    n, blocks = 3 * B + 7, 4
+    res = simulate_lors(benchmark_mixture, n_total=n, seed=3, shuffle=True)
     out = fit((res.s, res.phi), FitConfig(K=3, seed=0, weight_tol=1e-3))
     K = 3
     phase1 = sum(1 for rec in out.trace if rec.phase == 1)
     phase2 = sum(1 for rec in out.trace if rec.phase == 2)
     assert phase1 >= 1 and phase2 >= 1
-    # one block of events: one E-step per phase-2 pass, and the closing one
-    assert calls["_memberships_arrays"] == phase2 + 1
+    # one E-step per block of each phase-2 pass, and of the closing one
+    assert calls["_memberships_arrays"] == blocks * (phase2 + 1)
     # both phases solve their means from per-component sums
     assert calls["fit_mean"] == 0
-    # the offsets of each phase-1 cluster go through the covariance
-    # pipeline once; phase 2 takes its moments in its one pass
-    assert calls["center_offsets"] == K
-    assert calls["estimate_covariance"] == K
-    assert calls["moments_from_offsets"] == K
+    # the handoff centres each cluster's events of each block once, and
+    # takes their moments in its one pass; phase 2 takes its moments in
+    # its own pass
+    (labels,) = handed_over
+    assert labels.dtype == np.uint8
+    pairs = sum(np.unique(labels[i:i + B]).size for i in range(0, n, B))
+    assert pairs >= K
+    assert calls["center_offsets"] == pairs
+    assert calls["estimate_covariance"] == 0
+    assert calls["moments_from_offsets"] == 0
     covariances = K * (1 + phase2)  # once after phase 1, then per M-step
     assert calls["solve_orientation"] == 2 * covariances
     assert calls["refine_sigmas"] == covariances

@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from gmmlor import InputError, SeededStream, derive_seed
-from gmmlor.rng import cholesky_2x2
+from gmmlor.estimate import _balanced_random_assignment
+from gmmlor.rng import _BLOCK_EVENTS, cholesky_2x2
 
 
 def test_same_seed_same_sequences():
@@ -106,3 +107,103 @@ def test_cholesky_roundtrip():
 def test_cholesky_rejects_indefinite():
     with pytest.raises(InputError):
         cholesky_2x2(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+# ------------------------------------------- in-place draws, same bits
+
+B = _BLOCK_EVENTS
+DRAW_SIZES = [0, 1, B - 1, B, B + 1, 3 * B + 7]
+
+
+class PlainStream(SeededStream):
+    """The draws as plain expressions, each step a fresh array: the
+    reference that the in-place transformations must match bit for bit."""
+
+    def uniform01(self, n):
+        return (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)
+
+    def open01(self, n):
+        return ((self._raw(n) >> np.uint64(11)) + 1.0) * (2.0 ** -53)
+
+    def standard_normal_pairs(self, n_pairs):
+        u1 = self.open01(n_pairs)
+        u2 = self.uniform01(n_pairs)
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * math.pi * u2
+        out = np.empty((n_pairs, 2))
+        out[:, 0] = r * np.cos(theta)
+        out[:, 1] = r * np.sin(theta)
+        return out
+
+    def angles(self, n):
+        return (self.uniform01(n) - 0.5) * math.pi
+
+    def permutation(self, n):
+        u = self.uniform01(n)
+        order = np.argsort(u)
+        ranked = u[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(u, kind="stable")
+        return order
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize(
+    "draw", ["uniform01", "open01", "angles", "standard_normal_pairs",
+             "permutation"],
+)
+def test_draws_keep_the_bits_of_the_plain_expressions(draw, n):
+    got_stream, want_stream = SeededStream(40 + n), PlainStream(40 + n)
+    got = getattr(got_stream, draw)(n)
+    want = getattr(want_stream, draw)(n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # both streams consumed the same raw words
+    assert got_stream._raw(3).tobytes() == want_stream._raw(3).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 256, 300])
+@pytest.mark.parametrize("n", [1, B + 1, 3 * B + 7])
+def test_balanced_assignment_labels_equal_the_plain_expression(k, n):
+    want = np.empty(n, dtype=np.int64)
+    want[PlainStream(k).permutation(n)] = np.arange(n) % k
+    got = _balanced_random_assignment(n, k, SeededStream(k))
+    assert got.dtype == (np.uint8 if k <= 256 else np.uint16)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("position", [B - 1, B, 2 * B - 1])
+def test_a_tie_across_a_block_edge_takes_the_stable_sort(
+    monkeypatch, position
+):
+    # distinct draws but for one pair at sorted positions position and
+    # position + 1; the first straddles the edge of the first block
+    n = 3 * B + 7
+    ranked = np.arange(n) / n
+    ranked[position + 1] = ranked[position]
+    draws = ranked[np.random.default_rng(position).permutation(n)]
+    monkeypatch.setattr(SeededStream, "uniform01", lambda self, n: draws)
+    kinds = []
+    original = np.argsort
+
+    def argsort(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    p = SeededStream(0).permutation(n)
+    assert kinds == [None, "stable"]
+    assert np.array_equal(p, original(draws, kind="stable"))
+
+
+def test_distinct_draws_skip_the_stable_sort(monkeypatch):
+    kinds = []
+    original = np.argsort
+
+    def argsort(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    SeededStream(1).permutation(3 * B + 7)
+    assert kinds == [None]
