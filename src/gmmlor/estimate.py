@@ -20,6 +20,11 @@ which has the same fixed point as centering on the new means), so all
 the sums an iteration needs are known once its memberships are, and the
 means and covariances are then solved from K rows of 14 sums.
 
+Every pass over the events walks the blocks of
+:meth:`projection._Batch.blocks`, the one event batch type: a batch of
+one block is its own block and keeps the 2 phi and 4 phi features a
+pass forms, and a larger batch keeps only sin and cos of every event.
+
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
 offsets takes the weighted averages of t = s_c^2 and t^2, of cos and
@@ -38,7 +43,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -56,9 +61,9 @@ from .model import (
     canonicalize_orientation,
     covariance_from_eigen,
 )
-from .projection import _Angles, log_line_integral_profile, mean_sinusoid
+from .projection import _Batch, log_line_integral_profile, mean_sinusoid
 from .quartic import solve_quartic
-from .rng import _BLOCK_EVENTS, SeededStream, derive_seed
+from .rng import _BLOCK_EVENTS, SeededStream, _blocks, derive_seed
 
 #: Lower bound applied to estimated principal variances when no
 #: configuration is in play (image-plane units squared).
@@ -101,10 +106,7 @@ class FitConfig:
                 raise InputError(f"{name} must be at least 1")
 
 
-_CONFIG_FIELDS = (
-    "K", "max_iters_phase1", "max_iters_phase2", "weight_tol",
-    "mean_tol", "variance_floor", "seed", "restarts",
-)
+_CONFIG_FIELDS = tuple(field.name for field in fields(FitConfig))
 
 
 def config_from_dict(mapping, **overrides) -> FitConfig:
@@ -257,33 +259,27 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
     others are closed forms in the returned :class:`WeightedMoments`.
     ``weights=None`` weighs every event 1.
 
-    The pass walks blocks of :data:`_BLOCK_EVENTS` events.  Each block
+    The pass walks the blocks of :meth:`_Batch.blocks`.  Each block
     forms t = s_c^2 and its 2 phi and 4 phi features, takes the eight
     weighted sums (:func:`_moment_sums`), and adds them to those of the
-    blocks before it, so no temporary outlives its block.  A batch of
-    one block reads the features of its own :class:`_Angles`, which
-    keeps them for the next call; a larger batch forms them per block
-    from views of its sines and cosines and keeps none.
+    blocks before it, so no temporary outlives its block.
     """
     batch = _as_arrays(offsets)
-    s_c, angles = batch[0], batch.angles
-    n = s_c.size
-    w = _as_weights(weights, n)
+    w = _as_weights(weights, batch[0].size)
     mass = float(np.sum(w))
     if mass <= 0.0:
         raise InputError("total weight must be positive")
     sums = np.zeros(8)
-    for block in _blocks(n):
-        a = angles if n <= _BLOCK_EVENTS else angles.take(block)
-        s_b = s_c[None, block]
-        sums += _moment_sums(w[None, block], s_b * s_b, a)[0]
+    for block, b in batch.blocks():
+        s_b = b[0][None]
+        sums += _moment_sums(w[None, block], s_b * s_b, b)[0]
     return _moments_from_sums(sums, mass)
 
 
-def _moment_sums(w, t, angles) -> np.ndarray:
+def _moment_sums(w, t, batch) -> np.ndarray:
     """The weighted sums of t, t^2, cos and sin of 2 phi and 4 phi, and
     t cos 2 phi and t sin 2 phi, the fields of :class:`WeightedMoments`
-    in order, over n events with angle features ``angles``: a (K, 8)
+    in order, over the n events of ``batch``: a (K, 8)
     array, one row per row of the (K, n) weights ``w`` and squared
     offsets ``t`` = s_c^2.
 
@@ -294,12 +290,12 @@ def _moment_sums(w, t, angles) -> np.ndarray:
     return np.stack([
         np.einsum("kn,kn->k", w, t),
         np.einsum("kn,kn,kn->k", w, t, t),
-        np.einsum("kn,n->k", w, angles.cos2),
-        np.einsum("kn,n->k", w, angles.sin2),
-        np.einsum("kn,n->k", w, angles.cos4),
-        np.einsum("kn,n->k", w, angles.sin4),
-        np.einsum("kn,kn,n->k", w, t, angles.cos2),
-        np.einsum("kn,kn,n->k", w, t, angles.sin2),
+        np.einsum("kn,n->k", w, batch.cos2),
+        np.einsum("kn,n->k", w, batch.sin2),
+        np.einsum("kn,n->k", w, batch.cos4),
+        np.einsum("kn,n->k", w, batch.sin4),
+        np.einsum("kn,kn,n->k", w, t, batch.cos2),
+        np.einsum("kn,kn,n->k", w, t, batch.sin2),
     ], axis=1)
 
 
@@ -422,9 +418,7 @@ def refine_sigmas(
     return s1, s2, canonicalize_orientation(phi0)
 
 
-def estimate_covariance(
-    offsets, weights=None, config: FitConfig | None = None
-) -> np.ndarray:
+def estimate_covariance(offsets, weights=None) -> np.ndarray:
     """Covariance of one component from its centered offsets.
 
     Moment inversion gives the variance pair, the quartic solve gives
@@ -432,8 +426,9 @@ def estimate_covariance(
     frame, and the orientation is solved once more with the refined
     pair.  Returns the symmetric positive-definite covariance matrix.
     """
-    floor = config.variance_floor if config is not None else DEFAULT_VARIANCE_FLOOR
-    return _covariance_from_moments(moments_from_offsets(offsets, weights), floor)
+    return _covariance_from_moments(
+        moments_from_offsets(offsets, weights), DEFAULT_VARIANCE_FLOOR
+    )
 
 
 def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
@@ -486,30 +481,7 @@ def _as_arrays(lors) -> _Batch:
         raise InputError("s and phi must be matching 1-D arrays")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
         raise InputError("LoRs contain non-finite values")
-    return _Batch(s, phi, _Angles(phi))
-
-
-class _Batch(tuple):
-    """An (s, phi) or (s_c, phi) pair that carries its events' angle
-    features, so the functions it is passed to read the sines and
-    cosines instead of computing them.  It unpacks as the plain pair.
-
-    Its values are finite: :func:`_as_arrays` and :func:`center_offsets`
-    check them when they build one, so no reader checks them again."""
-
-    def __new__(cls, s, phi, angles):
-        batch = super().__new__(cls, (s, phi))
-        batch.angles = angles
-        return batch
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild a tuple subclass from these
-        return (self[0], self[1], self.angles)
-
-    def take(self, idx):
-        """The events ``idx`` selects, with their features."""
-        angles = self.angles.take(idx)
-        return _Batch(self[0][idx], angles.phi, angles)
+    return _Batch(s, phi)
 
 
 def fit_mean(lors, weights=None) -> np.ndarray:
@@ -523,7 +495,7 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     batch = _as_arrays(lors)
     s = batch[0]
     p = _as_weights(weights, s.size)
-    si, co = batch.angles.sin, batch.angles.cos
+    si, co = batch.sin, batch.cos
     return _solve_mean(
         _wsum(p, si, si), _wsum(p, si, co), _wsum(p, co, co),
         _wsum(p, s, si), _wsum(p, s, co),
@@ -556,25 +528,17 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
 
     The offsets are written and checked block by block into one
     N-length array, so the temporaries of :func:`mean_sinusoid` stay
-    block-sized.
+    block-sized.  The result shares the batch's phi and the features
+    computed so far.
     """
     batch = _as_arrays(lors)
-    s, phi = batch
-    angles = batch.angles
-    angles.sin, angles.cos  # kept for the whole batch; blocks read views
-    s_c = np.empty_like(s)
-    for block in _blocks(s.size):
+    s_c = np.empty_like(batch[0])
+    for block, b in batch.blocks():
         out = s_c[block]
-        np.subtract(s[block], mean_sinusoid(angles.take(block), mean), out=out)
+        np.subtract(b[0], mean_sinusoid(b, mean), out=out)
         if not np.all(np.isfinite(out)):
             raise InputError("offsets from the mean are not finite")
-    return _Batch(s_c, phi, angles)
-
-
-def _blocks(n: int):
-    """Slices of at most :data:`_BLOCK_EVENTS` consecutive events that
-    cover events 0 to n - 1 in order."""
-    return (slice(i, i + _BLOCK_EVENTS) for i in range(0, n, _BLOCK_EVENTS))
+    return batch.with_s(s_c)
 
 
 def _memberships_arrays(s, phi, means, covariances, tau):
@@ -585,73 +549,63 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     row maximum so distant components underflow gracefully.  Rows where
     every component underflows entirely fall back to uniform.  Returns
     (memberships, sum of per-LoR log marginal densities).  ``phi`` may
-    be an :class:`_Angles`, whose sines and cosines are then read, not
+    be a :class:`_Batch`, whose sines and cosines are then read, not
     computed.
 
     The memberships are stored component-major: the result is the (N, K)
     transposed view of a (K, N) array, so each column ``resp[:, k]`` is
     contiguous and every per-component step reads and writes one
-    contiguous run of events.  The step runs over blocks of events, each
-    normalized in place in its columns of that array, so its temporaries
-    stay block-sized.  An event's memberships are summed in component
-    order (np.sum over a row would round differently from K = 8 on).
-    Each event's arithmetic is the same as in one pass over every event,
-    and the per-event log marginals are summed once at the end, so
-    neither output depends on the block size.
+    contiguous run of events.  It is normalized in place.  An event's
+    memberships are summed in component order (np.sum over a row would
+    round differently from K = 8 on), and the per-event log marginals
+    are summed once at the end.
 
-    The fit itself calls it on one block of events at a time
-    (:func:`_soft_blocks`), so it never holds every event's memberships.
+    It handles its whole input at once: the fit calls it on one block of
+    events at a time (:func:`_soft_blocks`), so it never holds every
+    event's memberships.
     """
     K = len(tau)
-    angles = phi if isinstance(phi, _Angles) else _Angles(phi)
-    resp = np.empty((K, s.size))
-    log_marginal = np.empty(s.size)
-    underflow = False
-    for block in _blocks(s.size):
-        logp = resp[:, block]
-        s_b, angles_b = s[block], angles.take(block)
-        for k in range(K):
-            if tau[k] <= 0.0:
-                logp[k] = -np.inf
-            else:
-                profile = log_line_integral_profile(
-                    covariances[k], means[k], s_b, angles_b
-                )
-                np.add(profile, math.log(tau[k]), out=logp[k])
-        row_max = logp[0].copy()
-        for k in range(1, K):
-            np.maximum(row_max, logp[k], out=row_max)
-        bad = ~np.isfinite(row_max)
-        if np.any(bad):
-            # exp(0 - 0) in every component normalizes to exactly 1 / K
-            underflow = True
-            logp[:, bad] = 0.0
-            row_max[bad] = 0.0
-        logp -= row_max
-        np.exp(logp, out=logp)
-        row_sum = logp[0].copy()
-        for k in range(1, K):
-            row_sum += logp[k]
-        logp /= row_sum
-        np.add(row_max, np.log(row_sum), out=log_marginal[block])
+    if not isinstance(phi, _Batch):
+        phi = _Batch(s, phi)  # one sin and cos for every component
+    logp = np.empty((K, s.size))
+    for k in range(K):
+        if tau[k] <= 0.0:
+            logp[k] = -np.inf
+        else:
+            profile = log_line_integral_profile(
+                covariances[k], means[k], s, phi
+            )
+            np.add(profile, math.log(tau[k]), out=logp[k])
+    row_max = logp[0].copy()
+    for k in range(1, K):
+        np.maximum(row_max, logp[k], out=row_max)
+    bad = ~np.isfinite(row_max)
+    underflow = bool(np.any(bad))
     if underflow:
-        return resp.T, -math.inf
-    return resp.T, float(np.sum(log_marginal))
+        # exp(0 - 0) in every component normalizes to exactly 1 / K
+        logp[:, bad] = 0.0
+        row_max[bad] = 0.0
+    logp -= row_max
+    np.exp(logp, out=logp)
+    row_sum = logp[0].copy()
+    for k in range(1, K):
+        row_sum += logp[k]
+    logp /= row_sum
+    if underflow:
+        return logp.T, -math.inf
+    row_max += np.log(row_sum)  # the per-event log marginals
+    return logp.T, float(np.sum(row_max))
 
 
 def _soft_blocks(batch, means, covariances, tau):
     """The E-step of the parameters ``means``, ``covariances`` and
-    ``tau`` block by block: for each block of :data:`_BLOCK_EVENTS`
-    events, its slice, its angle features, its (K, n) memberships and
-    the sum of its log marginals.  Each block is one call of
-    :func:`_memberships_arrays`, and its memberships die with it.  A batch
-    of one block passes its own :class:`_Angles`, which keeps the
-    2 phi and 4 phi features it forms for the next pass."""
-    s, angles = batch[0], batch.angles
-    for block in _blocks(s.size):
-        a = angles if s.size <= _BLOCK_EVENTS else angles.take(block)
-        resp, loglik = _memberships_arrays(s[block], a, means, covariances, tau)
-        yield block, a, resp.T, loglik
+    ``tau`` over the blocks of :meth:`_Batch.blocks`: for each block, its
+    events as a batch, its (K, n) memberships and the sum of its log
+    marginals.  Each block is one call of :func:`_memberships_arrays`,
+    and its memberships die with it."""
+    for _, b in batch.blocks():
+        resp, loglik = _memberships_arrays(b[0], b, means, covariances, tau)
+        yield b, resp.T, loglik
         resp = None  # the next block's E-step would run beside it
 
 
@@ -670,17 +624,15 @@ def _soft_pass(batch, means, covariances, tau):
     :class:`InputError`, as in :func:`center_offsets`, and a block with
     an underflow row makes the proxy -inf.
     """
-    s, K = batch[0], len(tau)
+    K = len(tau)
     sums = np.zeros((K, 14))
     loglik = 0.0
-    for block, a, resp, block_loglik in _soft_blocks(
-        batch, means, covariances, tau
-    ):
+    for b, resp, block_loglik in _soft_blocks(batch, means, covariances, tau):
         loglik += block_loglik
-        s_b, si, co = s[block], a.sin, a.cos
+        s_b, si, co = b[0], b.sin, b.cos
         t = np.empty_like(resp)
         for k in range(K):
-            np.subtract(s_b, mean_sinusoid(a, means[k]), out=t[k])
+            np.subtract(s_b, mean_sinusoid(b, means[k]), out=t[k])
         if not np.all(np.isfinite(t)):
             raise InputError("offsets from the mean are not finite")
         np.multiply(t, t, out=t)  # the offsets are spent once squared
@@ -689,8 +641,8 @@ def _soft_pass(batch, means, covariances, tau):
             ((si, si), (si, co), (co, co), (s_b, si), (s_b, co)), start=1
         ):
             sums[:, col] += np.einsum("kn,n,n->k", resp, x, y)
-        sums[:, 6:] += _moment_sums(resp, t, a)
-        a = resp = t = None  # the next block's E-step would run beside them
+        sums[:, 6:] += _moment_sums(resp, t, b)
+        b = resp = t = None  # the next block's E-step would run beside them
     return sums, loglik
 
 
@@ -735,8 +687,7 @@ def _nearest_sinusoid(batch, means):
     the strict < sends a tie to the lower label, as argmin would, and a
     tie leaves a gap of 0.
     """
-    s = batch[0]
-    si, co = batch.angles.sin, batch.angles.cos
+    s, si, co = batch[0], batch.sin, batch.cos
     best = np.abs(s + means[0, 0] * si - means[0, 1] * co)
     second = np.full(s.size, np.inf)
     labels = np.zeros(s.size, dtype=np.int64)
@@ -767,13 +718,12 @@ def _label_pass(batch, labels, K: int):
     cluster's events are gathered.  Phase 1 takes it once, on the
     starting labels; :class:`_HardLabels` then keeps the sums running.
     """
-    s, si, co = batch[0], batch.angles.sin, batch.angles.cos
     counts = np.zeros(K, dtype=np.int64)
     sums = np.zeros((5, K))
-    for block in _blocks(s.size):
+    for block, b in batch.blocks():
         lab = labels[block]
         counts += np.bincount(lab, minlength=K)
-        features = _label_features(s[block], si[block], co[block])
+        features = _label_features(b[0], b.sin, b.cos)
         for row, feature in zip(sums, features):
             row += np.bincount(lab, weights=feature, minlength=K)
     return counts, sums
@@ -827,8 +777,7 @@ class _HardLabels:
             moved = np.flatnonzero(new != old)
             old, new = old[moved], new[moved]
             features = _label_features(
-                events[0][moved], events.angles.sin[moved],
-                events.angles.cos[moved],
+                events[0][moved], events.sin[moved], events.cos[moved]
             )
             if isinstance(run, slice):
                 self.labels[run][moved] = new
@@ -875,7 +824,7 @@ def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
     its mean sinusoid, every event weighing 1: a (K, 8) array, one row
     per row of ``means``.
 
-    One pass over blocks of :data:`_BLOCK_EVENTS` events.  In each block
+    One pass over the blocks of :meth:`_Batch.blocks`.  In each block
     every cluster's events are gathered, centred by
     :func:`center_offsets` (which checks that the offsets are finite),
     and their sums added to the cluster's row, so the pass holds no
@@ -885,17 +834,16 @@ def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
     """
     K = len(means)
     sums = np.zeros((K, 8))
-    for block in _blocks(batch[0].size):
+    for block, b in batch.blocks():
         lab = labels[block]
         for k in range(K):
             idx = np.flatnonzero(lab == k)
             if idx.size == 0:
                 continue
-            idx += block.start
-            cluster = center_offsets(batch.take(idx), means[k])
+            cluster = center_offsets(b.take(idx), means[k])
             s_c = cluster[0]
             sums[k] += _moment_sums(
-                np.ones((1, idx.size)), (s_c * s_c)[None], cluster.angles
+                np.ones((1, idx.size)), (s_c * s_c)[None], cluster
             )[0]
     return sums
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimate import _BLOCK_EVENTS
 # density_at_points is no longer called here, but benchmarks/tracing.py
 # wraps it as a layer seam under this module's name
 from .model import (  # noqa: F401
@@ -23,6 +22,7 @@ from .model import (  # noqa: F401
     _mixture_density,
     density_at_points,
 )
+from .rng import _BLOCK_EVENTS
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class FitReport:
     mean_errors: tuple[float, ...]
     cov_errors: tuple[float, ...]
     weight_errors: tuple[float, ...]
-    kl_divergence: float | None
+    kl_divergence: float
 
 
 def report_to_dict(report: FitReport) -> dict:
@@ -156,13 +156,12 @@ def kl_divergence(
     truth: MixtureModel2D,
     *,
     grid_n: int = 512,
-    n_sigma: float = 6.0,
 ) -> float:
     """KL(estimated || truth) by midpoint quadrature on a shared box.
 
     Integrates ghat * log(ghat / g) where ghat is the estimated density
     and g the truth.  The box covers both models' means padded by
-    ``n_sigma`` of the largest standard deviation anywhere, so
+    6 times the largest standard deviation anywhere, so
     essentially all of both densities' mass is inside.  512 x 512
     midpoint cells push the quadrature error well below the tolerances
     this number is held to.
@@ -175,7 +174,7 @@ def kl_divergence(
     """
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
-    box = union_bounding_box((estimated, truth), n_sigma=n_sigma)
+    box = union_bounding_box((estimated, truth))
     x, y = _cell_centers(box, grid_n)
     x, y = x[:, np.newaxis], y[np.newaxis, :]
     terms = np.empty((grid_n, grid_n))
@@ -199,23 +198,17 @@ def evaluate_against_truth(
     estimated: MixtureModel2D,
     truth: MixtureModel2D,
     *,
-    include_kl: bool = True,
     kl_grid: int = 512,
 ) -> FitReport:
-    """Match, score parameters, and (optionally) compute the KL term."""
+    """Match, score parameters, and compute the KL term."""
     matching = match_components(estimated, truth)
     mean_err, cov_err, weight_err = parameter_errors(
         estimated, truth, matching
-    )
-    kl = (
-        kl_divergence(estimated, truth, grid_n=kl_grid)
-        if include_kl
-        else None
     )
     return FitReport(
         matching=matching,
         mean_errors=tuple(float(v) for v in mean_err),
         cov_errors=tuple(float(v) for v in cov_err),
         weight_errors=tuple(float(v) for v in weight_err),
-        kl_divergence=kl,
+        kl_divergence=kl_divergence(estimated, truth, grid_n=kl_grid),
     )

@@ -11,6 +11,11 @@ quadratic form of the covariance with the line's unit normal
 where ``sigma1^2`` is the eigenvalue along the axis at angle ``phi0``.
 Lines parallel to the major axis therefore see the minor variance, and
 vice versa.
+
+An event batch has one representation, :class:`_Batch`: the (s, phi)
+pair with the angle features computed from it, and the one walk over
+its events in blocks (:meth:`_Batch.blocks`).  The functions here take
+one in place of ``phi`` and read its sines and cosines.
 """
 
 from __future__ import annotations
@@ -22,39 +27,43 @@ import numpy as np
 
 from .errors import DegenerateCovarianceError, InputError
 from .model import EigenDecomposition2D
+from .rng import _BLOCK_EVENTS, _blocks
 
 SIGMA_P_SQ_FLOOR = 1e-15
 
 
-class _Angles:
-    """sin and cos of phi, 2 phi and 4 phi for a batch of events.
+class _Batch(tuple):
+    """A batch of events: the (s, phi) or (s_c, phi) pair, with the sin
+    and cos of phi, 2 phi and 4 phi of its events.  It unpacks as the
+    plain pair, and the projection functions below accept one wherever
+    they accept ``phi``, reading its sines and cosines.
 
     Each feature is computed on first use and then kept, so a fit that
-    holds one of these takes every sine and cosine once.  Only phi's
-    pair comes from trigonometry: each doubled angle's pair follows from
-    the one before, sin 2x = 2 sin x cos x and
+    holds one batch takes every sine and cosine once.  Only phi's pair
+    comes from trigonometry: each doubled angle's pair follows from the
+    one before, sin 2x = 2 sin x cos x and
     cos 2x = (cos x - sin x)(cos x + sin x), a few products in place of
-    a trigonometric call, within 1e-15 of np.sin and np.cos.  The
-    projection functions below accept one wherever they accept ``phi``.
+    a trigonometric call, within 1e-15 of np.sin and np.cos.
 
-    :meth:`take` with a slice gives views of the features computed so
-    far, and features computed on the result stay with the result.  The
-    fit keeps sin and cos of every event for its whole run; the 2 phi
-    and 4 phi features of a batch larger than one block are formed block
-    by block (``estimate.moments_from_offsets``, the phase-1 handoff and
-    the phase-2 pass) and never for every event at once.
+    Its values are finite: ``estimate._as_arrays`` and
+    ``estimate.center_offsets`` check them when they build one, so no
+    reader checks them again.
     """
 
-    def __init__(self, phi):
-        self.phi = phi
+    def __new__(cls, s, phi):
+        return super().__new__(cls, (s, phi))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a tuple subclass from these
+        return tuple(self)
 
     @cached_property
     def sin(self):
-        return np.sin(self.phi)
+        return np.sin(self[1])
 
     @cached_property
     def cos(self):
-        return np.cos(self.phi)
+        return np.cos(self[1])
 
     @cached_property
     def sin2(self):
@@ -73,19 +82,44 @@ class _Angles:
         return (self.cos2 - self.sin2) * (self.cos2 + self.sin2)
 
     def take(self, idx):
-        """The features of the events ``idx`` selects, indexing those
-        already computed rather than computing them again: views for a
-        slice, copies for an index array."""
-        out = _Angles(self.phi[idx])
+        """The events ``idx`` selects, with the features computed so far
+        indexed rather than computed again: views for a slice, copies for
+        an index array.  Features computed on the result stay with it."""
+        out = _Batch(self[0][idx], self[1][idx])
         for name, value in vars(self).items():
-            if name != "phi":
-                setattr(out, name, value[idx])
+            setattr(out, name, value[idx])
         return out
+
+    def with_s(self, s):
+        """The batch of the same phi, and of the features computed so
+        far, with ``s`` in place of its s: the offsets of its events."""
+        out = _Batch(s, self[1])
+        vars(out).update(vars(self))
+        return out
+
+    def blocks(self):
+        """(slice, batch) for each block of :data:`_BLOCK_EVENTS`
+        consecutive events, in order: the one walk of every pass over a
+        batch.
+
+        A batch of one block yields itself, so the 2 phi and 4 phi
+        features a pass forms stay with it for the next pass.  A larger
+        batch takes its sin and cos once and yields views of them; the
+        2 phi and 4 phi features of its blocks are formed per block and
+        never kept.
+        """
+        n = self[0].size
+        if n <= _BLOCK_EVENTS:
+            yield slice(0, n), self
+            return
+        self.sin, self.cos  # kept for the whole batch; blocks read views
+        for block in _blocks(n):
+            yield block, self.take(block)
 
 
 def _sin_cos(phi):
-    """(sin phi, cos phi), read from ``phi`` when it is an :class:`_Angles`."""
-    if isinstance(phi, _Angles):
+    """(sin phi, cos phi), read from ``phi`` when it is a :class:`_Batch`."""
+    if isinstance(phi, _Batch):
         return phi.sin, phi.cos
     phi = np.asarray(phi, dtype=float)
     return np.sin(phi), np.cos(phi)

@@ -22,19 +22,26 @@ import numpy as np
 from .errors import InputError
 
 #: Events per block of the passes over every event: the tie check of
-#: :meth:`SeededStream.permutation`, and in ``gmmlor.estimate`` the
-#: phase-1 passes, the phase-1 handoff, the phase-2 pass with its E-step
-#: and the covariance moments, and grid cells per row tile of the KL
-#: quadrature (``metrics.kl_divergence``).  A block's float temporaries
-#: take 128 KiB each, so a pass stays in cache instead of streaming
-#: N-length arrays through memory.  On a 2-core Xeon with one BLAS
-#: thread, fitting the 10^6-event benchmark scan (median of 3) took 4.5 s
-#: at 2^12, 4.2 s at 2^14, 4.9 s at 2^17 and 5.7 s in one block.  A
+#: :meth:`SeededStream.permutation`, every pass over an event batch
+#: (``projection._Batch.blocks`` alone decides how one is walked), phase
+#: 1's starting labels and relabelling runs, and grid cells per row tile
+#: of the KL quadrature (``metrics.kl_divergence``).  A block's float
+#: temporaries take 128 KiB each, so a pass stays in cache instead of
+#: streaming N-length arrays through memory.  On a 2-core Xeon with one
+#: BLAS thread, fitting the 10^6-event benchmark scan (median of 3) took
+#: 4.5 s at 2^12, 4.2 s at 2^14, 4.9 s at 2^17 and 5.7 s in one block.  A
 #: 512 x 512 KL between a fit of 7000 events and its truth, timed between
 #: fits (median of 30), took 21.6 ms in tiles of 2^12 cells, 17.2 ms at
 #: 2^13, 14.8 ms at 2^14, 14.2 ms at 2^15, 14.1 ms at 2^16 and 20.0 ms in
 #: one tile.
 _BLOCK_EVENTS = 1 << 14
+
+
+def _blocks(n: int):
+    """Slices of at most :data:`_BLOCK_EVENTS` consecutive events that
+    cover events 0 to n - 1 in order."""
+    return (slice(i, i + _BLOCK_EVENTS) for i in range(0, n, _BLOCK_EVENTS))
+
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -118,8 +125,8 @@ class SeededStream:
         """
         u = self.uniform01(n)
         order = np.argsort(u)
-        for start in range(0, n, _BLOCK_EVENTS):
-            ranked = u[order[start:start + _BLOCK_EVENTS + 1]]
+        for block in _blocks(n):
+            ranked = u[order[block.start:block.stop + 1]]
             if np.any(ranked[1:] == ranked[:-1]):
                 return np.argsort(u, kind="stable")
         return order

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .estimate import _label_dtype
 from .model import MixtureModel2D
 from .rng import SeededStream, cholesky_2x2
 
@@ -72,7 +73,9 @@ def simulate_lors(
     the permutation is applied to one array at a time, so beside the
     three outputs only one component's draws, or one permuted copy,
     exist at once.  The draws are transformed in place, in the order of
-    the plain expressions, so they keep their bits.
+    the plain expressions, so they keep their bits.  The labels take
+    phase 1's label type (``estimate._label_dtype``), one byte up to
+    K = 256.
     """
     stream = SeededStream(seed)
     if (counts is None) == (n_total is None):
@@ -91,7 +94,7 @@ def simulate_lors(
 
     n = sum(counts)
     s, phi = np.empty(n), np.empty(n)
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(n, dtype=_label_dtype(len(counts)))
     start = 0
     for k, (comp, n_k) in enumerate(zip(model.components, counts)):
         if n_k == 0:

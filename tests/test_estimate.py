@@ -55,7 +55,7 @@ from gmmlor.estimate import (
     _solve_mean,
     _wsum,
 )
-from gmmlor.projection import _Angles, log_line_integral_profile
+from gmmlor.projection import log_line_integral_profile
 from conftest import make_component
 
 
@@ -73,10 +73,9 @@ def pseudo_offsets(sigma1_sq, sigma2_sq, phi0, n=64):
 def cached(s, phi, idx=None):
     """(s, phi) as a batch whose angle features are all computed up front,
     then narrowed to the events ``idx`` selects, as phase 1 does."""
-    angles = _Angles(phi)
+    batch = _Batch(s, phi)
     for name in ("sin", "cos", "sin2", "cos2", "sin4", "cos4"):
-        getattr(angles, name)
-    batch = _Batch(s, phi, angles)
+        getattr(batch, name)
     return batch if idx is None else batch.take(idx)
 
 
@@ -252,13 +251,13 @@ def test_center_offsets_result_copies_and_pickles(clone):
     s = rng.normal(size=25)
     phis = rng.uniform(-1.5, 1.5, 25)
     offs = center_offsets((s, phis), np.array([0.2, -0.1]))
-    offs.angles.sin2  # a computed feature travels with the copy
+    offs.sin2  # a computed feature travels with the copy
     s_c, phi = clone(offs)
     assert np.array_equal(s_c, offs[0])
     assert np.array_equal(phi, phis)
-    copied = clone(offs).angles
+    copied = clone(offs)
     assert "sin2" in vars(copied)
-    assert np.array_equal(copied.sin2, offs.angles.sin2)
+    assert np.array_equal(copied.sin2, offs.sin2)
     assert estimate_covariance(clone(offs)).tobytes() == (
         estimate_covariance(offs).tobytes()
     )
@@ -685,14 +684,14 @@ BLOCK_SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
 def unblocked_memberships(s, phi, means, covariances, tau):
     """The E-step as one pass over every event, normalized in place."""
     K = len(tau)
-    angles = _Angles(phi)
+    batch = _Batch(s, phi)
     logp = np.empty((s.size, K))
     for k in range(K):
         if tau[k] <= 0.0:
             logp[:, k] = -np.inf
         else:
             logp[:, k] = math.log(tau[k]) + log_line_integral_profile(
-                covariances[k], means[k], s, angles
+                covariances[k], means[k], s, batch
             )
     row_max = logp[:, 0].copy()
     for k in range(1, K):
@@ -722,8 +721,8 @@ def test_blocked_memberships_equal_the_unblocked_formula(n, K):
     means, covariances, tau = random_mixture_arrays(K, rng)
     s, phi = random_events(n, rng)
     ref, ref_loglik = unblocked_memberships(s, phi, means, covariances, tau)
-    for angles in (phi, cached(s, phi).angles):
-        resp, loglik = _memberships_arrays(s, angles, means, covariances, tau)
+    for events in (phi, cached(s, phi)):
+        resp, loglik = _memberships_arrays(s, events, means, covariances, tau)
         assert np.array_equal(resp, ref)
         assert loglik == ref_loglik
 
@@ -775,11 +774,11 @@ def unblocked_moment_sums(s_c, phi, w):
     """The eight weighted sums of :func:`moments_from_offsets`, in field
     order, each as one reduction over every event, and the same sums of
     the absolute terms."""
-    angles = _Angles(phi)
+    batch = _Batch(s_c, phi)
     t = s_c * s_c
     features = [
-        (t,), (t, t), (angles.cos2,), (angles.sin2,), (angles.cos4,),
-        (angles.sin4,), (t, angles.cos2), (t, angles.sin2),
+        (t,), (t, t), (batch.cos2,), (batch.sin2,), (batch.cos4,),
+        (batch.sin4,), (t, batch.cos2), (t, batch.sin2),
     ]
     sums = [_wsum(w, *f) for f in features]
     scales = [_wsum(np.abs(w), *(np.abs(x) for x in f)) for f in features]
@@ -841,10 +840,10 @@ def test_blocked_moments_match_the_unblocked_formula(n, shift):
 def test_blocked_moments_leave_the_batch_without_double_angle_features():
     rng = np.random.default_rng(33)
     s_c, phi, w = shifted_offsets(3 * B + 7, 0.0, rng)
-    angles = _Angles(phi)
-    angles.sin, angles.cos  # as the fit holds them
-    moments_from_offsets(_Batch(s_c, phi, angles), w)
-    assert set(vars(angles)) == {"phi", "sin", "cos"}
+    batch = _Batch(s_c, phi)
+    batch.sin, batch.cos  # as the fit holds them
+    moments_from_offsets(batch, w)
+    assert set(vars(batch)) == {"sin", "cos"}
 
 
 @pytest.mark.parametrize("n", [1, B + 1])
@@ -853,7 +852,7 @@ def test_center_offsets_equal_the_plain_difference_bitwise(n, mean):
     rng = np.random.default_rng(n)
     s, phi = random_events(n, rng)
     batch = cached(s, phi)
-    want = s - mean_sinusoid(batch.angles, mean)
+    want = s - mean_sinusoid(batch, mean)
     s_c, got_phi = center_offsets(batch, mean)
     assert s_c.tobytes() == want.tobytes()
     assert got_phi is phi
@@ -862,9 +861,9 @@ def test_center_offsets_equal_the_plain_difference_bitwise(n, mean):
 def fit_held_batch(s, phi):
     """(s, phi) as the fit holds it: sin and cos computed, no other
     feature."""
-    angles = _Angles(phi)
-    angles.sin, angles.cos
-    return _Batch(s, phi, angles)
+    batch = _Batch(s, phi)
+    batch.sin, batch.cos
+    return batch
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -894,7 +893,7 @@ def test_handoff_sums_are_each_clusters_moment_sums(n):
                 MOMENT_FIELDS, sums[k], want, scales
             ):
                 assert abs(got - w) <= 1e-12 * scale, field
-    assert set(vars(batch.angles)) == {"phi", "sin", "cos"}
+    assert set(vars(batch)) == {"sin", "cos"}
 
 
 def test_handoff_refuses_overflowing_offsets():
@@ -917,9 +916,9 @@ def shifted_mixture(n, shift, rng):
     means = means + np.array([shift, -shift])
     s, phi = random_events(n, rng)
     s = s - shift * np.sin(phi) - shift * np.cos(phi)
-    angles = _Angles(phi)
-    angles.sin, angles.cos
-    return _Batch(s, phi, angles), means, np.array(covariances), tau
+    batch = _Batch(s, phi)
+    batch.sin, batch.cos
+    return batch, means, np.array(covariances), tau
 
 
 def oracle_phase2_sums(batch, means, covariances, tau):

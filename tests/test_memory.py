@@ -20,8 +20,8 @@ import numpy as np
 import gmmlor.cli as cli
 import gmmlor.estimate as est
 from gmmlor import FitConfig, center_offsets, fit, simulate_lors
-from gmmlor.estimate import _BLOCK_EVENTS, _Batch
-from gmmlor.projection import _Angles
+from gmmlor.estimate import _BLOCK_EVENTS
+from gmmlor.projection import _Batch
 from gmmlor.simulate import write_lors_csv
 
 N = 1 << 17
@@ -158,9 +158,8 @@ def test_center_offsets_peak_per_event():
     # block of events (three block-length arrays)
     rng = np.random.default_rng(0)
     s, phi = rng.normal(0.0, 1.0, N), rng.uniform(-1.5, 1.5, N)
-    angles = _Angles(phi)
-    angles.sin, angles.cos  # as the fit holds them
-    batch = _Batch(s, phi, angles)
+    batch = _Batch(s, phi)
+    batch.sin, batch.cos  # as the fit holds them
     out, peak = traced_peak(lambda: center_offsets(batch, (0.3, -0.2)))
     assert out[0].size == N
     assert peak <= 8 * N + 4 * 8 * _BLOCK_EVENTS
@@ -171,7 +170,7 @@ def test_fit_forms_no_event_length_double_angle_features(
 ):
     sizes = []
     for name in ("sin2", "cos2", "sin4", "cos4"):
-        original = getattr(_Angles, name).func
+        original = getattr(_Batch, name).func
 
         def spy(self, original=original):
             out = original(self)
@@ -179,8 +178,8 @@ def test_fit_forms_no_event_length_double_angle_features(
             return out
 
         prop = functools.cached_property(spy)
-        prop.__set_name__(_Angles, name)
-        monkeypatch.setattr(_Angles, name, prop)
+        prop.__set_name__(_Batch, name)
+        monkeypatch.setattr(_Batch, name, prop)
     res = simulate_lors(
         benchmark_mixture, counts=(20000, 14000, 6000), seed=1, shuffle=True
     )

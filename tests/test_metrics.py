@@ -206,21 +206,13 @@ def test_report_roundtrip(benchmark_mixture):
     assert d["matching"] == [2, 0, 1]
 
 
-def test_report_without_kl(benchmark_mixture):
-    report = evaluate_against_truth(
-        benchmark_mixture, benchmark_mixture, include_kl=False
-    )
-    assert report.kl_divergence is None
-    assert report_to_dict(report)["kl_divergence"] is None
-
-
 # ------------------------------------------------- KL against a point oracle
 
-def kl_on_points(estimated, truth, grid_n=512, n_sigma=6.0):
+def kl_on_points(estimated, truth, grid_n=512):
     """The KL quadrature as a point array: the (grid_n^2, 2) cell centres
     in "ij" order, the (N, 2) density, then the floored log sum."""
     x_lo, x_hi, y_lo, y_hi = union_bounding_box(
-        (estimated, truth), n_sigma=n_sigma
+        (estimated, truth), n_sigma=6.0
     )
     hx = (x_hi - x_lo) / grid_n
     hy = (y_hi - y_lo) / grid_n
@@ -338,10 +330,10 @@ def test_kl_ignores_a_common_translation(est, truth, t):
 
 # ------------------------------------------------------ KL row tiles
 
-def untiled_kl(estimated, truth, grid_n, n_sigma=6.0):
+def untiled_kl(estimated, truth, grid_n):
     """The KL quadrature on the whole grid at once: both densities as
     grid_n x grid_n arrays, then the floored log terms summed once."""
-    box = union_bounding_box((estimated, truth), n_sigma=n_sigma)
+    box = union_bounding_box((estimated, truth), n_sigma=6.0)
     x, y = _cell_centers(box, grid_n)
     x, y = x[:, np.newaxis], y[np.newaxis, :]
     p = _mixture_density(estimated, x, y)

@@ -18,7 +18,8 @@ from gmmlor import (
     projection_variance,
     theoretical_moments,
 )
-from gmmlor.projection import _Angles, log_line_integral_profile
+from gmmlor.projection import _Batch, log_line_integral_profile
+from gmmlor.rng import _BLOCK_EVENTS
 from conftest import make_component
 
 
@@ -157,17 +158,71 @@ def test_angle_features_are_the_plain_sines_and_cosines():
         "sin2": np.sin(2.0 * phi), "cos2": np.cos(2.0 * phi),
         "sin4": np.sin(2.0 * (2.0 * phi)), "cos4": np.cos(2.0 * (2.0 * phi)),
     }
-    angles = _Angles(phi)
+    batch = _Batch(np.zeros_like(phi), phi)
     for name, value in want.items():
         if name in ("sin", "cos"):
-            assert np.array_equal(getattr(angles, name), value)
+            assert np.array_equal(getattr(batch, name), value)
         else:  # from the double-angle products
-            assert np.max(np.abs(getattr(angles, name) - value)) <= 1e-15
-    part = angles.take(idx)
-    fresh = _Angles(phi[idx])
+            assert np.max(np.abs(getattr(batch, name) - value)) <= 1e-15
+    part = batch.take(idx)
+    fresh = _Batch(np.zeros(idx.size), phi[idx])
     for name in want:
         assert np.array_equal(getattr(part, name), getattr(fresh, name))
-    assert np.array_equal(mean_sinusoid(angles, (0.3, -0.7)), mean_sinusoid(phi, (0.3, -0.7)))
+    assert np.array_equal(mean_sinusoid(batch, (0.3, -0.7)), mean_sinusoid(phi, (0.3, -0.7)))
+
+
+B = _BLOCK_EVENTS
+
+
+def random_batch(n, seed):
+    rng = np.random.default_rng(seed)
+    return _Batch(rng.normal(0.0, 1.0, n), rng.uniform(-1.5, 1.5, n))
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_blocks_cover_every_event_once_in_order(n):
+    batch = random_batch(n, n)
+    walked = list(batch.blocks())
+    assert all(0 < b[0].size <= B for _, b in walked)
+    covered = np.concatenate([np.arange(n)[block] for block, _ in walked])
+    assert np.array_equal(covered, np.arange(n))
+    for block, b in walked:
+        assert np.array_equal(b[0], batch[0][block])
+        assert np.array_equal(b[1], batch[1][block])
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B])
+def test_a_batch_of_one_block_is_its_own_block(n):
+    batch = random_batch(n, n)
+    [(block, b)] = list(batch.blocks())
+    assert block == slice(0, n)
+    assert b is batch
+    b.sin2  # a feature a pass forms stays for the next pass
+    assert "sin2" in vars(batch)
+
+
+@pytest.mark.parametrize("n", [B + 1, 3 * B + 7])
+def test_larger_batches_walk_views_of_their_sines_and_cosines(n):
+    batch = random_batch(n, n)
+    for _, b in batch.blocks():
+        assert np.shares_memory(b.sin, batch.sin)
+        assert np.shares_memory(b.cos, batch.cos)
+        assert np.shares_memory(b[0], batch[0])
+        b.cos4  # formed for the block only
+    assert set(vars(batch)) == {"sin", "cos"}
+
+
+def test_with_s_keeps_phi_and_the_computed_features():
+    batch = random_batch(50, 5)
+    batch.sin, batch.cos2
+    s_c = batch[0] - 1.0
+    out = batch.with_s(s_c)
+    assert out[0] is s_c and out[1] is batch[1]
+    assert set(vars(out)) == {"sin", "cos", "cos2"}
+    for name in vars(out):
+        assert np.shares_memory(getattr(out, name), getattr(batch, name))
+    out.sin4  # formed on the result, not on the batch it came from
+    assert "sin4" not in vars(batch)
 
 
 def test_mean_sinusoid_shape_and_values():

@@ -272,13 +272,13 @@ def concatenated_simulation(model, counts, seed, shuffle):
         phi = stream.angles(n_k)
         s_blocks.append(-points[:, 0] * np.sin(phi) + points[:, 1] * np.cos(phi))
         phi_blocks.append(phi)
-        label_blocks.append(np.full(n_k, k, dtype=np.int64))
+        label_blocks.append(np.full(n_k, k, dtype=np.uint8))
     if s_blocks:
         s = np.concatenate(s_blocks)
         phi = np.concatenate(phi_blocks)
         labels = np.concatenate(label_blocks)
     else:
-        s, phi, labels = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        s, phi, labels = np.empty(0), np.empty(0), np.empty(0, dtype=np.uint8)
     if shuffle and s.size:
         perm = stream.permutation(s.size)
         s, phi, labels = s[perm], phi[perm], labels[perm]
