@@ -169,7 +169,7 @@ def _write_raster_csv(path, header: str, x, y, values) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         fh.write("x,y,value\n")
-        _write_rows(fh, "%.17g,%.17g,%.17g\n", columns)
+        _write_rows(fh, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -562,18 +562,23 @@ def _memberships_arrays(s, phi, means, covariances, tau):
 
     It handles its whole input at once: the fit calls it on one block of
     events at a time (:func:`_soft_blocks`), so it never holds every
-    event's memberships.
+    event's memberships.  The offsets of the events from each mean
+    sinusoid, s - m_k(phi), are left on the batch as ``phi.offsets``,
+    a (K, N) array that :func:`_soft_pass` takes instead of forming
+    them again.
     """
     K = len(tau)
     if not isinstance(phi, _Batch):
         phi = _Batch(s, phi)  # one sin and cos for every component
     logp = np.empty((K, s.size))
+    phi.offsets = offsets = np.empty((K, s.size))
     for k in range(K):
         if tau[k] <= 0.0:
             logp[k] = -np.inf
+            np.subtract(s, mean_sinusoid(phi, means[k]), out=offsets[k])
         else:
             profile = log_line_integral_profile(
-                covariances[k], means[k], s, phi
+                covariances[k], means[k], s, phi, offsets=offsets[k]
             )
             np.add(profile, math.log(tau[k]), out=logp[k])
     row_max = logp[0].copy()
@@ -620,7 +625,8 @@ def _soft_pass(batch, means, covariances, tau):
     entering mean k, each weighted by the memberships of component k.
     The sums are the sufficient statistics of the step (Neal & Hinton
     1998), so they add block by block and no N-length or N x K array
-    outlives its block.  Offsets that overflow raise
+    outlives its block.  The offsets are those the E-step formed and
+    left on the block (``b.offsets``).  Offsets that overflow raise
     :class:`InputError`, as in :func:`center_offsets`, and a block with
     an underflow row makes the proxy -inf.
     """
@@ -630,9 +636,7 @@ def _soft_pass(batch, means, covariances, tau):
     for b, resp, block_loglik in _soft_blocks(batch, means, covariances, tau):
         loglik += block_loglik
         s_b, si, co = b[0], b.sin, b.cos
-        t = np.empty_like(resp)
-        for k in range(K):
-            np.subtract(s_b, mean_sinusoid(b, means[k]), out=t[k])
+        t = vars(b).pop("offsets")
         if not np.all(np.isfinite(t)):
             raise InputError("offsets from the mean are not finite")
         np.multiply(t, t, out=t)  # the offsets are spent once squared

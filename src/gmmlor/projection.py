@@ -48,7 +48,15 @@ class _Batch(tuple):
     Its values are finite: ``estimate._as_arrays`` and
     ``estimate.center_offsets`` check them when they build one, so no
     reader checks them again.
+
+    The E-step (``estimate._memberships_arrays``) leaves on the batch it
+    is given the offsets of its events from each component's mean
+    sinusoid, a (K, n) array ``offsets``, for the phase-2 pass that
+    called it to take.  :meth:`take` and :meth:`with_s` carry only the
+    angle features.
     """
+
+    _FEATURES = ("sin", "cos", "sin2", "cos2", "sin4", "cos4")
 
     def __new__(cls, s, phi):
         return super().__new__(cls, (s, phi))
@@ -86,7 +94,7 @@ class _Batch(tuple):
         indexed rather than computed again: views for a slice, copies for
         an index array.  Features computed on the result stay with it."""
         out = _Batch(self[0][idx], self[1][idx])
-        for name, value in vars(self).items():
+        for name, value in self._features():
             setattr(out, name, value[idx])
         return out
 
@@ -94,8 +102,13 @@ class _Batch(tuple):
         """The batch of the same phi, and of the features computed so
         far, with ``s`` in place of its s: the offsets of its events."""
         out = _Batch(s, self[1])
-        vars(out).update(vars(self))
+        vars(out).update(self._features())
         return out
+
+    def _features(self):
+        """(name, value) of each angle feature computed so far."""
+        return [(name, value) for name, value in vars(self).items()
+                if name in self._FEATURES]
 
     def blocks(self):
         """(slice, batch) for each block of :data:`_BLOCK_EVENTS`
@@ -147,19 +160,24 @@ def projection_variance(covariance, phi) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def log_line_integral_profile(covariance, mean, s, phi) -> np.ndarray:
+def log_line_integral_profile(
+    covariance, mean, s, phi, *, offsets=None
+) -> np.ndarray:
     """Log of the line integral of a Gaussian's density along each LoR,
     vectorized over (s, phi).
 
     The integral is a univariate normal in ``s`` centered on the mean
     sinusoid with variance :func:`projection_variance`.  Kept in log space
     so far-away lines never underflow to zero before membership
-    normalization.
+    normalization.  The offsets s - m(phi) from the mean sinusoid are
+    written to ``offsets`` when it is given.
     """
     var = projection_variance(covariance, phi)
     if np.min(var) < SIGMA_P_SQ_FLOOR:
         raise DegenerateCovarianceError("projected variance below floor")
-    s_c = np.asarray(s, dtype=float) - mean_sinusoid(phi, mean)
+    s_c = np.subtract(
+        np.asarray(s, dtype=float), mean_sinusoid(phi, mean), out=offsets
+    )
     # huge offsets may overflow to inf; the -inf log-density that results
     # is meaningful and handled by the membership normalizer
     with np.errstate(over="ignore"):

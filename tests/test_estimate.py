@@ -991,6 +991,35 @@ def test_phase2_pass_refuses_offsets_that_overflow():
         _soft_pass(batch, means, covariances, tau)
 
 
+@pytest.mark.parametrize("n", [B, 3 * B + 7])
+def test_phase2_pass_takes_its_offsets_from_the_e_step(n, monkeypatch):
+    # one mean sinusoid per component and block, formed by the E-step;
+    # the pass takes the offsets off the block, and no batch built from
+    # the events carries them
+    import gmmlor.estimate as est
+    import gmmlor.projection as proj
+
+    rng = np.random.default_rng([n, 36])
+    batch, means, covariances, tau = shifted_mixture(n, 0.0, rng)
+    sizes = []
+    original = proj.mean_sinusoid
+
+    def counted(phi, mean):
+        sizes.append(len(phi[0]))
+        return original(phi, mean)
+
+    monkeypatch.setattr(proj, "mean_sinusoid", counted)
+    monkeypatch.setattr(est, "mean_sinusoid", counted)
+    _soft_pass(batch, means, covariances, tau)
+    assert len(sizes) == 3 * -(-n // B) and sum(sizes) == 3 * n
+    assert "offsets" not in vars(batch)
+    _soft_loglik(batch, means, covariances, tau)
+    if n <= B:  # the batch is its own block, and keeps the last offsets
+        assert batch.offsets.shape == (3, n)
+    for other in (batch.take(slice(0, 5)), batch.with_s(batch[0])):
+        assert "offsets" not in vars(other) and "sin" in vars(other)
+
+
 def test_fit_hands_the_e_step_one_block_at_a_time(
     benchmark_mixture, monkeypatch
 ):

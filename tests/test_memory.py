@@ -6,7 +6,8 @@ during the call.  A fit that kept N-length 2 phi and 4 phi features, the
 phase-1 labels or a spent offsets batch beside its memberships would
 exceed its bound, as would a simulator that held its per-component
 blocks beside their concatenation, or whose draws kept a temporary of
-each step beside the next.  The phase-1 handoff and phase 2 hold no
+each step beside the next, or a CSV writer that formatted more than a
+chunk of rows at once.  The phase-1 handoff and phase 2 hold no
 per-event array beyond what they start with: every gathered copy,
 membership and offset they form lives for one block of events.  The
 fit command holds no label column of its input.
@@ -151,6 +152,17 @@ def test_fit_command_holds_no_label_column(
         held[labeled] = marks["held"] - base
     assert max(held.values()) <= 20 * N
     assert peaks[True] <= peaks[False] + N
+
+
+def test_csv_write_peak_per_event(benchmark_mixture, tmp_path):
+    # the text of one chunk of rows at a time; one % per chunk of 2^16
+    # rows, with its tuple of Python floats, peaked at 10.6 MB here
+    res = shuffled_events(benchmark_mixture)
+    for labels in (None, res.labels):
+        _, peak = traced_peak(
+            lambda: write_lors_csv(tmp_path / "lors.csv", res.s, res.phi, labels)
+        )
+        assert peak <= 81 * N
 
 
 def test_center_offsets_peak_per_event():
