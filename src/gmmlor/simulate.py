@@ -213,7 +213,7 @@ def _write_rows(fh, columns) -> None:
 # product is carried exactly as a double-double: Dekker's error-free
 # product (Dekker 1971, Numer. Math. 18) of |x| and the double nearest
 # 10^q, plus |x| times that double's remainder.  It is exact where 10^q
-# is a double, and within 2^-46 elsewhere, so D is the correctly rounded
+# is a double, and within 2^-47 elsewhere, so D is the correctly rounded
 # one unless an inexact product lies that close to a half-integer; such
 # values, and those outside _G17_RANGE, are left to %.  The digits are
 # then laid out by %g's rules, one byte row per character position, NUL
@@ -271,9 +271,9 @@ def _g17_scaled(a, e, tables):
 
     Where 10^q is a double (lo = 0, q <= 22) the product is exact, and
     a tie rounds to even: p >= 2^53 is even, so rint's half-even
-    rounding of the rest is that of the sum.  Elsewhere no value
-    inside _G17_RANGE is a tie (Dekker's bound aside), but one can lie
-    within the error of the product from one."""
+    rounding of the rest is that of the sum.  Elsewhere the product is
+    within 2^-47 of a 10^q, and a value that close to a tie is left to
+    %."""
     i = 16 - _G17_POWERS.start - e
     hi, lo, hi_hi, hi_lo = (t.take(i) for t in tables[:4])
     a_hi = a * _SPLIT
