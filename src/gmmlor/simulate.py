@@ -261,7 +261,10 @@ def _g17_tables():
     text = [b"%04d" % i for i in range(10000)]
     words = np.frombuffer(b"".join(text), dtype=np.uint32)
     trailing = np.array([4 - len(t.rstrip(b"0")) for t in text], np.int8)
-    return hi, lo, hi_hi, hi - hi_hi, words, trailing
+    tables = hi, lo, hi_hi, hi - hi_hi, words, trailing
+    for table in tables:
+        table.setflags(write=False)  # shared by every call
+    return tables
 
 
 def _g17_scaled(a, e, tables):
@@ -415,20 +418,16 @@ def _g17_text(columns):
     from % instead.  Integer columns go through the float kernel, whose
     text for an integer of magnitude up to 2^53 is its %d text."""
     n = len(columns[0])
-    pieces, unsettled = [], np.zeros(n, dtype=bool)  # (width, bytes)
+    rows, unsettled = [], np.zeros(n, dtype=bool)
     for k, col in enumerate(columns):
         if col.dtype.kind in "iu":
             unsettled |= (col < -_EXACT_INT) | (col > _EXACT_INT)
-        rows, col_unsettled = _g17_template(col.astype(float))
+        col_rows, col_unsettled = _g17_template(col.astype(float))
         unsettled |= col_unsettled
-        pieces += [(len(r), r.T) for r in rows]
-        pieces.append((1, b",\n"[k == len(columns) - 1]))
-    text = np.empty((n, sum(width for width, _ in pieces)), np.uint8)
-    i = 0
-    for width, value in pieces:
-        text[:, i:i + width] = value
-        i += width
-    return text, unsettled
+        rows += col_rows
+        separator = b",\n"[k == len(columns) - 1]
+        rows.append(np.full((1, n), separator, np.uint8))
+    return np.concatenate(rows).T.copy(), unsettled
 
 
 #: ASCII separators that np.loadtxt strips from around a number as
