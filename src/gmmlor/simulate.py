@@ -233,7 +233,7 @@ _TIE_TOLERANCE = 1e-9
 #: Largest integer magnitude whose %d text is %.17g's text of the
 #: float64 it converts to exactly.
 _EXACT_INT = 1 << 53
-#: The characters that are not digits, and the row index of each digit.
+#: The characters written besides the digits of D, and each digit's row.
 _ZERO, _DOT, _MINUS, _PLUS, _E = np.frombuffer(b"0.-+e", np.uint8)
 _DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, np.newaxis]
 
