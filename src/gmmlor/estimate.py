@@ -7,35 +7,40 @@ passes closest.  The means come from running per-label sums that only
 the moving LoRs change, and a pass recomputes only the LoRs whose
 nearest sinusoid the last moves of the means can have changed.  Phase 1
 holds one label per event, in the smallest unsigned type that holds K
-labels.  The handoff gives each hard cluster a covariance from the
-moment sums of its offsets, taken in one pass over blocks of events, so
-no cluster's events are gathered beyond one block's.  Phase 2
-switches to soft memberships derived from the per-component projected
-densities and re-estimates means, covariances, and weights until the
-weights settle.  Each phase-2 iteration is one pass over blocks of
-events: a block's memberships are formed, weigh that block's terms of
-every per-component sum, and are dropped.  The covariance moments are
-taken about the means that entered the iteration (lagged centering,
-which has the same fixed point as centering on the new means), so all
-the sums an iteration needs are known once its memberships are, and the
-means and covariances are then solved from K rows of 14 sums.
+labels.  The handoff is a phase-2 pass whose memberships are one-hot:
+every event weighs 1 for its phase-1 label, each block of events is
+centred on each phase-1 mean, and each hard cluster's covariance comes
+from the moment sums of its offsets, so no cluster's events are
+gathered.  Phase 2 switches to soft memberships derived from the
+per-component projected densities and re-estimates means, covariances,
+and weights until the weights settle.  Each phase-2 iteration is one
+pass over blocks of events: a block's memberships are formed, weigh
+that block's terms of every per-component sum, and are dropped.  The
+covariance moments are taken about the means that entered the
+iteration (lagged centering, which has the same fixed point as
+centering on the new means), so all the sums an iteration needs are
+known once its memberships are, and the means and covariances are then
+solved from K rows of 14 sums.
 
 Every pass over the events walks the blocks of
 :meth:`projection._Batch.blocks`, the one event batch type: a batch of
 one block is its own block and keeps the 2 phi and 4 phi features a
 pass forms, and a larger batch keeps only sin and cos of every event.
+Every weighted pass forms its sums with one kernel,
+:func:`_block_sums`: the handoff, each phase-2 pass, and
+:func:`fit_mean` and :func:`moments_from_offsets`, which take one batch
+as one component.  Phase 1 alone sums per label with np.bincount, since
+a relabelling pass changes only the sums of the events that move.
 
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
 offsets takes the weighted averages of t = s_c^2 and t^2, of cos and
-sin of 2 phi and 4 phi, and of t times cos and sin of 2 phi: the
-handoff's pass and each phase-2 pass take their sums block by block
-(:func:`_moment_sums`), as :func:`moments_from_offsets` does for one
-batch of offsets.  Every later step is a closed form in those
-averages: the radial moments fix the two principal variances, the
-angular dependence of the squared offsets fixes the orientation (the
-best-scoring root of a quartic in exp(2i phi0)), and a final weighted
-least squares refines the variances in the recovered frame.
+sin of 2 phi and 4 phi, and of t times cos and sin of 2 phi.  Every
+later step is a closed form in those averages: the radial moments fix
+the two principal variances, the angular dependence of the squared
+offsets fixes the orientation (the best-scoring root of a quartic in
+exp(2i phi0)), and a final weighted least squares refines the variances
+in the recovered frame.
 """
 
 from __future__ import annotations
@@ -186,32 +191,78 @@ class FitResult:
 # covariance estimation from centered offsets
 
 
-def _wsum(w, *features) -> float:
-    """sum_i w_i times the product of the features at i.
-
-    Every per-event weighted sum goes through this one reduction, its
-    row-wise einsum forms over K weight rows (:func:`_moment_sums` and
-    the phase-2 pass, :func:`_soft_pass`), or the per-label sums of
-    phase 1 (:func:`_label_pass`), which np.bincount takes.  np.dot
-    would hand long sums to BLAS, which splits them across its threads,
-    so the last digits of a fit would depend on the host's thread
-    count; einsum adds in the same order everywhere, and so does
-    np.bincount, a single loop in NumPy itself that adds each label's
-    weights in event order.
-    """
-    subscripts = ",".join("i" * (1 + len(features))) + "->"
-    return float(np.einsum(subscripts, w, *features))
-
-
 def _as_weights(weights, n: int) -> np.ndarray:
     """The one coercion of per-event weights: ones for None, else an
-    (n,) float array."""
+    (n,) float array of finite, nonnegative weights."""
     if weights is None:
         return np.ones(n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise InputError(f"weights must have shape ({n},), got {w.shape}")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+        raise InputError("weights must be finite and nonnegative")
     return w
+
+
+def _block_sums(w, t, b) -> np.ndarray:
+    """The sums of every weighted pass over the events of one block
+    ``b``: a (K, 14) array, one row per row of the (K, n) weights ``w``
+    and squared offsets ``t``.
+
+    Row k holds the mass (the sum of w), the five weighted sums of
+    :func:`_solve_mean` (sin^2, sin cos, cos^2, s sin and s cos, with s
+    the block's first coordinate) and the eight of
+    :class:`WeightedMoments` in field order (t, t^2, cos and sin of
+    2 phi and 4 phi, t cos 2 phi and t sin 2 phi).  They are the
+    sufficient statistics of the M-step (Neal & Hinton 1998), so a pass
+    adds them block by block.
+
+    Each sum is one einsum over the events, and the mass one np.sum.
+    np.dot or @ would hand long sums to BLAS, which splits them across
+    its threads, so the last digits of a fit would depend on the host's
+    thread count; einsum adds in the same order everywhere.  Phase 1's
+    per-label sums are np.bincount's (:class:`_HardLabels`), a single
+    loop in NumPy itself that adds each label's terms in event order.
+    """
+    s, si, co = b[0], b.sin, b.cos
+    return np.stack([
+        np.sum(w, axis=1),
+        np.einsum("kn,n,n->k", w, si, si),
+        np.einsum("kn,n,n->k", w, si, co),
+        np.einsum("kn,n,n->k", w, co, co),
+        np.einsum("kn,n,n->k", w, s, si),
+        np.einsum("kn,n,n->k", w, s, co),
+        np.einsum("kn,kn->k", w, t),
+        np.einsum("kn,kn,kn->k", w, t, t),
+        np.einsum("kn,n->k", w, b.cos2),
+        np.einsum("kn,n->k", w, b.sin2),
+        np.einsum("kn,n->k", w, b.cos4),
+        np.einsum("kn,n->k", w, b.sin4),
+        np.einsum("kn,kn,n->k", w, t, b.cos2),
+        np.einsum("kn,kn,n->k", w, t, b.sin2),
+    ], axis=1)
+
+
+def _one_component_sums(lors, weights) -> tuple[np.ndarray, float]:
+    """The 14 sums of :func:`_block_sums` over a batch of events as one
+    component, and its total weight: the walk of :func:`fit_mean` and
+    :func:`moments_from_offsets`.
+
+    Event i weighs ``weights[i]`` (1 for None), t = s^2 of the batch's
+    first coordinate, and the blocks of :meth:`_Batch.blocks` are summed
+    in order, so no temporary outlives its block.  The total is one
+    np.sum of every weight, and must be positive and finite.
+    """
+    batch = _as_arrays(lors)
+    w = _as_weights(weights, batch[0].size)
+    mass = float(np.sum(w))
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise InputError("total weight must be positive and finite")
+    sums = np.zeros(14)
+    for block, b in batch.blocks():
+        s_b = b[0][None]
+        sums += _block_sums(w[None, block], s_b * s_b, b)[0]
+    return sums, mass
 
 
 @dataclass(frozen=True)
@@ -257,46 +308,12 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
 
     The only step of the covariance pipeline that reads events; the
     others are closed forms in the returned :class:`WeightedMoments`.
-    ``weights=None`` weighs every event 1.
-
-    The pass walks the blocks of :meth:`_Batch.blocks`.  Each block
-    forms t = s_c^2 and its 2 phi and 4 phi features, takes the eight
-    weighted sums (:func:`_moment_sums`), and adds them to those of the
-    blocks before it, so no temporary outlives its block.
+    ``weights=None`` weighs every event 1.  The eight sums are those of
+    :func:`_block_sums` with the offsets as one component, taken block
+    by block (:func:`_one_component_sums`).
     """
-    batch = _as_arrays(offsets)
-    w = _as_weights(weights, batch[0].size)
-    mass = float(np.sum(w))
-    if mass <= 0.0:
-        raise InputError("total weight must be positive")
-    sums = np.zeros(8)
-    for block, b in batch.blocks():
-        s_b = b[0][None]
-        sums += _moment_sums(w[None, block], s_b * s_b, b)[0]
-    return _moments_from_sums(sums, mass)
-
-
-def _moment_sums(w, t, batch) -> np.ndarray:
-    """The weighted sums of t, t^2, cos and sin of 2 phi and 4 phi, and
-    t cos 2 phi and t sin 2 phi, the fields of :class:`WeightedMoments`
-    in order, over the n events of ``batch``: a (K, 8)
-    array, one row per row of the (K, n) weights ``w`` and squared
-    offsets ``t`` = s_c^2.
-
-    Each sum is one einsum over the events, which adds in the same order
-    on every host (see :func:`_wsum`); a row is bitwise the :func:`_wsum`
-    of the same terms.
-    """
-    return np.stack([
-        np.einsum("kn,kn->k", w, t),
-        np.einsum("kn,kn,kn->k", w, t, t),
-        np.einsum("kn,n->k", w, batch.cos2),
-        np.einsum("kn,n->k", w, batch.sin2),
-        np.einsum("kn,n->k", w, batch.cos4),
-        np.einsum("kn,n->k", w, batch.sin4),
-        np.einsum("kn,kn,n->k", w, t, batch.cos2),
-        np.einsum("kn,kn,n->k", w, t, batch.sin2),
-    ], axis=1)
+    sums, mass = _one_component_sums(offsets, weights)
+    return _moments_from_sums(sums[6:], mass)
 
 
 def _moments_from_sums(sums, mass: float) -> WeightedMoments:
@@ -488,18 +505,15 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     """Weighted least-squares mean under the sinusoid model.
 
     Minimizes sum p_i (s_i - (-mu_x sin(phi_i) + mu_y cos(phi_i)))^2.
-    The 2x2 normal system is solved in closed form; a condition number
-    beyond 1e12 (all LoRs nearly parallel) is refused since the mean
-    position is unidentifiable along the common line direction.
+    The five sums of the 2x2 normal system are those of
+    :func:`_block_sums` with the events as one component, taken block by
+    block (:func:`_one_component_sums`), and the system is solved in
+    closed form; a condition number beyond 1e12 (all LoRs nearly
+    parallel) is refused since the mean position is unidentifiable along
+    the common line direction.
     """
-    batch = _as_arrays(lors)
-    s = batch[0]
-    p = _as_weights(weights, s.size)
-    si, co = batch.sin, batch.cos
-    return _solve_mean(
-        _wsum(p, si, si), _wsum(p, si, co), _wsum(p, co, co),
-        _wsum(p, s, si), _wsum(p, s, co),
-    )
+    sums, _ = _one_component_sums(lors, weights)
+    return _solve_mean(*sums[1:6])
 
 
 def _solve_mean(a, b, c, s_sin, s_cos) -> np.ndarray:
@@ -619,33 +633,26 @@ def _soft_pass(batch, means, covariances, tau):
     per-component sums, and the log-likelihood proxy of the entering
     parameters.
 
-    Row k holds component k's membership mass, the five weighted sums of
-    :func:`_solve_mean` (as :func:`fit_mean` takes them) and the eight
-    weighted sums of :func:`_moment_sums` over the offsets from the
-    entering mean k, each weighted by the memberships of component k.
-    The sums are the sufficient statistics of the step (Neal & Hinton
-    1998), so they add block by block and no N-length or N x K array
-    outlives its block.  The offsets are those the E-step formed and
-    left on the block (``b.offsets``).  Offsets that overflow raise
-    :class:`InputError`, as in :func:`center_offsets`, and a block with
-    an underflow row makes the proxy -inf.
+    Each block's sums are :func:`_block_sums` of its memberships and of
+    the squares of its offsets from the entering means, so row k holds
+    component k's membership mass, the five sums of :func:`_solve_mean`
+    and the eight moment sums about the entering mean k.  The sums add
+    block by block, so no N-length or N x K array outlives its block.
+    The offsets are those the E-step formed and left on the block
+    (``b.offsets``).  Offsets that overflow raise :class:`InputError`,
+    as in :func:`center_offsets`, and a block with an underflow row
+    makes the proxy -inf.
     """
     K = len(tau)
     sums = np.zeros((K, 14))
     loglik = 0.0
     for b, resp, block_loglik in _soft_blocks(batch, means, covariances, tau):
         loglik += block_loglik
-        s_b, si, co = b[0], b.sin, b.cos
         t = vars(b).pop("offsets")
         if not np.all(np.isfinite(t)):
             raise InputError("offsets from the mean are not finite")
         np.multiply(t, t, out=t)  # the offsets are spent once squared
-        sums[:, 0] += np.sum(resp, axis=1)
-        for col, (x, y) in enumerate(
-            ((si, si), (si, co), (co, co), (s_b, si), (s_b, co)), start=1
-        ):
-            sums[:, col] += np.einsum("kn,n,n->k", resp, x, y)
-        sums[:, 6:] += _moment_sums(resp, t, b)
+        sums += _block_sums(resp, t, b)
         b = resp = t = None  # the next block's E-step would run beside them
     return sums, loglik
 
@@ -706,33 +713,6 @@ def _nearest_sinusoid(batch, means):
     return labels, second
 
 
-def _label_features(s, si, co):
-    """The five per-event features of :func:`_solve_mean`: sin^2,
-    sin cos, cos^2, s sin and s cos."""
-    return si * si, si * co, co * co, s * si, s * co
-
-
-def _label_pass(batch, labels, K: int):
-    """One pass over the events, block by block, that counts each label's
-    events and sums the features of :func:`_label_features` per label.
-
-    Returns the counts and a (5, K) array of sums, the arguments of
-    :func:`_solve_mean`.  The sums are the sufficient statistics of the
-    hard-assignment mean fit (incremental EM, Neal & Hinton 1998), so no
-    cluster's events are gathered.  Phase 1 takes it once, on the
-    starting labels; :class:`_HardLabels` then keeps the sums running.
-    """
-    counts = np.zeros(K, dtype=np.int64)
-    sums = np.zeros((5, K))
-    for block, b in batch.blocks():
-        lab = labels[block]
-        counts += np.bincount(lab, minlength=K)
-        features = _label_features(b[0], b.sin, b.cos)
-        for row, feature in zip(sums, features):
-            row += np.bincount(lab, weights=feature, minlength=K)
-    return counts, sums
-
-
 class _HardLabels:
     """Phase 1's labels with their per-label counts and sums, kept up to
     date across relabelling passes, and with a bound that lets a pass
@@ -750,12 +730,22 @@ class _HardLabels:
     event keeps a label that is strictly nearest, which is what
     :func:`_nearest_sinusoid` would give it; ties are always recomputed.
     Keys start at -inf, so the first relabelling pass recomputes every
-    event.  Only the events that move change the counts and sums.
+    event.
+
+    The counts and sums are the sufficient statistics of the
+    hard-assignment mean fit (incremental EM, Neal & Hinton 1998), the
+    sums being the five of :func:`_solve_mean` per label.  They start
+    from zero with every event tallied to its starting label, one block
+    at a time, and a relabelling pass tallies only the events that move,
+    by the same np.bincount code (:meth:`_move`).
     """
 
     def __init__(self, batch, labels, K: int):
         self.batch, self.labels, self.K = batch, labels, K
-        self.counts, self.sums = _label_pass(batch, labels, K)
+        self.counts = np.zeros(K, dtype=np.int64)
+        self.sums = np.zeros((5, K))
+        for block, b in batch.blocks():
+            self._move(labels[block], labels[:0], b[0], b.sin, b.cos)
         self.keys = np.full(labels.size, -np.inf)
         self.drift = 0.0
         s = batch[0]
@@ -771,7 +761,7 @@ class _HardLabels:
             self.s_max + 2.0 * float(np.max(np.abs(means))) + self.drift + 1.0
         )
         limit = self.drift + margin
-        K, recomputed = self.K, 0
+        recomputed = 0
         for run in self._candidates(limit):
             events = self.batch.take(run)
             recomputed += events[0].size
@@ -780,19 +770,26 @@ class _HardLabels:
             old = self.labels[run]
             moved = np.flatnonzero(new != old)
             old, new = old[moved], new[moved]
-            features = _label_features(
-                events[0][moved], events.sin[moved], events.cos[moved]
-            )
             if isinstance(run, slice):
                 self.labels[run][moved] = new
             else:
                 self.labels[run[moved]] = new
-            self.counts += np.bincount(new, minlength=K)
-            self.counts -= np.bincount(old, minlength=K)
-            for row, feature in zip(self.sums, features):
-                row += np.bincount(new, weights=feature, minlength=K)
-                row -= np.bincount(old, weights=feature, minlength=K)
+            self._move(
+                new, old,
+                events[0][moved], events.sin[moved], events.cos[moved],
+            )
         return recomputed
+
+    def _move(self, new, old, s, si, co):
+        """Move events from the labels ``old`` to the labels ``new`` in
+        the counts and sums, given their s, sin phi and cos phi."""
+        K = self.K
+        self.counts += np.bincount(new, minlength=K)
+        self.counts -= np.bincount(old, minlength=K)
+        features = si * si, si * co, co * co, s * si, s * co
+        for row, feature in zip(self.sums, features):
+            row += np.bincount(new, weights=feature, minlength=K)
+            row -= np.bincount(old, weights=feature, minlength=K)
 
     def _candidates(self, limit):
         """The events whose key is not above ``limit``, block by block.
@@ -824,31 +821,26 @@ class _HardLabels:
 
 
 def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
-    """The eight :func:`_moment_sums` of each hard cluster's offsets from
-    its mean sinusoid, every event weighing 1: a (K, 8) array, one row
-    per row of ``means``.
+    """The handoff's pass: a phase-2 pass whose memberships are the
+    one-hot phase-1 ``labels``, about the phase-1 ``means``.  Returns
+    the (K, 14) sums of :func:`_block_sums`, one row per row of
+    ``means``; the mass column is each label's count.
 
-    One pass over the blocks of :meth:`_Batch.blocks`.  In each block
-    every cluster's events are gathered, centred by
-    :func:`center_offsets` (which checks that the offsets are finite),
-    and their sums added to the cluster's row, so the pass holds no
-    gathered copy beyond one block's.  The sums add block by block (Neal
-    & Hinton 1998), so for a batch of one block they are bitwise those
-    of :func:`moments_from_offsets` on each cluster's offsets.
+    Each block is centred on each mean by :func:`center_offsets` (which
+    checks that the offsets are finite), and an event weighs 1 in its
+    own cluster's row and 0 in the others, so no cluster's events are
+    gathered.
     """
     K = len(means)
-    sums = np.zeros((K, 8))
+    sums = np.zeros((K, 14))
     for block, b in batch.blocks():
-        lab = labels[block]
+        w = (labels[block] == np.arange(K)[:, None]).astype(float)
+        t = np.empty(w.shape)
         for k in range(K):
-            idx = np.flatnonzero(lab == k)
-            if idx.size == 0:
-                continue
-            cluster = center_offsets(b.take(idx), means[k])
-            s_c = cluster[0]
-            sums[k] += _moment_sums(
-                np.ones((1, idx.size)), (s_c * s_c)[None], cluster
-            )[0]
+            s_c = center_offsets(b, means[k])[0]
+            np.multiply(s_c, s_c, out=t[k])
+        sums += _block_sums(w, t, b)
+        b = w = t = s_c = None  # the next block's would run beside them
     return sums
 
 
@@ -904,7 +896,7 @@ def _run_single_fit(
     covariances = np.empty((K, 2, 2))
     for k in range(K):
         covariances[k] = _covariance_from_moments(
-            _moments_from_sums(sums[k], float(counts[k])),
+            _moments_from_sums(sums[k, 6:], float(counts[k])),
             config.variance_floor,
         )
     tau = counts / n

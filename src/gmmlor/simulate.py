@@ -487,46 +487,63 @@ def _parse_lors_csv(path):
 
 
 def _read_lors_rows(path):
-    """:func:`read_lors_csv` one row at a time with the csv module."""
+    """:func:`read_lors_csv` one row at a time with the csv module.
+
+    It is the one judge of bad rows: every row it cannot take raises an
+    :class:`InputError` that names the line.  Bytes that are not UTF-8
+    reach ``float`` and ``int`` as escapes and fail there, and so does a
+    label beyond int64 or a field beyond the csv module's size limit.
+    """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise InputError(f"cannot open LoR file: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("LoR file is empty") from None
-        header = tuple(h.strip() for h in header)
-        if header == CSV_HEADER:
-            labeled = False
-        elif header == CSV_HEADER_LABELED:
-            labeled = True
-        else:
-            raise InputError(f"unrecognized LoR header {header!r}")
-        s_vals, phi_vals, label_vals = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"line {lineno}: expected {len(header)} fields")
+            return _lors_from_rows(reader)
+        except csv.Error as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from exc
+
+
+def _lors_from_rows(reader):
+    """(s, phi, labels-or-None) from the rows of ``reader``, header
+    first."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("LoR file is empty") from None
+    header = tuple(h.strip() for h in header)
+    if header == CSV_HEADER:
+        labeled = False
+    elif header == CSV_HEADER_LABELED:
+        labeled = True
+    else:
+        raise InputError(f"unrecognized LoR header {header!r}")
+    s_vals, phi_vals, label_vals = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"line {lineno}: expected {len(header)} fields")
+        try:
+            s_i = float(row[0])
+            phi_i = float(row[1])
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        if not (math.isfinite(s_i) and math.isfinite(phi_i)):
+            raise InputError(f"line {lineno}: non-finite value")
+        s_vals.append(s_i)
+        phi_vals.append(phi_i)
+        if labeled:
             try:
-                s_i = float(row[0])
-                phi_i = float(row[1])
+                label = int(row[2])
             except ValueError as exc:
                 raise InputError(f"line {lineno}: {exc}") from exc
-            if not (math.isfinite(s_i) and math.isfinite(phi_i)):
-                raise InputError(f"line {lineno}: non-finite value")
-            s_vals.append(s_i)
-            phi_vals.append(phi_i)
-            if labeled:
-                try:
-                    label_vals.append(int(row[2]))
-                except ValueError as exc:
-                    raise InputError(f"line {lineno}: {exc}") from exc
+            if not -(1 << 63) <= label < (1 << 63):
+                raise InputError(f"line {lineno}: label {label} beyond int64")
+            label_vals.append(label)
     s = np.asarray(s_vals, dtype=float)
     phi = np.asarray(phi_vals, dtype=float)
     labels = np.asarray(label_vals, dtype=np.int64) if labeled else None
     return s, phi, labels
-

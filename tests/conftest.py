@@ -33,6 +33,21 @@ def benchmark_components():
     )
 
 
+#: LoR CSVs that the row reader must refuse with an InputError naming
+#: the line given, not with the exception it meets there: a label beyond
+#: int64, a byte that is not UTF-8 and a field beyond the csv module's
+#: size limit.
+UNPARSABLE_CSVS = {
+    "label beyond int64": (
+        b"s,phi,label\n0.1,0.2,0\n0.1,0.2,9223372036854775808\n", 3
+    ),
+    "byte that is not UTF-8": (b"s,phi\n0.1,0.2\n0.2\xff,0.3\n", 3),
+    "field beyond the csv limit": (
+        b"s,phi\n0.1,0.2\n" + b"1" * 140_000 + b",0.3\n", 3
+    ),
+}
+
+
 # event counts paired with the benchmark mixture (7000 total, 5:25/7:10/7)
 BENCHMARK_COUNTS = (3500, 2500, 1000)
 

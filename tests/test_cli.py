@@ -18,7 +18,7 @@ from gmmlor import (
     save_model,
 )
 from gmmlor.cli import main
-from conftest import make_component
+from conftest import UNPARSABLE_CSVS, make_component
 
 
 @pytest.fixture()
@@ -172,6 +172,17 @@ def test_fit_empty_csv_is_input_error(tmp_path):
     lors.write_text("s,phi\n")
     rc = main(["fit", str(lors), "--k", "1", "--out", str(tmp_path / "m.json")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_CSVS))
+def test_fit_of_an_unparsable_csv_is_input_error(tmp_path, capsys, name):
+    data, line = UNPARSABLE_CSVS[name]
+    lors = tmp_path / "lors.csv"
+    lors.write_bytes(data)
+    rc = main(["fit", str(lors), "--k", "1", "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"line {line}: " in err and "Traceback" not in err
 
 
 def test_fit_iteration_cap_exit_code(tmp_path, truth_path):

@@ -45,15 +45,13 @@ from gmmlor.estimate import (
     _BLOCK_EVENTS,
     _Batch,
     _HardLabels,
+    _block_sums,
     _cluster_moment_sums,
-    _label_pass,
     _memberships_arrays,
-    _moments_from_sums,
     _nearest_sinusoid,
     _soft_loglik,
     _soft_pass,
     _solve_mean,
-    _wsum,
 )
 from gmmlor.projection import log_line_integral_profile
 from conftest import make_component
@@ -68,6 +66,13 @@ def pseudo_offsets(sigma1_sq, sigma2_sq, phi0, n=64):
     cov = covariance_from_eigen(EigenDecomposition2D(sigma1_sq, sigma2_sq, phi0))
     phis = np.linspace(-math.pi / 2, math.pi / 2, n, endpoint=False)
     return np.sqrt(projection_variance(cov, phis)), phis
+
+
+def wsum(w, *features) -> float:
+    """sum_i w_i times the product of the features at i, as one einsum
+    over every event: the unblocked oracle of the fit's weighted sums."""
+    subscripts = ",".join("i" * (1 + len(features))) + "->"
+    return float(np.einsum(subscripts, w, *features))
 
 
 def cached(s, phi, idx=None):
@@ -114,12 +119,33 @@ def test_moments_weights_default_to_uniform():
     assert a.mass == pytest.approx(b.mass, rel=1e-14)
 
 
-@pytest.mark.parametrize("reader", [fit_mean, moments_from_offsets])
+@pytest.mark.parametrize(
+    "reader", [fit_mean, moments_from_offsets, estimate_covariance]
+)
 @pytest.mark.parametrize("shape", [(3,), (5, 1), (1, 5)])
 def test_weights_of_the_wrong_shape_are_input_errors(reader, shape):
     events = (np.linspace(-0.5, 0.5, 5), np.linspace(-1.2, 1.2, 5))
     with pytest.raises(InputError, match="weights"):
         reader(events, np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "reader", [fit_mean, moments_from_offsets, estimate_covariance]
+)
+@pytest.mark.parametrize("bad", [
+    [1.0, math.nan, 1.0, 1.0, 1.0],
+    [1.0, 1.0, math.inf, 1.0, 1.0],
+    [1.0, 1.0, 1.0, -math.inf, 1.0],
+    [1.0, 1.0, 1.0, 1.0, -0.5],
+    [0.0] * 5,
+    [1e308] * 5,  # finite weights whose total overflows
+])
+def test_weights_that_are_not_finite_and_nonnegative_are_input_errors(
+    reader, bad
+):
+    events = (np.linspace(-0.5, 0.5, 5), np.linspace(-1.2, 1.2, 5))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="weight"):
+        reader(events, np.array(bad))
 
 
 # ------------------------------------------------------------ moment inversion
@@ -780,8 +806,8 @@ def unblocked_moment_sums(s_c, phi, w):
         (t,), (t, t), (batch.cos2,), (batch.sin2,), (batch.cos4,),
         (batch.sin4,), (t, batch.cos2), (t, batch.sin2),
     ]
-    sums = [_wsum(w, *f) for f in features]
-    scales = [_wsum(np.abs(w), *(np.abs(x) for x in f)) for f in features]
+    sums = [wsum(w, *f) for f in features]
+    scales = [wsum(np.abs(w), *(np.abs(x) for x in f)) for f in features]
     return sums, scales
 
 
@@ -868,32 +894,36 @@ def fit_held_batch(s, phi):
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_handoff_sums_are_each_clusters_moment_sums(n):
-    # bitwise those of moments_from_offsets on each gathered cluster
-    # for one block; above it, within 1e-12 of the sum of absolute terms
+    # the kernel on one-hot weights, with the label counts as masses:
+    # bitwise for one block; at every n, each cluster's moment sums are
+    # those of moments_from_offsets on its gathered events within 1e-12
+    # of the sum of absolute terms
     rng = np.random.default_rng(80 + n)
     s, phi = random_events(n, rng)
     batch = fit_held_batch(s, phi)
     means = rng.normal(0.0, 3.0, size=(3, 2))
     labels = rng.integers(0, 3, n).astype(np.uint8)
     sums = _cluster_moment_sums(batch, labels, means)
-    assert sums.shape == (3, 8)
+    assert sums.shape == (3, 14)
+    assert np.array_equal(sums[:, 0], np.bincount(labels, minlength=3))
+    if n <= B:
+        onehot = (labels == np.arange(3)[:, None]).astype(float)
+        s_c = np.array([s - mean_sinusoid(batch, mean) for mean in means])
+        want = _block_sums(onehot, s_c * s_c, cached(s, phi))
+        assert sums.tobytes() == want.tobytes()
+    else:  # the blocks form their 2 phi and 4 phi features and drop them
+        assert set(vars(batch)) == {"sin", "cos"}
     for k in range(3):
         idx = np.flatnonzero(labels == k)
         if idx.size == 0:
             assert not sums[k].any()
             continue
         offsets = center_offsets(batch.take(idx), means[k])
-        if n <= B:
-            got = _moments_from_sums(sums[k], float(idx.size))
-            want = moments_from_offsets(offsets)
-            assert moment_bits(got) == moment_bits(want)
-        else:
-            want, scales = unblocked_moment_sums(*offsets, np.ones(idx.size))
-            for field, got, w, scale in zip(
-                MOMENT_FIELDS, sums[k], want, scales
-            ):
-                assert abs(got - w) <= 1e-12 * scale, field
-    assert set(vars(batch)) == {"sin", "cos"}
+        m = moments_from_offsets(offsets)
+        _, scales = unblocked_moment_sums(*offsets, np.ones(idx.size))
+        for field, got, scale in zip(MOMENT_FIELDS, sums[k, 6:], scales):
+            want = getattr(m, field) * m.mass
+            assert abs(got - want) <= 1e-12 * scale, field
 
 
 def test_handoff_refuses_overflowing_offsets():
@@ -936,11 +966,11 @@ def oracle_phase2_sums(batch, means, covariances, tau):
         s_c, _ = center_offsets((s, phi), means[k])
         moment_sums, moment_scales = unblocked_moment_sums(s_c, phi, w)
         sums.append(
-            [np.sum(w)] + [_wsum(w, *f) for f in mean_terms] + moment_sums
+            [np.sum(w)] + [wsum(w, *f) for f in mean_terms] + moment_sums
         )
         scales.append(
             [np.sum(w)]
-            + [_wsum(w, *(np.abs(x) for x in f)) for f in mean_terms]
+            + [wsum(w, *(np.abs(x) for x in f)) for f in mean_terms]
             + moment_scales
         )
     return np.array(sums), np.array(scales), resp
@@ -959,6 +989,18 @@ def test_phase2_pass_sums_match_the_unblocked_formulas(n, shift):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
     ref_loglik = _memberships_arrays(*batch, means, covariances, tau)[1]
     assert loglik == pytest.approx(ref_loglik, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[:3])
+def test_phase2_pass_of_one_block_is_the_kernel_on_one_e_step(n):
+    rng = np.random.default_rng([n, 21])
+    batch, means, covariances, tau = shifted_mixture(n, 10.0, rng)
+    resp, loglik = _memberships_arrays(batch[0], batch, means, covariances, tau)
+    t = vars(batch).pop("offsets")
+    want = _block_sums(resp.T, t * t, batch)
+    got, got_loglik = _soft_pass(batch, means, covariances, tau)
+    assert got.tobytes() == want.tobytes()
+    assert got_loglik == loglik
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -1072,12 +1114,29 @@ def test_label_pass_means_match_fit_mean_on_each_cluster(n):
     batch = cached(s, phi)
     K = 3
     labels = rng.integers(0, K, n)
-    counts, sums = _label_pass(batch, labels, K)
+    hard = _HardLabels(batch, labels, K)
+    counts, sums = hard.counts, hard.sums
     assert np.array_equal(counts, np.bincount(labels, minlength=K))
     for k in range(K):
         want = fit_mean(batch.take(np.flatnonzero(labels == k)))
         got = _solve_mean(*sums[:, k])
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[:3])
+def test_phase1_start_sums_are_one_bincount_per_feature(n):
+    # the sums the starting labels give, for one block, bitwise
+    rng = np.random.default_rng(55 + n)
+    s, phi = random_events(n, rng)
+    labels = rng.integers(0, 3, n).astype(np.uint8)
+    hard = _HardLabels(fit_held_batch(s, phi), labels, 3)
+    si, co = np.sin(phi), np.cos(phi)
+    want = [
+        np.bincount(labels, weights=f, minlength=3)
+        for f in (si * si, si * co, co * co, s * si, s * co)
+    ]
+    assert hard.sums.tobytes() == np.array(want).tobytes()
+    assert np.array_equal(hard.counts, np.bincount(labels, minlength=3))
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -1101,7 +1160,8 @@ def assert_matches_a_full_pass(hard, batch, means):
     the largest magnitude a label's sum could reach."""
     want = _nearest_sinusoid(batch, means)[0]
     assert np.array_equal(hard.labels, want)
-    counts, sums = _label_pass(batch, want, len(means))
+    full = _HardLabels(batch, want, len(means))
+    counts, sums = full.counts, full.sums
     assert np.array_equal(hard.counts, counts)
     assert np.array_equal(counts, np.bincount(want, minlength=len(means)))
     reach = np.maximum(counts, 1) * (1.0 + np.max(np.abs(batch[0])))
@@ -1402,14 +1462,11 @@ def test_fit_goes_through_the_module_seams(benchmark_mixture, monkeypatch):
     assert calls["_memberships_arrays"] == blocks * (phase2 + 1)
     # both phases solve their means from per-component sums
     assert calls["fit_mean"] == 0
-    # the handoff centres each cluster's events of each block once, and
-    # takes their moments in its one pass; phase 2 takes its moments in
-    # its own pass
+    # the handoff centres each block on each mean once, and takes their
+    # moments in its one pass; phase 2 takes its moments in its own pass
     (labels,) = handed_over
     assert labels.dtype == np.uint8
-    pairs = sum(np.unique(labels[i:i + B]).size for i in range(0, n, B))
-    assert pairs >= K
-    assert calls["center_offsets"] == pairs
+    assert calls["center_offsets"] == K * blocks
     assert calls["estimate_covariance"] == 0
     assert calls["moments_from_offsets"] == 0
     covariances = K * (1 + phase2)  # once after phase 1, then per M-step

@@ -18,7 +18,7 @@ from gmmlor import (
 )
 import gmmlor.simulate
 from gmmlor.rng import SeededStream, cholesky_2x2
-from conftest import BENCHMARK_COUNTS, make_component
+from conftest import BENCHMARK_COUNTS, UNPARSABLE_CSVS, make_component
 
 
 def single(mean, cov):
@@ -182,6 +182,10 @@ CSV_PARITY_INPUTS = {
     "label +3": "s,phi,label\n1.0,2.0,+3\n",
     "label space 3": "s,phi,label\n1.0,2.0, 3\n",
     "label 1_0": "s,phi,label\n1.0,2.0,1_0\n",
+    "labels at the ends of int64": (
+        "s,phi,label\n1.0,2.0,9223372036854775807\n"
+        "1.0,2.0,-9223372036854775808\n"
+    ),
     "header only": "s,phi\n",
     "blank lines only": "s,phi\n\n\n",
     "quoted header": '"s",phi\n1.0,2.0\n',
@@ -213,6 +217,17 @@ def test_csv_label_errors_do_not_depend_on_numpy(tmp_path):
     path = tmp_path / "lors.csv"
     path.write_text("s,phi,label\n1.0,2.0,0\n1.0,2.0,3.0\n")
     with pytest.raises(InputError, match=r"line 3: .*'3\.0'"):
+        read_lors_csv(path)
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_CSVS))
+def test_csv_refuses_what_float_and_int_do_not_see_at_its_line(
+    tmp_path, name
+):
+    data, line = UNPARSABLE_CSVS[name]
+    path = tmp_path / "lors.csv"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=rf"^line {line}: "):
         read_lors_csv(path)
 
 
