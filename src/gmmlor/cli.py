@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -35,7 +36,6 @@ from .errors import (
 from .estimate import (
     FitConfig,
     config_from_dict,
-    config_to_dict,
     fit,
     trace_to_jsonl,
 )
@@ -50,8 +50,6 @@ from .model import (
     _mixture_density,
     check_format_version,
     load_model,
-    model_from_dict,
-    model_to_dict,
     save_model,
 )
 from .rng import derive_seed
@@ -73,6 +71,16 @@ MIN_STUDY_SUCCESS = 0.95
 
 class CliUsageError(Exception):
     """Semantic argument problem (mapped to exit code 2)."""
+
+
+#: The exit code of each error :func:`main` catches: the first class
+#: that matches wins, so a component death exits 6, not 4.
+_EXIT_CODES = (
+    (CliUsageError, EXIT_USAGE),
+    (ComponentDeathError, EXIT_DEATH),
+    (InputError, EXIT_BAD_INPUT),
+    (GmmLorError, EXIT_NUMERIC),
+)
 
 
 def _resolve_counts(args, model) -> list[int] | None:
@@ -273,18 +281,20 @@ def cmd_evaluate(args) -> int:
 
 
 def _replicate_task(payload):
-    """One simulate-fit-evaluate replicate; runs in worker processes."""
+    """One simulate-fit-evaluate replicate; runs in worker processes.
+
+    ``payload`` holds the truth model and the fit config as they are,
+    so a worker process receives them pickled."""
     (
         index,
-        truth_dict,
+        truth,
         counts,
         n_total,
-        config_kwargs,
+        config,
         sim_seed,
         fit_seed,
         kl_grid,
     ) = payload
-    truth = model_from_dict(truth_dict)
     row = {
         "replicate": index,
         "sim_seed": sim_seed,
@@ -299,7 +309,7 @@ def _replicate_task(payload):
         sim = simulate_lors(
             truth, counts=counts, n_total=n_total, seed=sim_seed
         )
-        config = FitConfig(**{**config_kwargs, "seed": fit_seed})
+        config = dataclasses.replace(config, seed=fit_seed)
         result = fit((sim.s, sim.phi), config)
         report = evaluate_against_truth(result.model, truth, kl_grid=kl_grid)
         row["status"] = "ok" if result.converged else "max_iter"
@@ -307,12 +317,10 @@ def _replicate_task(payload):
         row["cov_errors"] = report.cov_errors
         row["weight_errors"] = report.weight_errors
         row["kl"] = report.kl_divergence
-    except ComponentDeathError as exc:
+    except ComponentDeathError:
         row["status"] = "death"
-        row["detail"] = str(exc)
-    except NumericalError as exc:
+    except NumericalError:
         row["status"] = "numeric"
-        row["detail"] = str(exc)
     return row
 
 
@@ -322,16 +330,14 @@ def cmd_replicate(args) -> int:
     if args.k is None:
         args.k = len(truth.components)
     config = _resolve_fit_config(args)
-    config_kwargs = config_to_dict(config)
-    truth_dict = model_to_dict(truth)
     # each replicate gets two private seed lanes: simulate and fit
     payloads = [
         (
             i,
-            truth_dict,
+            truth,
             counts,
             args.n,
-            config_kwargs,
+            config,
             derive_seed(config.seed, 2 * i),
             derive_seed(config.seed, 2 * i + 1),
             args.grid,
@@ -505,22 +511,11 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.func(args)
-    except CliUsageError as exc:
-        log.error("%s", exc)
+    except (CliUsageError, GmmLorError) as exc:
+        if isinstance(exc, CliUsageError):
+            log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ComponentDeathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEATH
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except GmmLorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def entry() -> None:

@@ -63,6 +63,7 @@ from .model import (
     GaussianComponent2D,
     LineOfResponse,
     MixtureModel2D,
+    _sym2_eigenvalues,
     canonicalize_orientation,
     covariance_from_eigen,
 )
@@ -401,7 +402,9 @@ def refine_sigmas(
     (u, v) = (sin^2(phi0 - phi), cos^2(phi0 - phi)).  With d = phi0 - phi,
     u = (1 - cos 2d)/2 and v = (1 + cos 2d)/2, so the normal equations
     need only E[cos 2d], E[cos 4d] and E[t cos 2d], which the angle-sum
-    formulas give from the moments.  The solution is clamped at the
+    formulas give from the moments.  The system is solved by
+    :func:`_solve_sym2`, which refuses it when the angles covered are too
+    few to tell u from v.  The solution is clamped at the
     variance floor, and if the fit comes back with the minor variance
     larger, the pair is swapped and the orientation rotated a quarter
     turn so sigma1_sq stays the major variance.  The possibly adjusted
@@ -416,17 +419,10 @@ def refine_sigmas(
     m22 = 0.375 + 0.5 * cos2d + 0.125 * cos4d  # E[v^2]
     b1 = 0.5 * (m.m2w - tcos2d)  # E[t u]
     b2 = 0.5 * (m.m2w + tcos2d)  # E[t v]
-
-    mid = 0.5 * (m11 + m22)
-    rad = math.hypot(0.5 * (m11 - m22), m12)
-    lo, hi_ = mid - rad, mid + rad
-    if lo <= 0.0 or hi_ / lo > CONDITION_LIMIT:
-        raise DegenerateGeometryError(
-            "angle coverage too thin to separate the principal variances"
-        )
-    det = m11 * m22 - m12 * m12
-    s1 = (m22 * b1 - m12 * b2) / det
-    s2 = (m11 * b2 - m12 * b1) / det
+    s1, s2 = _solve_sym2(
+        m11, m12, m22, b1, b2,
+        "angle coverage too thin to separate the principal variances",
+    )
     s1 = max(s1, variance_floor)
     s2 = max(s2, variance_floor)
     if s2 > s1:
@@ -456,10 +452,20 @@ def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
     phi0 = solve_orientation(m, s1, s2)
     s1, s2, phi0 = refine_sigmas(m, phi0, floor)
     phi0 = solve_orientation(m, s1, s2)
-    eigen = EigenDecomposition2D(
-        sigma1_sq=s1, sigma2_sq=s2, phi0=canonicalize_orientation(phi0)
-    )
-    return covariance_from_eigen(eigen)
+    return covariance_from_eigen(EigenDecomposition2D(s1, s2, phi0))
+
+
+def _covariances(sums, floor: float) -> np.ndarray:
+    """The covariance M-step of the handoff and of phase 2: the
+    (K, 2, 2) covariances, with variance floor ``floor``, of the K rows
+    of the (K, 14) sums of :func:`_block_sums`, each row's moment sums
+    averaged over its mass, column 0."""
+    return np.array([
+        _covariance_from_moments(
+            _moments_from_sums(row[6:], float(row[0])), floor
+        )
+        for row in sums
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +524,31 @@ def fit_mean(lors, weights=None) -> np.ndarray:
 
 def _solve_mean(a, b, c, s_sin, s_cos) -> np.ndarray:
     """The mean from the weighted sums of sin^2, sin cos, cos^2,
-    s sin and s cos over the events: the closed-form solution of the
-    2x2 normal system of :func:`fit_mean`."""
-    r1 = -s_sin
-    r2 = s_cos
-    mid = 0.5 * (a + c)
-    rad = math.hypot(0.5 * (a - c), b)
-    lo = mid - rad
-    if lo <= 0.0 or (mid + rad) / lo > CONDITION_LIMIT:
-        raise DegenerateGeometryError(
-            "LoR angles too concentrated to locate a mean"
-        )
-    det = a * c - b * b
-    mu_x = (c * r1 + b * r2) / det
-    mu_y = (b * r1 + a * r2) / det
-    return np.array([mu_x, mu_y])
+    s sin and s cos over the events: the 2x2 normal system of
+    :func:`fit_mean`, [[a, -b], [-b, c]] mu = (-s sin, s cos), solved by
+    :func:`_solve_sym2`."""
+    return np.array(_solve_sym2(
+        a, -b, c, -s_sin, s_cos,
+        "LoR angles too concentrated to locate a mean",
+    ))
+
+
+def _solve_sym2(p, q, r, b1, b2, what: str) -> tuple[float, float]:
+    """The solution (x1, x2) of [[p, q], [q, r]] (x1, x2) = (b1, b2) by
+    Cramer's rule: the one conditioned 2x2 solve, for the normal systems
+    of :func:`_solve_mean` and :func:`refine_sigmas`.
+
+    The matrix is a sum of outer products, so it is positive
+    semidefinite.  If its smaller eigenvalue (:func:`_sym2_eigenvalues`)
+    is not positive, or the ratio of its eigenvalues exceeds
+    :data:`CONDITION_LIMIT`, the data do not pin the solution down, and
+    :class:`DegenerateGeometryError` is raised with the message ``what``.
+    """
+    lo, hi = _sym2_eigenvalues(p, q, r)
+    if lo <= 0.0 or hi / lo > CONDITION_LIMIT:
+        raise DegenerateGeometryError(what)
+    det = p * r - q * q
+    return (r * b1 - q * b2) / det, (p * b2 - q * b1) / det
 
 
 def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
@@ -893,12 +909,7 @@ def _run_single_fit(
             )
     sums = _cluster_moment_sums(batch, assignment, means)
     assignment = None  # the phase-1 labels are spent
-    covariances = np.empty((K, 2, 2))
-    for k in range(K):
-        covariances[k] = _covariance_from_moments(
-            _moments_from_sums(sums[k, 6:], float(counts[k])),
-            config.variance_floor,
-        )
+    covariances = _covariances(sums, config.variance_floor)
     tau = counts / n
 
     # phase 2: soft memberships, one pass over the events per iteration;
@@ -921,12 +932,8 @@ def _run_single_fit(
             else:
                 low_streak[k] = 0
         tau_new = masses / n
-        for k in range(K):
-            means[k] = _solve_mean(*sums[k, 1:6])
-            covariances[k] = _covariance_from_moments(
-                _moments_from_sums(sums[k, 6:], float(masses[k])),
-                config.variance_floor,
-            )
+        means = np.array([_solve_mean(*row[1:6]) for row in sums])
+        covariances = _covariances(sums, config.variance_floor)
         record(2, tau_new, loglik)
         shift = float(np.max(np.abs(tau_new - tau)))
         tau = tau_new

@@ -20,6 +20,7 @@ from .errors import InputError
 from .model import (  # noqa: F401
     MixtureModel2D,
     _mixture_density,
+    _sym2_eigenvalues,
     density_at_points,
 )
 from .rng import _BLOCK_EVENTS
@@ -117,18 +118,16 @@ def parameter_errors(
 
 def union_bounding_box(models, n_sigma: float = 6.0):
     """Axis-aligned box covering every component mean plus n_sigma of
-    the largest principal standard deviation across all models."""
+    the largest principal standard deviation across all models, the
+    root of the largest of the components' larger covariance
+    eigenvalues (:func:`model._sym2_eigenvalues`)."""
     means = []
     max_var = 0.0
     for model in models:
         for comp in model.components:
             means.append(comp.mean)
-            a, b, c = (
-                comp.covariance[0, 0],
-                comp.covariance[0, 1],
-                comp.covariance[1, 1],
-            )
-            top = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+            cov = comp.covariance
+            _, top = _sym2_eigenvalues(cov[0, 0], cov[0, 1], cov[1, 1])
             max_var = max(max_var, top)
     means = np.asarray(means)
     pad = n_sigma * math.sqrt(max_var)

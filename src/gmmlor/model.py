@@ -71,9 +71,7 @@ class GaussianComponent2D:
                 f"{abs(cov[0, 1] - cov[1, 0]):.3e}"
             )
         tr = cov[0, 0] + cov[1, 1]
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        rad = math.sqrt(max(0.0, (tr / 2.0) ** 2 - det))
-        lo = tr / 2.0 - rad
+        lo, _ = _sym2_eigenvalues(cov[0, 0], cov[0, 1], cov[1, 1])
         if lo < -SYMMETRY_ATOL * max(1.0, abs(tr)):
             raise InputError(f"covariance is not PSD (min eigenvalue {lo:.3e})")
         if not self.weight > 0.0:
@@ -158,6 +156,21 @@ class EigenDecomposition2D:
         object.__setattr__(self, "phi0", phi0)
 
 
+def _sym2_eigenvalues(a, b, c) -> tuple[float, float]:
+    """The smaller and the larger eigenvalue of the symmetric matrix
+    [[a, b], [b, c]]: mid -/+ hypot((a - c)/2, b) about the mean
+    mid = (a + c)/2 of the diagonal.
+
+    The one eigenvalue formula of the package.  The radius comes from
+    the entries through hypot, so it does not lose the digits that the
+    trace and determinant form, sqrt(mid^2 - det), cancels away on a
+    nearly isotropic matrix.
+    """
+    mid = 0.5 * (a + c)
+    rad = math.hypot(0.5 * (a - c), b)
+    return mid - rad, mid + rad
+
+
 def canonicalize_orientation(phi0: float) -> float:
     """Reduce an ellipse orientation to (-pi/2, pi/2] (orientation is
     pi-periodic)."""
@@ -233,7 +246,8 @@ def covariance_from_eigen(e: EigenDecomposition2D) -> np.ndarray:
 def eigen_from_covariance(c) -> EigenDecomposition2D:
     """Closed-form eigensystem of a symmetric PSD 2x2 matrix.
 
-    The major-axis angle is phi0 = atan2(2b, a - c) / 2, which points along
+    The eigenvalues are those of :func:`_sym2_eigenvalues`.  The
+    major-axis angle is phi0 = atan2(2b, a - c) / 2, which points along
     the eigenvector of the larger eigenvalue.  Isotropic inputs (eigenvalue
     gap below 1e-12) get the deterministic representative phi0 = 0.
     """
@@ -241,9 +255,7 @@ def eigen_from_covariance(c) -> EigenDecomposition2D:
     a, b, d = cov[0, 0], cov[0, 1], cov[1, 1]
     if abs(b - cov[1, 0]) > SYMMETRY_ATOL:
         raise InputError("covariance must be symmetric")
-    mid = 0.5 * (a + d)
-    rad = math.hypot(0.5 * (a - d), b)
-    s1, s2 = mid + rad, mid - rad
+    s2, s1 = _sym2_eigenvalues(a, b, d)
     if s2 < 0.0:
         if s2 < -SYMMETRY_ATOL * max(1.0, abs(a) + abs(d)):
             raise InputError(f"covariance is not PSD (min eigenvalue {s2:.3e})")

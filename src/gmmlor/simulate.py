@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimate import _label_dtype
+from .estimate import _as_arrays, _label_dtype
 from .model import MixtureModel2D
 from .rng import SeededStream, cholesky_2x2
 
@@ -150,17 +150,13 @@ def write_lors_csv(path, s, phi, labels=None) -> None:
 
     Each float is written as ``%.17g`` and each label as ``%d``, so
     reading the file back gives the same doubles and labels.  The
-    values are checked before the file is opened: non-finite ``s`` or
-    ``phi``, or labels that are not finite integers, raise
-    :class:`InputError` and leave ``path`` as it was, because
-    :func:`read_lors_csv` would refuse the file.
+    values are checked before the file is opened: ``s`` and ``phi``
+    that :func:`estimate._as_arrays`, the one event coercion, refuses
+    (not matching 1-D arrays, or not finite), or labels that are not
+    finite integers, raise :class:`InputError` and leave ``path`` as it
+    was, because :func:`read_lors_csv` would refuse the file.
     """
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if s.shape != phi.shape or s.ndim != 1:
-        raise InputError("s and phi must be matching 1-D arrays")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
-        raise InputError("s and phi must be finite")
+    s, phi = _as_arrays((s, phi))
     columns = [s, phi]
     header = CSV_HEADER
     if labels is not None:

@@ -16,6 +16,7 @@ from gmmlor import (
     load_model,
     read_lors_csv,
     save_model,
+    write_lors_csv,
 )
 from gmmlor.cli import main
 from conftest import UNPARSABLE_CSVS, make_component
@@ -200,6 +201,31 @@ def test_fit_iteration_cap_exit_code(tmp_path, truth_path):
         "--out", str(tmp_path / "m.json"),
     ])
     assert rc == 5
+
+
+def test_fit_of_parallel_lors_is_a_numerical_error(tmp_path, capsys):
+    # every LoR at one angle leaves the mean free along their direction
+    lors = tmp_path / "parallel.csv"
+    write_lors_csv(lors, np.linspace(-1.0, 1.0, 60), np.full(60, 0.3))
+    rc = main(["fit", str(lors), "--k", "2", "--out", str(tmp_path / "m.json")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "LoR angles too concentrated to locate a mean" in err
+
+
+@pytest.mark.parametrize("restarts", [[], ["--restarts", "3"]])
+def test_fit_that_loses_a_component_exits_6(tmp_path, capsys, restarts):
+    # every LoR passes through the origin, so every cluster's mean is the
+    # origin, all distances tie, and ties send every event to component 0
+    lors = tmp_path / "origin.csv"
+    write_lors_csv(lors, np.zeros(60), np.linspace(-1.4, 1.4, 60))
+    rc = main([
+        "fit", str(lors), "--k", "2", *restarts,
+        "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 6
+    err = capsys.readouterr().err
+    assert "component 1 collapsed (mass 0) at iteration 1" in err
 
 
 # ------------------------------------------------------------------- evaluate

@@ -164,6 +164,17 @@ def test_non_finite_events_are_refused_before_the_file_opens(
     assert path.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "s, phi", [([0.1, 0.2], [0.3]), ([[0.1, 0.2]], [[0.3, 0.4]]), (0.1, 0.3)]
+)
+def test_events_that_are_not_matching_1d_arrays_are_refused(tmp_path, s, phi):
+    path = tmp_path / "lors.csv"
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(InputError, match="matching 1-D"):
+        write_lors_csv(path, s, phi)
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("labels", [[0.7, 1.0], [1.0, 2.9], [0.0, 1e30]])
 def test_non_integral_labels_are_refused_before_the_file_opens(
     tmp_path, labels

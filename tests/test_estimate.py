@@ -52,6 +52,7 @@ from gmmlor.estimate import (
     _soft_loglik,
     _soft_pass,
     _solve_mean,
+    _solve_sym2,
 )
 from gmmlor.projection import log_line_integral_profile
 from conftest import make_component
@@ -232,6 +233,32 @@ def test_fit_mean_requires_angular_spread():
         fit_mean((s, phis))
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solve_sym2_matches_a_general_solve(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2))
+    m = a @ a.T + 1e-3 * np.eye(2)
+    rhs = rng.normal(size=2)
+    got = _solve_sym2(m[0, 0], m[0, 1], m[1, 1], *rhs, "unused")
+    want = np.linalg.solve(m, rhs)
+    scale = 1e-14 * np.linalg.cond(m) * np.abs(want).max()
+    assert np.allclose(got, want, rtol=0.0, atol=scale)
+
+
+@pytest.mark.parametrize("m", [
+    (1.0, 1.0, 1.0),  # singular: smaller eigenvalue 0
+    (1.0, 0.0, -1e-3),  # indefinite
+    (1.0, 0.0, 1e-13),  # eigenvalue ratio 1e13
+])
+def test_solve_sym2_refuses_a_system_the_data_do_not_pin(m):
+    with pytest.raises(DegenerateGeometryError, match="what went wrong"):
+        _solve_sym2(*m, 1.0, 1.0, "what went wrong")
+
+
+def test_solve_sym2_solves_a_system_within_the_condition_limit():
+    assert _solve_sym2(1.0, 0.0, 1e-11, 1.0, 1e-11, "unused") == (1.0, 1.0)
+
+
 def test_fit_mean_minimizes_weighted_residual():
     rng = np.random.default_rng(88)
     for _ in range(20):
@@ -344,6 +371,14 @@ def test_refine_sigmas_floors_zero_data():
     s1, s2, p0 = refine_sigmas(moments_from_offsets(offs), 0.3)
     assert s1 == s2 == 1e-8
     assert p0 == 0.3
+
+
+def test_refine_sigmas_refuses_moments_from_a_single_angle():
+    # on one angle, sin^2 and cos^2 of phi0 - phi are the same for every
+    # event, so the variances along the two axes cannot be told apart
+    offs = (np.linspace(-0.3, 0.3, 40), np.full(40, 0.4))
+    with pytest.raises(DegenerateGeometryError, match="angle coverage"):
+        refine_sigmas(moments_from_offsets(offs), 0.9)
 
 
 def test_refine_sigmas_orders_outputs_on_noisy_data():

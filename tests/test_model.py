@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gmmlor
 from gmmlor import (
@@ -22,6 +24,7 @@ from gmmlor import (
     model_to_dict,
     save_model,
 )
+from gmmlor.model import _sym2_eigenvalues
 from conftest import make_component
 
 
@@ -40,6 +43,25 @@ def test_component_rejects_indefinite_covariance():
 def test_component_rejects_asymmetric_covariance():
     with pytest.raises(InputError):
         GaussianComponent2D(np.zeros(2), np.array([[1.0, 0.2], [0.1, 1.0]]), 1.0)
+
+
+def tilted_covariance(lo, turn):
+    """R diag(1, lo) R^T for the rotation R by ``turn``, exactly
+    symmetric; ``lo`` may be negative."""
+    co, si = math.cos(turn), math.sin(turn)
+    off = (1.0 - lo) * si * co
+    return np.array([
+        [co * co + lo * si * si, off],
+        [off, si * si + lo * co * co],
+    ])
+
+
+@pytest.mark.parametrize("turn", [0.0, math.pi / 4, 1.1])
+def test_component_psd_check_forgives_rounding_only(turn):
+    # the tolerance is 1e-12 of the trace, here 1
+    GaussianComponent2D(np.zeros(2), tilted_covariance(-5e-13, turn), 1.0)
+    with pytest.raises(InputError, match="not PSD"):
+        GaussianComponent2D(np.zeros(2), tilted_covariance(-2e-12, turn), 1.0)
 
 
 def test_component_rejects_bad_weight():
@@ -129,6 +151,15 @@ def test_eigen_roundtrip_random_spd():
         assert e.sigma1_sq >= e.sigma2_sq > 0.0
         back = covariance_from_eigen(e)
         assert np.allclose(back, c, rtol=1e-12, atol=1e-14 * np.abs(c).max())
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_sym2_eigenvalues_match_eigvalsh(seed, scale):
+    c = random_spd(np.random.default_rng(seed), scale)
+    lo, hi = _sym2_eigenvalues(c[0, 0], c[0, 1], c[1, 1])
+    want = np.linalg.eigvalsh(c)
+    assert lo <= hi
+    assert np.allclose((lo, hi), want, rtol=0.0, atol=1e-14 * want[1])
 
 
 def test_eigen_isotropic_angle_is_zero():
