@@ -8,7 +8,8 @@ Subcommands:
 * ``replicate`` run a repeated simulate-fit-evaluate study
 
 Exit codes: 0 success, 2 bad arguments or component-count mismatch,
-3 unreadable or malformed input file, 4 numerical failure (also a
+3 unreadable or malformed input file (LoR CSV, model or config) or a
+negative seed for ``generate`` or ``fit``, 4 numerical failure (also a
 replicate study with under 95 percent of replicates completing),
 5 iteration limit reached (outputs are still written), 6 a component
 died during fitting.  Set ``GMMLOR_LOG`` (DEBUG, INFO, ...) to raise
@@ -20,10 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -110,7 +113,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also a byte that is not UTF-8, or nesting deeper than the parser
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -121,7 +125,9 @@ def _write_json(path, payload) -> None:
 
 
 def _resolve_fit_config(args) -> FitConfig:
-    """Merge config file and CLI flags; flags win, K must agree."""
+    """Merge config file and CLI flags; flags win, and a ``--k`` must
+    agree with the config file's K once :class:`FitConfig` has checked
+    it.  A malformed file raises :class:`InputError`."""
     file_cfg = {}
     if args.config is not None:
         raw = _load_json(args.config)
@@ -130,26 +136,22 @@ def _resolve_fit_config(args) -> FitConfig:
         check_format_version(raw)
         raw.pop("format_version", None)
         file_cfg = raw
-    if args.k is not None and "K" in file_cfg:
-        if int(file_cfg["K"]) != args.k:
-            raise CliUsageError(
-                f"--k {args.k} conflicts with config K {file_cfg['K']}"
-            )
+    if "K" not in file_cfg and args.k is None:
+        raise CliUsageError("give --k or a config file with K")
     overrides = {}
-    if args.k is not None:
-        overrides["K"] = args.k
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.restarts is not None:
         overrides["restarts"] = args.restarts
-    if "K" not in file_cfg and args.k is None:
-        raise CliUsageError("give --k or a config file with K")
     try:
-        return config_from_dict(file_cfg, **overrides)
+        config = config_from_dict({"K": args.k, **file_cfg}, **overrides)
     except InputError as exc:
         if args.config is not None:
             raise
         raise CliUsageError(str(exc)) from exc
+    if args.k is not None and config.K != args.k:
+        raise CliUsageError(f"--k {args.k} conflicts with config K {config.K}")
+    return config
 
 
 def _raster_grid(models, grid_n: int):
@@ -280,31 +282,21 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _replicate_task(payload):
-    """One simulate-fit-evaluate replicate; runs in worker processes.
+def _replicate_task(index, *, truth, counts, n_total, config, kl_grid):
+    """Replicate ``index`` of a study: simulate from ``truth``, fit with
+    ``config`` and score the fit against ``truth``.
 
-    ``payload`` holds the truth model and the fit config as they are,
-    so a worker process receives them pickled."""
-    (
-        index,
-        truth,
-        counts,
-        n_total,
-        config,
-        sim_seed,
-        fit_seed,
-        kl_grid,
-    ) = payload
-    row = {
-        "replicate": index,
-        "sim_seed": sim_seed,
-        "fit_seed": fit_seed,
-        "status": "ok",
-        "mean_errors": None,
-        "cov_errors": None,
-        "weight_errors": None,
-        "kl": None,
-    }
+    The replicate takes two private seed lanes of the master seed
+    ``config.seed``: it simulates with ``derive_seed(seed, 2 * index)``
+    and fits with ``derive_seed(seed, 2 * index + 1)``, so its row does
+    not depend on the process that runs it.  Returns the row's first
+    four cells (replicate, sim_seed, fit_seed, status) and its 3K + 1
+    values in CSV order (mean, covariance and weight errors, then KL),
+    or None in place of the values when a component died (``death``) or
+    a solve failed (``numeric``)."""
+    sim_seed = derive_seed(config.seed, 2 * index)
+    fit_seed = derive_seed(config.seed, 2 * index + 1)
+    head = [index, sim_seed, fit_seed]
     try:
         sim = simulate_lors(
             truth, counts=counts, n_total=n_total, seed=sim_seed
@@ -312,50 +304,48 @@ def _replicate_task(payload):
         config = dataclasses.replace(config, seed=fit_seed)
         result = fit((sim.s, sim.phi), config)
         report = evaluate_against_truth(result.model, truth, kl_grid=kl_grid)
-        row["status"] = "ok" if result.converged else "max_iter"
-        row["mean_errors"] = report.mean_errors
-        row["cov_errors"] = report.cov_errors
-        row["weight_errors"] = report.weight_errors
-        row["kl"] = report.kl_divergence
     except ComponentDeathError:
-        row["status"] = "death"
+        return head + ["death"], None
     except NumericalError:
-        row["status"] = "numeric"
-    return row
+        return head + ["numeric"], None
+    values = (*report.mean_errors, *report.cov_errors,
+              *report.weight_errors, report.kl_divergence)
+    return head + ["ok" if result.converged else "max_iter"], values
 
 
 def cmd_replicate(args) -> int:
+    """Run replicates 0 to ``--replicates`` - 1 of :func:`_replicate_task`
+    and write the study CSV, one row per replicate in index order, and
+    its summary JSON.
+
+    The process pool of ``--jobs`` above 1 keeps the input order, as
+    the serial map does.  The summary's means and KL maximum are taken
+    over the completed replicates, one column of their values each."""
     truth = load_model(args.model)
     counts = _resolve_counts(args, truth)
     if args.k is None:
         args.k = len(truth.components)
     config = _resolve_fit_config(args)
-    # each replicate gets two private seed lanes: simulate and fit
-    payloads = [
-        (
-            i,
-            truth,
-            counts,
-            args.n,
-            config,
-            derive_seed(config.seed, 2 * i),
-            derive_seed(config.seed, 2 * i + 1),
-            args.grid,
+    k = config.K
+    if k != len(truth.components):
+        raise CliUsageError(
+            f"component counts differ: fit K {k}, "
+            f"truth {len(truth.components)}"
         )
-        for i in range(args.replicates)
-    ]
+    task = functools.partial(
+        _replicate_task, truth=truth, counts=counts, n_total=args.n,
+        config=config, kl_grid=args.grid,
+    )
     if args.jobs > 1:
         # imported here: it pulls in multiprocessing, socket and
         # subprocess, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_replicate_task, payloads))
+            rows = list(pool.map(task, range(args.replicates)))
     else:
-        rows = [_replicate_task(p) for p in payloads]
-    rows.sort(key=lambda r: r["replicate"])
+        rows = list(map(task, range(args.replicates)))
 
-    k = config.K
     header = ["replicate", "sim_seed", "fit_seed", "status"]
     for kind in ("mean_err", "cov_err", "weight_err"):
         header.extend(f"{kind}_{j}" for j in range(k))
@@ -363,58 +353,38 @@ def cmd_replicate(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            out = [row["replicate"], row["sim_seed"], row["fit_seed"],
-                   row["status"]]
-            if row["mean_errors"] is None:
-                out.extend([""] * (3 * k + 1))
+        for head, values in rows:
+            if values is None:
+                writer.writerow(head + [""] * (3 * k + 1))
             else:
-                for kind in ("mean_errors", "cov_errors", "weight_errors"):
-                    out.extend(f"{v:.17g}" for v in row[kind])
-                out.append(f"{row['kl']:.17g}")
-            writer.writerow(out)
+                writer.writerow(head + [f"{v:.17g}" for v in values])
 
-    completed = [r for r in rows if r["mean_errors"] is not None]
-    failed = len(rows) - len(completed)
+    done = np.array([v for _, v in rows if v is not None])
     summary = {
         "format_version": FORMAT_VERSION,
         "replicates": len(rows),
-        "completed": len(completed),
-        "failed": failed,
-        "status_counts": {
-            status: sum(1 for r in rows if r["status"] == status)
-            for status in sorted({r["status"] for r in rows})
-        },
+        "completed": len(done),
+        "failed": len(rows) - len(done),
+        # _write_json sorts the keys
+        "status_counts": Counter(head[3] for head, _ in rows),
     }
-    if completed:
-        def mean_of(key):
-            return [
-                float(np.mean([r[key][j] for r in completed]))
-                for j in range(k)
-            ]
-
-        kls = [r["kl"] for r in completed]
+    if len(done):
+        # np.mean of each column sums it pairwise, as of a list
+        means = [float(np.mean(column)) for column in done.T]
         summary["mean_errors"] = {
-            "mean": mean_of("mean_errors"),
-            "cov": mean_of("cov_errors"),
-            "weight": mean_of("weight_errors"),
+            "mean": means[:k],
+            "cov": means[k:2 * k],
+            "weight": means[2 * k:3 * k],
         }
-        summary["kl"] = {
-            "mean": float(np.mean(kls)),
-            "max": float(np.max(kls)),
-        }
+        summary["kl"] = {"mean": means[-1], "max": float(np.max(done[:, -1]))}
     _write_json(args.out + ".summary.json", summary)
-    print(
-        f"{len(completed)}/{len(rows)} replicates completed -> {args.out}"
-    )
-    if completed:
+    print(f"{len(done)}/{len(rows)} replicates completed -> {args.out}")
+    if len(done):
         print(
             "mean kl {mean:.4f}, max kl {max:.4f}".format(**summary["kl"])
         )
-    if len(completed) < MIN_STUDY_SUCCESS * len(rows):
-        log.error(
-            "only %d of %d replicates completed", len(completed), len(rows)
-        )
+    if len(done) < MIN_STUDY_SUCCESS * len(rows):
+        log.error("only %d of %d replicates completed", len(done), len(rows))
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -49,6 +49,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -86,9 +87,22 @@ DEATH_PATIENCE = 3
 CONDITION_LIMIT = 1e12
 
 
+_INTEGER_FIELDS = ("K", "restarts", "max_iters_phase1", "max_iters_phase2",
+                   "seed")
+_TOLERANCE_FIELDS = ("weight_tol", "mean_tol", "variance_floor")
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for :func:`fit`.  Defaults suit a few thousand LoRs."""
+    """Knobs for :func:`fit`.  Defaults suit a few thousand LoRs.
+
+    ``K``, ``restarts``, the two iteration caps and ``seed`` must be
+    integers (a bool is refused), and the three tolerances finite
+    positive reals (an int counts as one); anything else raises an
+    :class:`InputError` that names the field.  ``seed`` may be any
+    integer here: the stream that draws from it refuses a negative one,
+    and a replicate study derives nonnegative seeds from it.
+    """
 
     K: int
     max_iters_phase1: int = 50
@@ -100,13 +114,24 @@ class FitConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name in _TOLERANCE_FIELDS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or not (math.isfinite(value) and value > 0.0)
+            ):
+                raise InputError(
+                    f"{name} must be a finite positive number, got {value!r}"
+                )
         if self.K < 1:
             raise InputError("K must be at least 1")
         if self.restarts < 1:
             raise InputError("restarts must be at least 1")
-        for name in ("weight_tol", "mean_tol", "variance_floor"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name} must be positive")
         for name in ("max_iters_phase1", "max_iters_phase2"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +33,33 @@ FORMAT_VERSION = "1.0"
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_vec2(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (2,):
-        raise InputError(f"{name} must be a 2-vector, got shape {arr.shape}")
+def _as_finite(value, shape, name: str, what: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with every entry finite.
+
+    Anything else raises an :class:`InputError` naming ``name``: also a
+    value numpy cannot turn into floats (a string, None, a ragged list
+    or an integer beyond float range)."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be {what} of numbers: {exc}") from exc
+    if arr.shape != shape:
+        raise InputError(f"{name} must be {what}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} must be finite")
     return arr
+
+
+def _as_vec2(v, name: str) -> np.ndarray:
+    """The one coercion of a mean or a point: a finite float 2-vector, or
+    an :class:`InputError` naming ``name``."""
+    return _as_finite(v, (2,), name, "a 2-vector")
 
 
 def _as_cov2(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (2, 2):
-        raise InputError(f"{name} must be a 2x2 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} must be finite")
-    return arr
+    """The one coercion of a covariance: a finite float 2x2 matrix, or an
+    :class:`InputError` naming ``name``."""
+    return _as_finite(m, (2, 2), name, "a 2x2 matrix")
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,8 @@ class GaussianComponent2D:
     """One mixture component: mean, covariance, and mixing weight.
 
     The covariance must be symmetric (absolute tolerance 1e-12) and
-    positive semidefinite; the weight must lie in (0, 1].
+    positive semidefinite; the weight must be a real number (not a bool)
+    in (0, 1].
     """
 
     mean: np.ndarray
@@ -74,6 +87,8 @@ class GaussianComponent2D:
         lo, _ = _sym2_eigenvalues(cov[0, 0], cov[0, 1], cov[1, 1])
         if lo < -SYMMETRY_ATOL * max(1.0, abs(tr)):
             raise InputError(f"covariance is not PSD (min eigenvalue {lo:.3e})")
+        if isinstance(self.weight, bool) or not isinstance(self.weight, Real):
+            raise InputError(f"weight must be a number, got {self.weight!r}")
         if not self.weight > 0.0:
             raise InputError(f"weight must be positive, got {self.weight}")
         if self.weight > 1.0 + WEIGHT_SUM_ATOL:
@@ -286,11 +301,16 @@ def model_to_dict(model: MixtureModel2D) -> dict:
 
 
 def model_from_dict(obj) -> MixtureModel2D:
-    if not isinstance(obj, dict) or "components" not in obj:
+    """The mixture of a model JSON object, as :func:`model_to_dict`
+    writes it: a ``components`` list of objects with ``mean``, ``cov``
+    and ``weight``.  Every malformed object raises an
+    :class:`InputError`; one about a component names its index."""
+    entries = obj.get("components") if isinstance(obj, dict) else None
+    if not isinstance(entries, list):
         raise InputError("model JSON must be an object with a 'components' list")
     check_format_version(obj)
     comps = []
-    for i, entry in enumerate(obj["components"]):
+    for i, entry in enumerate(entries):
         try:
             comps.append(
                 GaussianComponent2D(
@@ -299,7 +319,7 @@ def model_from_dict(obj) -> MixtureModel2D:
                     weight=entry["weight"],
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"component {i} is malformed: {exc}") from exc
     return MixtureModel2D(tuple(comps))
 
@@ -315,7 +335,8 @@ def load_model(path) -> MixtureModel2D:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also a byte that is not UTF-8, or nesting deeper than the parser
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(obj)
 

@@ -16,6 +16,7 @@ draws keep their bits.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -63,9 +64,19 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 class SeededStream:
-    """Deterministic draw primitives over a PCG64 raw-word stream."""
+    """Deterministic draw primitives over a PCG64 raw-word stream.
+
+    ``seed`` must be a nonnegative integer (a bool is refused); anything
+    else raises an :class:`InputError`, as PCG64 itself would refuse it
+    with a bare ``TypeError`` or ``ValueError``.
+    """
 
     def __init__(self, seed: int):
+        integral = isinstance(seed, Integral) and not isinstance(seed, bool)
+        if not integral or seed < 0:
+            raise InputError(
+                f"seed must be a nonnegative integer, got {seed!r}"
+            )
         self._bits = np.random.PCG64(seed)
         self.seed = seed
 

@@ -48,6 +48,67 @@ UNPARSABLE_CSVS = {
 }
 
 
+#: Fit settings of the wrong type or out of range, each with the field
+#: the refusal must name.
+BAD_FIT_SETTINGS = [
+    ({"K": "2"}, "K"),
+    ({"K": 2.5}, "K"),
+    ({"K": True}, "K"),
+    ({"K": 3, "weight_tol": "x"}, "weight_tol"),
+    ({"K": 3, "weight_tol": float("nan")}, "weight_tol"),
+    ({"K": 3, "mean_tol": True}, "mean_tol"),
+    ({"K": 3, "variance_floor": float("inf")}, "variance_floor"),
+    ({"K": 3, "restarts": 1.5}, "restarts"),
+    ({"K": 3, "max_iters_phase1": 2.5}, "max_iters_phase1"),
+    ({"K": 3, "max_iters_phase2": None}, "max_iters_phase2"),
+    ({"K": 3, "seed": 0.5}, "seed"),
+]
+
+
+#: Model JSON that must be refused with an InputError naming what is
+#: wrong, not with the TypeError or ValueError numpy or Python meets.
+MALFORMED_MODELS = {
+    "components not a list": ({"components": 5}, "'components' list"),
+    "components null": ({"components": None}, "'components' list"),
+    "components an object": ({"components": {}}, "'components' list"),
+    "mean of strings": (
+        {"components": [
+            {"mean": ["a", 0], "cov": [[1, 0], [0, 1]], "weight": 1}
+        ]},
+        "component 0 is malformed: mean",
+    ),
+    "ragged covariance": (
+        {"components": [
+            {"mean": [0, 0], "cov": [[1, 0], [0]], "weight": 1}
+        ]},
+        "component 0 is malformed: covariance",
+    ),
+    "weight a bool": (
+        {"components": [
+            {"mean": [0, 0], "cov": [[1, 0], [0, 1]], "weight": True}
+        ]},
+        "component 0 is malformed: weight must be a number",
+    ),
+    "mean beyond float range": (
+        {"components": [
+            {"mean": [10 ** 400, 0], "cov": [[1, 0], [0, 1]], "weight": 1}
+        ]},
+        "component 0 is malformed: mean",
+    ),
+}
+
+
+#: JSON files the parser itself refuses, with something other than a
+#: JSONDecodeError: a byte that is not UTF-8, and arrays nested deeper
+#: than the parser's recursion limit.
+UNPARSABLE_JSON = {
+    "byte that is not UTF-8": b'{"components": [\xff]}',
+    "nesting beyond the recursion limit": (
+        b'{"components": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    ),
+}
+
+
 # event counts paired with the benchmark mixture (7000 total, 5:25/7:10/7)
 BENCHMARK_COUNTS = (3500, 2500, 1000)
 

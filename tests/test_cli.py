@@ -19,7 +19,15 @@ from gmmlor import (
     write_lors_csv,
 )
 from gmmlor.cli import main
-from conftest import UNPARSABLE_CSVS, make_component
+from gmmlor.errors import ComponentDeathError, DegenerateGeometryError
+from gmmlor.rng import derive_seed
+from conftest import (
+    BAD_FIT_SETTINGS,
+    MALFORMED_MODELS,
+    UNPARSABLE_CSVS,
+    UNPARSABLE_JSON,
+    make_component,
+)
 
 
 @pytest.fixture()
@@ -168,6 +176,57 @@ def test_fit_conflicting_k_and_config(tmp_path, single_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("settings, field", BAD_FIT_SETTINGS)
+@pytest.mark.parametrize("k", [[], ["--k", "2"]])
+def test_fit_with_a_malformed_config_is_input_error(
+    tmp_path, capsys, single_path, settings, field, k
+):
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", single_path, "--n", "100", "--out", lors])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    rc = main([
+        "fit", lors, "--config", str(cfg), *k,
+        "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
+def test_fit_with_a_config_the_parser_refuses_is_input_error(
+    tmp_path, capsys, single_path, name
+):
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", single_path, "--n", "100", "--out", lors])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(UNPARSABLE_JSON[name])
+    rc = main([
+        "fit", lors, "--config", str(cfg), "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "fit"])
+def test_a_negative_seed_is_input_error(tmp_path, capsys, single_path,
+                                        command):
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", single_path, "--n", "100", "--out", lors])
+    argv = {
+        "generate": ["generate", "--model", single_path, "--n", "100"],
+        "fit": ["fit", lors, "--k", "1"],
+    }[command]
+    rc = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 def test_fit_empty_csv_is_input_error(tmp_path):
     lors = tmp_path / "empty.csv"
     lors.write_text("s,phi\n")
@@ -300,6 +359,25 @@ def test_evaluate_plot_data_matches_a_row_by_row_raster(
         assert text == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+@pytest.mark.parametrize("command", ["evaluate", "generate"])
+def test_a_malformed_model_is_input_error(
+    tmp_path, capsys, truth_path, command, name
+):
+    obj, message = MALFORMED_MODELS[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    argv = {
+        "evaluate": ["evaluate", truth_path, "--model", str(bad)],
+        "generate": ["generate", "--model", str(bad), "--n", "10",
+                     "--out", str(tmp_path / "ev.csv")],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ replicate
 
 def test_replicate_small_study(tmp_path, single_path):
@@ -362,9 +440,108 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_replicate_refuses_a_k_it_cannot_score_before_it_fits(
+    tmp_path, capsys, truth_path, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(gmmlor.cli, "fit", no_fit)
+    out = tmp_path / "s.csv"
+    rc = main([
+        "replicate", "--model", truth_path, "--counts", "35,25,10",
+        "--replicates", "2", "--k", "2", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: component counts differ: fit K 2, truth 3\n"
+    assert not out.exists()
+
+
+def test_replicate_with_a_negative_master_seed_derives_its_seeds(
+    tmp_path, single_path
+):
+    out = str(tmp_path / "s.csv")
+    assert main([
+        "replicate", "--model", single_path, "--counts", "100",
+        "--replicates", "2", "--seed", "-1", "--grid", "16", "--out", out,
+    ]) == 0
+    seeds = [line.split(",")[1:3]
+             for line in Path(out).read_text().splitlines()[1:]]
+    assert seeds == [
+        [str(derive_seed(-1, 0)), str(derive_seed(-1, 1))],
+        [str(derive_seed(-1, 2)), str(derive_seed(-1, 3))],
+    ]
+
+
 def test_replicate_malformed_counts(tmp_path, single_path):
     rc = main([
         "replicate", "--model", single_path, "--counts", "ten",
         "--replicates", "1", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "failures, code",
+    [({3: "death"}, 0), ({3: "death", 7: "numeric"}, 4)],
+)
+def test_replicate_rows_of_failed_fits(
+    tmp_path, single_path, monkeypatch, failures, code
+):
+    # the fake fit fails at the fit seeds of the replicates named, and
+    # fits normally otherwise
+    errors = {
+        "death": ComponentDeathError(0, 0.0, 1),
+        "numeric": DegenerateGeometryError("LoRs too concentrated"),
+    }
+    failing = {
+        derive_seed(0, 2 * i + 1): errors[status]
+        for i, status in failures.items()
+    }
+    real_fit = gmmlor.cli.fit
+
+    def fake_fit(events, config, **kwargs):
+        if config.seed in failing:
+            raise failing[config.seed]
+        return real_fit(events, config, **kwargs)
+
+    monkeypatch.setattr(gmmlor.cli, "fit", fake_fit)
+    out = str(tmp_path / "study.csv")
+    rc = main([
+        "replicate", "--model", single_path, "--counts", "200",
+        "--replicates", "20", "--seed", "0", "--k", "1", "--jobs", "1",
+        "--grid", "32", "--out", out,
+    ])
+    # 19 of 20 is the 95 percent the study needs; 18 of 20 is not
+    assert rc == code
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()]
+    header, rows = rows[0], rows[1:]
+    assert len(header) == 4 + 3 * 1 + 1
+    assert [int(row[0]) for row in rows] == list(range(20))
+    for i, row in enumerate(rows):
+        assert row[2] == str(derive_seed(0, 2 * i + 1))
+        if i in failures:
+            assert row[3] == failures[i]
+            assert row[4:] == [""] * 4
+        else:
+            assert row[3] in ("ok", "max_iter")
+    done = np.array([[float(v) for v in row[4:]] for row in rows
+                     if row[3] not in ("death", "numeric")])
+    summary = json.loads(Path(out + ".summary.json").read_text())
+    assert summary["replicates"] == 20
+    assert summary["completed"] == 20 - len(failures)
+    assert summary["failed"] == len(failures)
+    counts = {}
+    for row in rows:
+        counts[row[3]] = counts.get(row[3], 0) + 1
+    assert summary["status_counts"] == counts
+    assert summary["mean_errors"] == {
+        "mean": [float(np.mean(done[:, 0]))],
+        "cov": [float(np.mean(done[:, 1]))],
+        "weight": [float(np.mean(done[:, 2]))],
+    }
+    assert summary["kl"] == {
+        "mean": float(np.mean(done[:, 3])),
+        "max": float(np.max(done[:, 3])),
+    }

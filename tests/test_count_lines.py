@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_lines.py"
 
 
@@ -53,3 +55,20 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     assert [line.split() for line in lines] == [
         ["8", "a.py"], ["1", "sub/b.py"], ["9", "total"],
     ]
+
+
+def test_main_counts_a_single_file(tmp_path, capsys):
+    path = tmp_path / "a.py"
+    path.write_text(SOURCE, encoding="utf-8")
+    assert load_tool().main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [["8", "a.py"], ["8", "total"]]
+
+
+@pytest.mark.parametrize("name", ["missing", "missing.py", "notes.txt"])
+def test_main_refuses_what_it_cannot_count(tmp_path, capsys, name):
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    assert load_tool().main([str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert name in err

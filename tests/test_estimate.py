@@ -55,7 +55,7 @@ from gmmlor.estimate import (
     _solve_sym2,
 )
 from gmmlor.projection import log_line_integral_profile
-from conftest import make_component
+from conftest import BAD_FIT_SETTINGS, make_component
 
 
 def single(mean, cov):
@@ -1360,6 +1360,17 @@ def test_config_validation():
         FitConfig(K=1, restarts=0)
     with pytest.raises(InputError):
         FitConfig(K=1, variance_floor=-1.0)
+
+
+@pytest.mark.parametrize("settings, field", BAD_FIT_SETTINGS)
+def test_config_refuses_a_setting_of_the_wrong_type(settings, field):
+    with pytest.raises(InputError, match=field):
+        FitConfig(**settings)
+
+
+def test_config_takes_numpy_integers_and_integer_tolerances():
+    cfg = FitConfig(K=np.int64(2), weight_tol=1, seed=-1)
+    assert cfg.K == 2 and cfg.weight_tol == 1 and cfg.seed == -1
 
 
 def test_config_dict_roundtrip():

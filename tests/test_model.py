@@ -25,7 +25,7 @@ from gmmlor import (
     save_model,
 )
 from gmmlor.model import _sym2_eigenvalues
-from conftest import make_component
+from conftest import MALFORMED_MODELS, UNPARSABLE_JSON, make_component
 
 
 def random_spd(rng, scale=1.0):
@@ -247,4 +247,21 @@ def test_load_rejects_garbage_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all {")
     with pytest.raises(InputError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_load_refuses_a_malformed_model(tmp_path, name):
+    obj, message = MALFORMED_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InputError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
+def test_load_refuses_a_model_file_the_parser_refuses(tmp_path, name):
+    path = tmp_path / "model.json"
+    path.write_bytes(UNPARSABLE_JSON[name])
+    with pytest.raises(InputError, match="not valid JSON"):
         load_model(path)

@@ -207,3 +207,14 @@ def test_distinct_draws_skip_the_stable_sort(monkeypatch):
     monkeypatch.setattr(np, "argsort", argsort)
     SeededStream(1).permutation(3 * B + 7)
     assert kinds == [None]
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, "1", True, None])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        SeededStream(seed)
+
+
+def test_a_numpy_integer_seed_draws_as_the_int_does():
+    a, b = SeededStream(np.uint64(7)), SeededStream(7)
+    assert np.array_equal(a.uniform01(5), b.uniform01(5))

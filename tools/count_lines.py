@@ -2,9 +2,12 @@
 
 A line counts when it is not blank, not a comment and not part of a
 docstring.  Prints the count of each ``.py`` file under the directory,
-then the total:
+or of the one file given, then the total:
 
     python tools/count_lines.py src/gmmlor
+    python tools/count_lines.py src/gmmlor/cli.py
+
+A path that is neither a directory nor a ``.py`` file exits 2.
 """
 
 from __future__ import annotations
@@ -44,11 +47,19 @@ def count_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print("usage: count_lines.py PACKAGE_DIR", file=sys.stderr)
+        print("usage: count_lines.py PACKAGE_DIR_OR_PY_FILE", file=sys.stderr)
         return 2
     root = Path(argv[0])
+    if root.is_dir():
+        paths = sorted(root.rglob("*.py"))
+    elif root.is_file() and root.suffix == ".py":
+        paths, root = [root], root.parent
+    else:
+        print(f"count_lines.py: {root} is neither a directory nor a .py "
+              "file", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         n = count_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{n:6d}  {path.relative_to(root)}")
