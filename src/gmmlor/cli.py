@@ -50,6 +50,7 @@ from .metrics import (
 )
 from .model import (
     FORMAT_VERSION,
+    _load_json,
     _mixture_density,
     check_format_version,
     load_model,
@@ -105,17 +106,6 @@ def _resolve_counts(args, model) -> list[int] | None:
             f"{len(model.components)} components"
         )
     return counts
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # also a byte that is not UTF-8, or nesting deeper than the parser
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path, payload) -> None:

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of an
+integer argument.
 
 The CLI maps these onto process exit codes, so estimator internals raise
 the most specific class that applies instead of bare ValueError.
 """
+
+from numbers import Integral
 
 
 class GmmLorError(Exception):
@@ -41,3 +44,25 @@ class ComponentDeathError(GmmLorError):
             f"component {component} collapsed (mass {mass:.6g}) "
             f"at iteration {iteration}"
         )
+
+
+def _as_integer(value, name: str, minimum=None) -> int:
+    """``value`` as a Python int, if it is an integer (a NumPy one too,
+    but not a bool) of at least ``minimum``, or of any value for None.
+
+    The one check of a count, grid size, seed or stream index.  Anything
+    else raises an :class:`InputError` that names the argument ``name``.
+    """
+    if minimum is None:
+        what = "an integer"
+    elif minimum == 0:
+        what = "a nonnegative integer"
+    else:
+        what = f"an integer of at least {minimum}"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Integral)
+        or (minimum is not None and value < minimum)
+    ):
+        raise InputError(f"{name} must be {what}, got {value!r}")
+    return int(value)

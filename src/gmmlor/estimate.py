@@ -26,11 +26,17 @@ Every pass over the events walks the blocks of
 :meth:`projection._Batch.blocks`, the one event batch type: a batch of
 one block is its own block and keeps the 2 phi and 4 phi features a
 pass forms, and a larger batch keeps only sin and cos of every event.
-Every weighted pass forms its sums with one kernel,
+Every weighted pass is one loop, :func:`_pass`, around one kernel,
 :func:`_block_sums`: the handoff, each phase-2 pass, and
 :func:`fit_mean` and :func:`moments_from_offsets`, which take one batch
-as one component.  Phase 1 alone sums per label with np.bincount, since
-a relabelling pass changes only the sums of the events that move.
+as one component.  The passes differ only in how they weigh a block's
+events and where its offsets come from: phase 2 weighs by the E-step's
+memberships and takes the offsets the E-step formed, the handoff weighs
+by the one-hot phase-1 labels and centres the block with
+:func:`center_offsets`, and the single-batch readers weigh by the
+caller's weights with s as the offset.  Phase 1 alone sums per label
+with np.bincount, since a relabelling pass changes only the sums of the
+events that move.
 
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
@@ -49,7 +55,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -58,6 +64,7 @@ from .errors import (
     ComponentDeathError,
     DegenerateGeometryError,
     InputError,
+    _as_integer,
 )
 from .model import (
     EigenDecomposition2D,
@@ -87,8 +94,9 @@ DEATH_PATIENCE = 3
 CONDITION_LIMIT = 1e12
 
 
-_INTEGER_FIELDS = ("K", "restarts", "max_iters_phase1", "max_iters_phase2",
-                   "seed")
+#: The integer fields and their least values (None: any integer).
+_INTEGER_FIELDS = {"K": 1, "restarts": 1, "max_iters_phase1": 1,
+                   "max_iters_phase2": 1, "seed": None}
 _TOLERANCE_FIELDS = ("weight_tol", "mean_tol", "variance_floor")
 
 
@@ -96,9 +104,10 @@ _TOLERANCE_FIELDS = ("weight_tol", "mean_tol", "variance_floor")
 class FitConfig:
     """Knobs for :func:`fit`.  Defaults suit a few thousand LoRs.
 
-    ``K``, ``restarts``, the two iteration caps and ``seed`` must be
-    integers (a bool is refused), and the three tolerances finite
-    positive reals (an int counts as one); anything else raises an
+    ``K``, ``restarts`` and the two iteration caps must be integers of
+    at least 1 and ``seed`` an integer (:func:`errors._as_integer`; a
+    bool is refused), and the three tolerances finite positive reals
+    (an int counts as one); anything else raises an
     :class:`InputError` that names the field.  ``seed`` may be any
     integer here: the stream that draws from it refuses a negative one,
     and a replicate study derives nonnegative seeds from it.
@@ -114,10 +123,8 @@ class FitConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in _INTEGER_FIELDS.items():
+            _as_integer(getattr(self, name), name, minimum)
         for name in _TOLERANCE_FIELDS:
             value = getattr(self, name)
             if (
@@ -128,13 +135,6 @@ class FitConfig:
                 raise InputError(
                     f"{name} must be a finite positive number, got {value!r}"
                 )
-        if self.K < 1:
-            raise InputError("K must be at least 1")
-        if self.restarts < 1:
-            raise InputError("restarts must be at least 1")
-        for name in ("max_iters_phase1", "max_iters_phase2"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be at least 1")
 
 
 _CONFIG_FIELDS = tuple(field.name for field in fields(FitConfig))
@@ -269,26 +269,51 @@ def _block_sums(w, t, b) -> np.ndarray:
     ], axis=1)
 
 
+def _pass(batch, K: int, weigh) -> tuple[np.ndarray, float]:
+    """The one walk of every weighted pass over the events: the (K, 14)
+    sums of :func:`_block_sums` over the blocks of
+    :meth:`_Batch.blocks`, and the sum of the blocks' log-likelihood
+    terms.
+
+    ``weigh(block, b)`` gives the (K, n) weights, the (K, n) offsets and
+    the log-likelihood term of the block ``b`` of events ``block``; the
+    offsets must be the pass's own, since they are squared in place.
+    Offsets that are not finite raise :class:`InputError`.  The sums
+    add in block order, and a block's arrays die before the next block
+    is weighed.
+    """
+    sums = np.zeros((K, 14))
+    loglik = 0.0
+    for block, b in batch.blocks():
+        w, t, block_loglik = weigh(block, b)
+        loglik += block_loglik
+        if not np.all(np.isfinite(t)):
+            raise InputError("offsets from the mean are not finite")
+        np.multiply(t, t, out=t)  # the offsets are spent once squared
+        sums += _block_sums(w, t, b)
+        b = w = t = None  # the next block's would run beside them
+    return sums, loglik
+
+
 def _one_component_sums(lors, weights) -> tuple[np.ndarray, float]:
     """The 14 sums of :func:`_block_sums` over a batch of events as one
-    component, and its total weight: the walk of :func:`fit_mean` and
+    component, and its total weight: the pass of :func:`fit_mean` and
     :func:`moments_from_offsets`.
 
-    Event i weighs ``weights[i]`` (1 for None), t = s^2 of the batch's
-    first coordinate, and the blocks of :meth:`_Batch.blocks` are summed
-    in order, so no temporary outlives its block.  The total is one
-    np.sum of every weight, and must be positive and finite.
+    Event i weighs ``weights[i]`` (1 for None), and its offset is a copy
+    of its first coordinate s, so t = s^2 (:func:`_pass`).  The total is
+    one np.sum of every weight, and must be positive and finite.
     """
     batch = _as_arrays(lors)
     w = _as_weights(weights, batch[0].size)
     mass = float(np.sum(w))
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InputError("total weight must be positive and finite")
-    sums = np.zeros(14)
-    for block, b in batch.blocks():
-        s_b = b[0][None]
-        sums += _block_sums(w[None, block], s_b * s_b, b)[0]
-    return sums, mass
+
+    def weigh(block, b):
+        return w[None, block], b[0][None].copy(), 0.0
+
+    return _pass(batch, 1, weigh)[0][0], mass
 
 
 @dataclass(frozen=True)
@@ -616,11 +641,11 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     are summed once at the end.
 
     It handles its whole input at once: the fit calls it on one block of
-    events at a time (:func:`_soft_blocks`), so it never holds every
-    event's memberships.  The offsets of the events from each mean
-    sinusoid, s - m_k(phi), are left on the batch as ``phi.offsets``,
-    a (K, N) array that :func:`_soft_pass` takes instead of forming
-    them again.
+    events at a time (:func:`_soft_pass`, :func:`_soft_loglik`), so it
+    never holds every event's memberships.  The offsets of the events
+    from each mean sinusoid, s - m_k(phi), are left on the batch as
+    ``phi.offsets``, a (K, N) array that :func:`_soft_pass` takes
+    instead of forming them again.
     """
     K = len(tau)
     if not isinstance(phi, _Batch):
@@ -657,56 +682,36 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     return logp.T, float(np.sum(row_max))
 
 
-def _soft_blocks(batch, means, covariances, tau):
-    """The E-step of the parameters ``means``, ``covariances`` and
-    ``tau`` over the blocks of :meth:`_Batch.blocks`: for each block, its
-    events as a batch, its (K, n) memberships and the sum of its log
-    marginals.  Each block is one call of :func:`_memberships_arrays`,
-    and its memberships die with it."""
-    for _, b in batch.blocks():
-        resp, loglik = _memberships_arrays(b[0], b, means, covariances, tau)
-        yield b, resp.T, loglik
-        resp = None  # the next block's E-step would run beside it
-
-
 def _soft_pass(batch, means, covariances, tau):
     """One phase-2 pass over the events: a (K, 14) array of
     per-component sums, and the log-likelihood proxy of the entering
     parameters.
 
-    Each block's sums are :func:`_block_sums` of its memberships and of
-    the squares of its offsets from the entering means, so row k holds
-    component k's membership mass, the five sums of :func:`_solve_mean`
-    and the eight moment sums about the entering mean k.  The sums add
-    block by block, so no N-length or N x K array outlives its block.
-    The offsets are those the E-step formed and left on the block
-    (``b.offsets``).  Offsets that overflow raise :class:`InputError`,
-    as in :func:`center_offsets`, and a block with an underflow row
-    makes the proxy -inf.
+    Each block is weighed by its E-step memberships
+    (:func:`_memberships_arrays`), and its offsets are those the E-step
+    formed from the entering means and left on the block, taken off it
+    here, so row k holds component k's membership mass, the five sums
+    of :func:`_solve_mean` and the eight moment sums about the entering
+    mean k (:func:`_pass`).  A block with an underflow row makes the
+    proxy -inf.
     """
-    K = len(tau)
-    sums = np.zeros((K, 14))
-    loglik = 0.0
-    for b, resp, block_loglik in _soft_blocks(batch, means, covariances, tau):
-        loglik += block_loglik
-        t = vars(b).pop("offsets")
-        if not np.all(np.isfinite(t)):
-            raise InputError("offsets from the mean are not finite")
-        np.multiply(t, t, out=t)  # the offsets are spent once squared
-        sums += _block_sums(resp, t, b)
-        b = resp = t = None  # the next block's E-step would run beside them
-    return sums, loglik
+
+    def weigh(block, b):
+        resp, loglik = _memberships_arrays(b[0], b, means, covariances, tau)
+        return resp.T, vars(b).pop("offsets"), loglik
+
+    return _pass(batch, len(tau), weigh)
 
 
 def _soft_loglik(batch, means, covariances, tau) -> float:
     """The log-likelihood proxy of the parameters alone: the sum of the
-    E-step's per-block sums of log marginals, -inf after an underflow
-    row.  For a batch of one block it is the proxy that
-    :func:`_memberships_arrays` returns for every event."""
+    E-step's sums of log marginals over the blocks of
+    :meth:`_Batch.blocks`, -inf after an underflow row.  For a batch of
+    one block it is the proxy that :func:`_memberships_arrays` returns
+    for every event."""
     loglik = 0.0
-    for *spent, block_loglik in _soft_blocks(batch, means, covariances, tau):
-        loglik += block_loglik
-        spent = None  # the next block's E-step would run beside it
+    for _, b in batch.blocks():
+        loglik += _memberships_arrays(b[0], b, means, covariances, tau)[1]
     return loglik
 
 
@@ -867,22 +872,18 @@ def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
     the (K, 14) sums of :func:`_block_sums`, one row per row of
     ``means``; the mass column is each label's count.
 
-    Each block is centred on each mean by :func:`center_offsets` (which
-    checks that the offsets are finite), and an event weighs 1 in its
-    own cluster's row and 0 in the others, so no cluster's events are
-    gathered.
+    Each block is centred on each mean by :func:`center_offsets`, and an
+    event weighs 1 in its own cluster's row and 0 in the others
+    (:func:`_pass`), so no cluster's events are gathered.
     """
     K = len(means)
-    sums = np.zeros((K, 14))
-    for block, b in batch.blocks():
+
+    def weigh(block, b):
         w = (labels[block] == np.arange(K)[:, None]).astype(float)
-        t = np.empty(w.shape)
-        for k in range(K):
-            s_c = center_offsets(b, means[k])[0]
-            np.multiply(s_c, s_c, out=t[k])
-        sums += _block_sums(w, t, b)
-        b = w = t = s_c = None  # the next block's would run beside them
-    return sums
+        t = np.array([center_offsets(b, mean)[0] for mean in means])
+        return w, t, 0.0
+
+    return _pass(batch, K, weigh)[0]
 
 
 def _run_single_fit(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_integer
 # density_at_points is no longer called here, but benchmarks/tracing.py
 # wraps it as a layer seam under this module's name
 from .model import (  # noqa: F401
@@ -52,16 +52,10 @@ def report_to_dict(report: FitReport) -> dict:
     }
 
 
-def match_components(
-    estimated: MixtureModel2D, truth: MixtureModel2D
-) -> tuple[int, ...]:
-    """Pair each estimated component with one truth component.
-
-    Tries every permutation and keeps the one with the smallest total
-    mean distance; exact ties fall through to the total covariance
-    Frobenius distance.  ``matching[j]`` is the truth index matched to
-    estimated component ``j``.
-    """
+def _distances(estimated: MixtureModel2D, truth: MixtureModel2D):
+    """The (K, K) tables of mean distances and of covariance Frobenius
+    distances: entry [j, i] compares estimated component j with truth
+    component i.  Models of different K raise :class:`InputError`."""
     ke = len(estimated.components)
     kt = len(truth.components)
     if kt != ke:
@@ -74,17 +68,30 @@ def match_components(
         for i, ct in enumerate(truth.components):
             mean_d[j, i] = np.linalg.norm(ce.mean - ct.mean)
             cov_d[j, i] = np.linalg.norm(ce.covariance - ct.covariance)
-    best_key = None
-    best_perm = None
-    for perm in itertools.permutations(range(kt)):
-        key = (
-            sum(mean_d[j, perm[j]] for j in range(ke)),
-            sum(cov_d[j, perm[j]] for j in range(ke)),
+    return mean_d, cov_d
+
+
+def match_components(
+    estimated: MixtureModel2D, truth: MixtureModel2D
+) -> tuple[int, ...]:
+    """Pair each estimated component with one truth component.
+
+    Tries every permutation and keeps the one with the smallest total
+    mean distance; exact ties fall through to the total covariance
+    Frobenius distance (:func:`_distances`).  ``matching[j]`` is the
+    truth index matched to estimated component ``j``.
+    """
+    mean_d, cov_d = _distances(estimated, truth)
+    k = len(mean_d)
+
+    def cost(perm):
+        return (
+            sum(mean_d[j, perm[j]] for j in range(k)),
+            sum(cov_d[j, perm[j]] for j in range(k)),
         )
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    return tuple(best_perm)
+
+    # the first permutation of least cost, as min keeps the first
+    return min(itertools.permutations(range(k)), key=cost)
 
 
 def parameter_errors(
@@ -93,15 +100,17 @@ def parameter_errors(
     """Per-component parameter errors, indexed by truth component.
 
     Mean error is the Euclidean distance, covariance error the
-    Frobenius norm of the difference, weight error the absolute
-    difference.  ``permutation`` maps estimated index to truth index as
-    produced by :func:`match_components`; omitted, the matching is
-    computed here.  Returns three arrays indexed by truth component so
-    replicate studies aggregate like against like.
+    Frobenius norm of the difference (the matched entries of
+    :func:`_distances`), weight error the absolute difference.
+    ``permutation`` maps estimated index to truth index as produced by
+    :func:`match_components`; omitted, the matching is computed here.
+    Returns three arrays indexed by truth component so replicate
+    studies aggregate like against like.
     """
     if permutation is None:
         permutation = match_components(estimated, truth)
-    k = len(truth.components)
+    mean_d, cov_d = _distances(estimated, truth)
+    k = len(mean_d)
     if len(permutation) != k or sorted(permutation) != list(range(k)):
         raise InputError("permutation must map estimated onto truth indices")
     mean_err = np.empty(k)
@@ -109,10 +118,9 @@ def parameter_errors(
     weight_err = np.empty(k)
     for j, ce in enumerate(estimated.components):
         i = permutation[j]
-        ct = truth.components[i]
-        mean_err[i] = np.linalg.norm(ce.mean - ct.mean)
-        cov_err[i] = np.linalg.norm(ce.covariance - ct.covariance)
-        weight_err[i] = abs(ce.weight - ct.weight)
+        mean_err[i] = mean_d[j, i]
+        cov_err[i] = cov_d[j, i]
+        weight_err[i] = abs(ce.weight - truth.components[i].weight)
     return mean_err, cov_err, weight_err
 
 
@@ -171,8 +179,7 @@ def kl_divergence(
     rows of one grid_n x grid_n array, which is summed once at the end,
     so the result does not depend on the tile size.
     """
-    if grid_n < 2:
-        raise InputError("grid_n must be at least 2")
+    grid_n = _as_integer(grid_n, "grid_n", 2)
     box = union_bounding_box((estimated, truth))
     x, y = _cell_centers(box, grid_n)
     x, y = x[:, np.newaxis], y[np.newaxis, :]

@@ -66,9 +66,9 @@ def _as_cov2(m, name: str) -> np.ndarray:
 class GaussianComponent2D:
     """One mixture component: mean, covariance, and mixing weight.
 
-    The covariance must be symmetric (absolute tolerance 1e-12) and
-    positive semidefinite; the weight must be a real number (not a bool)
-    in (0, 1].
+    The covariance must be symmetric and positive semidefinite
+    (:func:`_psd_eigenvalues`); the weight must be a real number (not a
+    bool) in (0, 1].
     """
 
     mean: np.ndarray
@@ -78,15 +78,7 @@ class GaussianComponent2D:
     def __post_init__(self):
         mean = _as_vec2(self.mean, "mean")
         cov = _as_cov2(self.covariance, "covariance")
-        if abs(cov[0, 1] - cov[1, 0]) > SYMMETRY_ATOL:
-            raise InputError(
-                f"covariance is not symmetric: off-diagonals differ by "
-                f"{abs(cov[0, 1] - cov[1, 0]):.3e}"
-            )
-        tr = cov[0, 0] + cov[1, 1]
-        lo, _ = _sym2_eigenvalues(cov[0, 0], cov[0, 1], cov[1, 1])
-        if lo < -SYMMETRY_ATOL * max(1.0, abs(tr)):
-            raise InputError(f"covariance is not PSD (min eigenvalue {lo:.3e})")
+        _psd_eigenvalues(cov)
         if isinstance(self.weight, bool) or not isinstance(self.weight, Real):
             raise InputError(f"weight must be a number, got {self.weight!r}")
         if not self.weight > 0.0:
@@ -186,6 +178,30 @@ def _sym2_eigenvalues(a, b, c) -> tuple[float, float]:
     return mid - rad, mid + rad
 
 
+def _psd_eigenvalues(cov) -> tuple[float, float]:
+    """The smaller and the larger eigenvalue of the 2x2 covariance
+    ``cov`` (:func:`_sym2_eigenvalues`), the smaller raised to 0 if it is
+    negative: the one check that a covariance is symmetric and positive
+    semidefinite.
+
+    The off-diagonals may differ by :data:`SYMMETRY_ATOL`, and the
+    smaller eigenvalue may fall below 0 by SYMMETRY_ATOL times
+    max(1, |a| + |d|), the size of the diagonal entries a and d that
+    bounds the rounding of the eigenvalues.  Anything beyond raises an
+    :class:`InputError`.
+    """
+    gap = abs(cov[0, 1] - cov[1, 0])
+    if gap > SYMMETRY_ATOL:
+        raise InputError(
+            f"covariance is not symmetric: off-diagonals differ by {gap:.3e}"
+        )
+    a, d = cov[0, 0], cov[1, 1]
+    lo, hi = _sym2_eigenvalues(a, cov[0, 1], d)
+    if lo < -SYMMETRY_ATOL * max(1.0, abs(a) + abs(d)):
+        raise InputError(f"covariance is not PSD (min eigenvalue {lo:.3e})")
+    return max(lo, 0.0), hi
+
+
 def canonicalize_orientation(phi0: float) -> float:
     """Reduce an ellipse orientation to (-pi/2, pi/2] (orientation is
     pi-periodic)."""
@@ -261,20 +277,14 @@ def covariance_from_eigen(e: EigenDecomposition2D) -> np.ndarray:
 def eigen_from_covariance(c) -> EigenDecomposition2D:
     """Closed-form eigensystem of a symmetric PSD 2x2 matrix.
 
-    The eigenvalues are those of :func:`_sym2_eigenvalues`.  The
+    The eigenvalues are those of :func:`_psd_eigenvalues`.  The
     major-axis angle is phi0 = atan2(2b, a - c) / 2, which points along
     the eigenvector of the larger eigenvalue.  Isotropic inputs (eigenvalue
     gap below 1e-12) get the deterministic representative phi0 = 0.
     """
     cov = _as_cov2(c, "covariance")
     a, b, d = cov[0, 0], cov[0, 1], cov[1, 1]
-    if abs(b - cov[1, 0]) > SYMMETRY_ATOL:
-        raise InputError("covariance must be symmetric")
-    s2, s1 = _sym2_eigenvalues(a, b, d)
-    if s2 < 0.0:
-        if s2 < -SYMMETRY_ATOL * max(1.0, abs(a) + abs(d)):
-            raise InputError(f"covariance is not PSD (min eigenvalue {s2:.3e})")
-        s2 = 0.0
+    s2, s1 = _psd_eigenvalues(cov)
     if s1 - s2 <= ISOTROPY_ATOL:
         return EigenDecomposition2D(s1, s2, 0.0)
     phi0 = 0.5 * math.atan2(2.0 * b, a - d)
@@ -331,14 +341,21 @@ def save_model(model: MixtureModel2D, path) -> None:
 
 
 def load_model(path) -> MixtureModel2D:
+    return model_from_dict(_load_json(path))
+
+
+def _load_json(path):
+    """The value of the JSON file ``path``: the one JSON reader, of model
+    files and of the CLI's ``--config``.  A file that cannot be read or
+    parsed raises an :class:`InputError` that names it."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # also a byte that is not UTF-8, or nesting deeper than the parser
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(obj)
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def check_format_version(obj: dict) -> None:

@@ -51,9 +51,12 @@ class _Batch(tuple):
 
     The E-step (``estimate._memberships_arrays``) leaves on the batch it
     is given the offsets of its events from each component's mean
-    sinusoid, a (K, n) array ``offsets``, for the phase-2 pass that
-    called it to take.  :meth:`take` and :meth:`with_s` carry only the
-    angle features.
+    sinusoid, a (K, n) array ``offsets``.  Only the phase-2 pass
+    (``estimate._soft_pass``) takes them off the block, as the offsets
+    it squares; the handoff centres each block itself
+    (``estimate.center_offsets``), and the closing log-likelihood
+    (``estimate._soft_loglik``) leaves them.  :meth:`take` and
+    :meth:`with_s` carry only the angle features.
     """
 
     _FEATURES = ("sin", "cos", "sin2", "cos2", "sin4", "cos4")

@@ -16,11 +16,10 @@ draws keep their bits.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_integer
 
 #: Events per block of the passes over every event: the tie check of
 #: :meth:`SeededStream.permutation`, every pass over an event batch
@@ -53,10 +52,12 @@ def derive_seed(master_seed: int, index: int) -> int:
 
     SplitMix64 output mix of ``master + (index + 1) * golden_gamma``.
     Distinct indices give statistically independent child streams, and
-    index 0 never collides with the master itself.
+    index 0 never collides with the master itself.  ``master_seed`` may
+    be any integer and ``index`` any nonnegative one
+    (:func:`errors._as_integer`).
     """
-    if index < 0:
-        raise InputError("stream index must be nonnegative")
+    master_seed = _as_integer(master_seed, "master_seed")
+    index = _as_integer(index, "index", 0)
     z = (master_seed + (index + 1) * _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -66,17 +67,14 @@ def derive_seed(master_seed: int, index: int) -> int:
 class SeededStream:
     """Deterministic draw primitives over a PCG64 raw-word stream.
 
-    ``seed`` must be a nonnegative integer (a bool is refused); anything
-    else raises an :class:`InputError`, as PCG64 itself would refuse it
-    with a bare ``TypeError`` or ``ValueError``.
+    ``seed`` must be a nonnegative integer (:func:`errors._as_integer`;
+    a bool is refused); anything else raises an :class:`InputError`, as
+    PCG64 itself would refuse it with a bare ``TypeError`` or
+    ``ValueError``.
     """
 
     def __init__(self, seed: int):
-        integral = isinstance(seed, Integral) and not isinstance(seed, bool)
-        if not integral or seed < 0:
-            raise InputError(
-                f"seed must be a nonnegative integer, got {seed!r}"
-            )
+        _as_integer(seed, "seed", 0)
         self._bits = np.random.PCG64(seed)
         self.seed = seed
 

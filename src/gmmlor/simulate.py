@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_integer
 from .estimate import _as_arrays, _label_dtype
 from .model import MixtureModel2D
 from .rng import SeededStream, cholesky_2x2
@@ -71,10 +71,11 @@ def simulate_lors(
     """Sample LoRs from ``model``.
 
     Exactly one of ``counts`` (events per component) and ``n_total``
-    (total events, split by the mixture weights) must be given.  Events
-    come out blocked by component unless ``shuffle`` is set, in which
-    case a seeded permutation interleaves them; labels are permuted
-    alongside so the pairing survives.
+    (total events, split by the mixture weights) must be given, each a
+    nonnegative integer (:func:`errors._as_integer`).  Events come out
+    blocked by component unless ``shuffle`` is set, in which case a
+    seeded permutation interleaves them; labels are permuted alongside
+    so the pairing survives.
 
     Each component writes its events straight into its run of the
     preallocated s, phi and label arrays (:func:`_draw_component`), and
@@ -89,16 +90,13 @@ def simulate_lors(
     if (counts is None) == (n_total is None):
         raise InputError("give exactly one of counts and n_total")
     if counts is None:
-        if n_total < 0:
-            raise InputError("n_total must be nonnegative")
+        n_total = _as_integer(n_total, "n_total", 0)
         counts = component_counts(model, n_total, stream)
-    counts = [int(c) for c in counts]
+    counts = [_as_integer(c, "counts", 0) for c in counts]
     if len(counts) != len(model.components):
         raise InputError(
             f"got {len(counts)} counts for {len(model.components)} components"
         )
-    if any(c < 0 for c in counts):
-        raise InputError("counts must be nonnegative")
 
     n = sum(counts)
     s, phi = np.empty(n), np.empty(n)

@@ -62,7 +62,16 @@ BAD_FIT_SETTINGS = [
     ({"K": 3, "max_iters_phase1": 2.5}, "max_iters_phase1"),
     ({"K": 3, "max_iters_phase2": None}, "max_iters_phase2"),
     ({"K": 3, "seed": 0.5}, "seed"),
+    ({"K": 0}, "K"),
+    ({"K": 3, "restarts": 0}, "restarts"),
+    ({"K": 3, "max_iters_phase1": -1}, "max_iters_phase1"),
 ]
+
+
+#: Values that the one integer check (``errors._as_integer``) refuses
+#: for every argument it guards, whatever its least value: bools, floats
+#: (an integral one too), NaN, a numeric string and None.
+NOT_INTEGERS = [True, False, 1.5, 2.0, float("nan"), "3", None]
 
 
 #: Model JSON that must be refused with an InputError naming what is

@@ -110,6 +110,25 @@ def test_generate_missing_model_is_input_error(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("missing", ["--model", "--config"])
+def test_a_missing_json_file_is_refused_by_the_one_reader(
+    tmp_path, capsys, single_path, missing
+):
+    # the model file and the fit configuration are read by one function,
+    # so both are refused in the same words
+    nope = tmp_path / "nope.json"
+    if missing == "--model":
+        argv = ["generate", "--model", str(nope), "--n", "10"]
+    else:
+        lors = str(tmp_path / "ev.csv")
+        main(["generate", "--model", single_path, "--n", "100", "--out", lors])
+        capsys.readouterr()
+        argv = ["fit", lors, "--config", str(nope)]
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {nope}: ")
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
 

@@ -1,5 +1,6 @@
 """Component matching, per-component errors, KL divergence quadrature."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,12 @@ from gmmlor import (
 from gmmlor.estimate import _BLOCK_EVENTS
 from gmmlor.metrics import _cell_centers, union_bounding_box
 from gmmlor.model import _mixture_density
-from conftest import BENCHMARK_COUNTS, benchmark_components, make_component
+from conftest import (
+    BENCHMARK_COUNTS,
+    NOT_INTEGERS,
+    benchmark_components,
+    make_component,
+)
 
 
 def gaussian(mean, cov=None, weight=1.0):
@@ -117,6 +123,27 @@ def test_errors_weight_component():
     _, _, w_e = parameter_errors(est, truth)
     assert w_e[0] == pytest.approx(0.05, rel=1e-12)
     assert w_e[1] == pytest.approx(0.05, rel=1e-12)
+
+
+def test_errors_are_the_plain_distances_of_any_matching(benchmark_mixture):
+    # the errors read the matched entries of the tables the matching
+    # ranks, bitwise, whichever permutation is given
+    rng = np.random.default_rng(11)
+    est = MixtureModel2D(tuple(
+        make_component(
+            np.asarray(c.mean) + rng.normal(0.0, 0.1, 2),
+            1.1 * np.asarray(c.covariance),
+            c.weight,
+        )
+        for c in benchmark_components()
+    ))
+    for perm in itertools.permutations(range(3)):
+        mean_e, cov_e, w_e = parameter_errors(est, benchmark_mixture, perm)
+        for j, i in enumerate(perm):
+            ce, ct = est.components[j], benchmark_mixture.components[i]
+            assert mean_e[i] == np.linalg.norm(ce.mean - ct.mean)
+            assert cov_e[i] == np.linalg.norm(ce.covariance - ct.covariance)
+            assert w_e[i] == abs(ce.weight - ct.weight)
 
 
 def test_errors_permutation_default_matches(benchmark_mixture):
@@ -366,3 +393,17 @@ def test_tiled_kl_equals_the_untiled_formula_bitwise(grid_n):
 def test_kl_refuses_a_grid_below_two_cells(benchmark_mixture, grid_n):
     with pytest.raises(InputError):
         kl_divergence(benchmark_mixture, benchmark_mixture, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS + [1, 0, -2])
+def test_kl_refuses_a_grid_that_is_not_an_integer_of_at_least_2(
+    benchmark_mixture, bad
+):
+    with pytest.raises(InputError, match="^grid_n must be an integer"):
+        kl_divergence(benchmark_mixture, benchmark_mixture, grid_n=bad)
+
+
+def test_kl_takes_a_numpy_integer_grid(benchmark_mixture):
+    est = MixtureModel2D(benchmark_components()[::-1])
+    want = kl_divergence(est, benchmark_mixture, grid_n=64)
+    assert kl_divergence(est, benchmark_mixture, grid_n=np.int16(64)) == want

@@ -64,6 +64,24 @@ def test_component_psd_check_forgives_rounding_only(turn):
         GaussianComponent2D(np.zeros(2), tilted_covariance(-2e-12, turn), 1.0)
 
 
+@pytest.mark.parametrize("turn", [0.0, math.pi / 4, 1.1])
+def test_components_and_eigensystems_share_one_psd_check(turn):
+    # the same covariances pass and fail both, in the same words, and a
+    # minor eigenvalue within rounding of 0 is taken as 0
+    within = tilted_covariance(-5e-13, turn)
+    GaussianComponent2D(np.zeros(2), within, 1.0)
+    assert eigen_from_covariance(within).sigma2_sq == 0.0
+    refused = [
+        (tilted_covariance(-2e-12, turn), "not PSD"),
+        (np.array([[1.0, 0.2], [0.1, 1.0]]), "not symmetric"),
+    ]
+    for cov, message in refused:
+        with pytest.raises(InputError, match=message):
+            GaussianComponent2D(np.zeros(2), cov, 1.0)
+        with pytest.raises(InputError, match=message):
+            eigen_from_covariance(cov)
+
+
 def test_component_rejects_bad_weight():
     with pytest.raises(InputError):
         make_component((0, 0), np.eye(2), 0.0)

@@ -9,6 +9,7 @@ from scipy import stats
 from gmmlor import InputError, SeededStream, derive_seed
 from gmmlor.estimate import _balanced_random_assignment
 from gmmlor.rng import _BLOCK_EVENTS, cholesky_2x2
+from conftest import NOT_INTEGERS
 
 
 def test_same_seed_same_sequences():
@@ -218,3 +219,19 @@ def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
 def test_a_numpy_integer_seed_draws_as_the_int_does():
     a, b = SeededStream(np.uint64(7)), SeededStream(7)
     assert np.array_equal(a.uniform01(5), b.uniform01(5))
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_derive_seed_refuses_what_is_not_an_integer(bad):
+    with pytest.raises(InputError, match="^master_seed must be an integer"):
+        derive_seed(bad, 0)
+    with pytest.raises(InputError, match="^index must be a nonnegative"):
+        derive_seed(0, bad)
+
+
+def test_derive_seed_takes_any_master_and_a_nonnegative_index():
+    with pytest.raises(InputError, match="^index must be a nonnegative"):
+        derive_seed(0, -1)
+    assert derive_seed(-1, 0) != derive_seed(0, 0)
+    assert derive_seed(np.int64(-1), np.uint8(3)) == derive_seed(-1, 3)
+    assert derive_seed(np.uint64(2**63), 0) == derive_seed(2**63, 0)

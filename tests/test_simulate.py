@@ -18,7 +18,12 @@ from gmmlor import (
 )
 import gmmlor.simulate
 from gmmlor.rng import SeededStream, cholesky_2x2
-from conftest import BENCHMARK_COUNTS, UNPARSABLE_CSVS, make_component
+from conftest import (
+    BENCHMARK_COUNTS,
+    NOT_INTEGERS,
+    UNPARSABLE_CSVS,
+    make_component,
+)
 
 
 def single(mean, cov):
@@ -271,6 +276,37 @@ def test_counts_validation(benchmark_mixture):
         simulate_lors(benchmark_mixture, counts=(10, -1, 5), seed=0)
     with pytest.raises(InputError):
         simulate_lors(benchmark_mixture)  # needs counts or n_total
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS + [-1])
+def test_counts_and_n_total_must_be_nonnegative_integers(
+    benchmark_mixture, bad
+):
+    with pytest.raises(InputError, match="^counts must be "):
+        simulate_lors(benchmark_mixture, counts=(10, bad, 5), seed=0)
+    if bad is not None:  # None is no n_total at all
+        with pytest.raises(InputError, match="^n_total must be "):
+            simulate_lors(benchmark_mixture, n_total=bad, seed=0)
+
+
+def test_numpy_integer_counts_simulate_as_ints_do(benchmark_mixture):
+    want = simulate_lors(benchmark_mixture, counts=(30, 20, 10), seed=2)
+    for got in (
+        simulate_lors(
+            benchmark_mixture, counts=np.array([30, 20, 10]), seed=2
+        ),
+        simulate_lors(
+            benchmark_mixture, counts=(np.uint8(30), np.int32(20), 10),
+            seed=2,
+        ),
+    ):
+        assert got.counts == want.counts
+        assert all(type(c) is int for c in got.counts)
+        assert np.array_equal(got.s, want.s)
+    by_total = simulate_lors(benchmark_mixture, n_total=np.int64(60), seed=2)
+    assert by_total.counts == simulate_lors(
+        benchmark_mixture, n_total=60, seed=2
+    ).counts
 
 
 def concatenated_simulation(model, counts, seed, shuffle):
