@@ -886,11 +886,87 @@ def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
     return _pass(batch, K, weigh)[0]
 
 
-def _run_single_fit(
-    batch, config: FitConfig, assignment, trace, on_iteration
-) -> FitResult:
-    s = batch[0]
-    n, K = s.size, config.K
+def _die_if(dead, masses, iteration: int) -> None:
+    """The one place a fit declares a component dead: raises
+    :class:`ComponentDeathError` for the first component that ``dead``
+    marks, with its entry of ``masses``, at trace iteration
+    ``iteration``.
+
+    A label that phase 1 leaves empty dies, at the iteration that would
+    solve its mean or, after phase 1's cap, at the handoff.  In phase 2 a
+    component dies once its mass has stayed below N * MASS_FLOOR_FACTOR
+    / K for DEATH_PATIENCE passes in a row, before the M-step that its
+    mass would break.  A weight that ends at 0 dies after the closing
+    log-likelihood.
+    """
+    if np.any(dead):
+        k = int(np.argmax(dead))
+        raise ComponentDeathError(
+            component=k, mass=float(masses[k]), iteration=iteration
+        )
+
+
+def _phase1(batch, labels, config: FitConfig, record):
+    """Phase 1: hard assignments, means only.  Returns the means and the
+    per-label counts of its last labels; ``labels`` is relabelled in
+    place, and ``record(1, shares, None)`` is called once per iteration
+    with each label's share of the events.  It stops when no mean moves
+    by ``config.mean_tol`` or more, or at ``config.max_iters_phase1``.
+    """
+    K = config.K
+    means = np.zeros((K, 2))
+    prev_means = None
+    delta = 0.0
+    hard = _HardLabels(batch, labels, K)
+    for i in range(config.max_iters_phase1):
+        _die_if(hard.counts == 0, hard.counts, i)
+        for k in range(K):
+            means[k] = _solve_mean(*hard.sums[:, k])
+        record(1, hard.counts / labels.size, None)
+        if prev_means is not None:
+            delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
+            if delta < config.mean_tol:
+                return means, hard.counts
+        prev_means = means.copy()
+        hard.relabel(means, delta)
+    _die_if(hard.counts == 0, hard.counts, config.max_iters_phase1)
+    return means, hard.counts
+
+
+def _handoff(batch, labels, means, counts, floor: float):
+    """The parameters phase 2 starts from, (tau, means, covariances):
+    the phase-1 ``means``, the label shares of ``counts``, and each
+    cluster's covariance, with variance floor ``floor``, from the
+    moment sums of one pass over the events
+    (:func:`_cluster_moment_sums`)."""
+    sums = _cluster_moment_sums(batch, labels, means)
+    return counts / labels.size, means, _covariances(sums, floor)
+
+
+def _m_step(sums, n: int, floor: float):
+    """The M-step of phase 2: the parameters (tau, means, covariances)
+    that the (K, 14) sums of a pass over ``n`` events give, with
+    variance floor ``floor``.  Each row's mass is its weight times n,
+    its five sums of :func:`_solve_mean` give its mean, and its moment
+    sums its covariance (:func:`_covariances`).
+
+    One phase-2 iteration is the map theta -> _m_step(sums, n, floor)
+    with ``sums`` from :func:`_soft_pass` at theta."""
+    return (
+        sums[:, 0] / n,
+        np.array([_solve_mean(*row[1:6]) for row in sums]),
+        _covariances(sums, floor),
+    )
+
+
+def _run_single_fit(batch, config: FitConfig, assignment, on_iteration):
+    """One restart from the starting labels ``assignment``: phase 1, the
+    handoff, then the phase-2 map until no weight moves by
+    ``config.weight_tol`` or more, or ``config.max_iters_phase2``
+    iterations.  The driver keeps the trace, judges deaths
+    (:func:`_die_if`) and assembles the model."""
+    n, K, floor = batch[0].size, config.K, config.variance_floor
+    trace = []
 
     def record(phase, weights, loglik):
         rec = TraceRecord(
@@ -903,63 +979,19 @@ def _run_single_fit(
         if on_iteration is not None:
             on_iteration(rec)
 
-    # phase 1: hard assignments, means only; ``assignment`` is
-    # relabelled in place
-    means = np.zeros((K, 2))
-    prev_means = None
-    delta = 0.0
-    hard = _HardLabels(batch, assignment, K)
-    for _ in range(config.max_iters_phase1):
-        for k in range(K):
-            if hard.counts[k] == 0:
-                raise ComponentDeathError(
-                    component=k, mass=0.0, iteration=len(trace)
-                )
-            means[k] = _solve_mean(*hard.sums[:, k])
-        record(1, hard.counts / n, None)
-        if prev_means is not None:
-            delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
-            if delta < config.mean_tol:
-                break
-        prev_means = means.copy()
-        hard.relabel(means, delta)
-    counts = hard.counts
-    hard = None  # its keys live through phase 1 only
-
-    # the handoff: each cluster's covariance from its moment sums, taken
-    # in one pass over the events
-    for k in range(K):
-        if counts[k] == 0:
-            raise ComponentDeathError(
-                component=k, mass=0.0, iteration=len(trace)
-            )
-    sums = _cluster_moment_sums(batch, assignment, means)
+    means, counts = _phase1(batch, assignment, config, record)
+    tau, means, covariances = _handoff(batch, assignment, means, counts, floor)
     assignment = None  # the phase-1 labels are spent
-    covariances = _covariances(sums, config.variance_floor)
-    tau = counts / n
 
-    # phase 2: soft memberships, one pass over the events per iteration;
-    # the means and covariances solve from the pass's per-component sums
     mass_floor = n * MASS_FLOOR_FACTOR / K
     low_streak = np.zeros(K, dtype=int)
     converged = False
     for _ in range(config.max_iters_phase2):
         sums, loglik = _soft_pass(batch, means, covariances, tau)
         masses = sums[:, 0]
-        for k in range(K):
-            if masses[k] < mass_floor:
-                low_streak[k] += 1
-                if low_streak[k] >= DEATH_PATIENCE:
-                    raise ComponentDeathError(
-                        component=k,
-                        mass=float(masses[k]),
-                        iteration=len(trace),
-                    )
-            else:
-                low_streak[k] = 0
-        tau_new = masses / n
-        means = np.array([_solve_mean(*row[1:6]) for row in sums])
-        covariances = _covariances(sums, config.variance_floor)
+        low_streak = np.where(masses < mass_floor, low_streak + 1, 0)
+        _die_if(low_streak >= DEATH_PATIENCE, masses, len(trace))
+        tau_new, means, covariances = _m_step(sums, n, floor)
         record(2, tau_new, loglik)
         shift = float(np.max(np.abs(tau_new - tau)))
         tau = tau_new
@@ -968,11 +1000,7 @@ def _run_single_fit(
             break
 
     loglik = _soft_loglik(batch, means, covariances, tau)
-    if np.any(tau <= 0.0):
-        k = int(np.argmin(tau))
-        raise ComponentDeathError(
-            component=k, mass=float(tau[k] * n), iteration=len(trace)
-        )
+    _die_if(tau <= 0.0, tau * n, len(trace))
     weights = tau / math.fsum(tau)
     model = MixtureModel2D(
         components=tuple(
@@ -1036,8 +1064,10 @@ def fit(
             result = _run_single_fit(
                 batch, config,
                 initial_assignment.astype(_label_dtype(K)) if pinned
-                else _balanced_random_assignment(s.size, K, SeededStream(seed_r)),
-                [], on_iteration,
+                else _balanced_random_assignment(
+                    s.size, K, SeededStream(seed_r)
+                ),
+                on_iteration,
             )
         except ComponentDeathError as death:
             last_death = death

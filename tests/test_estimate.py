@@ -43,18 +43,27 @@ from gmmlor import (
 )
 from gmmlor.estimate import (
     _BLOCK_EVENTS,
+    DEATH_PATIENCE,
+    MASS_FLOOR_FACTOR,
     _Batch,
     _HardLabels,
+    _as_arrays,
     _block_sums,
     _cluster_moment_sums,
+    _handoff,
+    _label_dtype,
+    _m_step,
     _memberships_arrays,
     _nearest_sinusoid,
+    _phase1,
+    _run_single_fit,
     _soft_loglik,
     _soft_pass,
     _solve_mean,
     _solve_sym2,
 )
 from gmmlor.projection import log_line_integral_profile
+from gmmlor.rng import derive_seed
 from conftest import BAD_FIT_SETTINGS, make_component
 
 
@@ -1576,3 +1585,132 @@ def test_fit_mean_reads_a_tuple_of_two_lors_as_records():
     got = fit_mean(lors)
     assert np.array_equal(got, fit_mean(list(lors)))
     assert np.array_equal(got, fit_mean((np.array([1.0, 2.0]), np.array([0.0, 1.0]))))
+
+
+# ------------------------------------------------- phase-2 map and deaths
+
+def map_events(model):
+    """1400 events of ``model``, as the fit holds them, their simulated
+    labels as the starting labels, and a fit config whose weights settle
+    only when a pass repeats the last one's."""
+    res = simulate_lors(model, counts=(700, 500, 200), seed=3)
+    config = FitConfig(K=3, seed=0, weight_tol=1e-15)
+    return _as_arrays((res.s, res.phi)), res.labels, config
+
+
+#: Scales of a component's row of sums that put its mass below the
+#: floor, each pass a different one, so that the weights do not settle.
+LOW = [1e-6 * (j + 1) for j in range(DEATH_PATIENCE)]
+
+
+def theta0(batch, labels, config):
+    """The handoff's parameters from the starting ``labels``, and the
+    count of phase-1 iterations."""
+    labels = labels.astype(_label_dtype(config.K))
+    phase1 = []
+    means, counts = _phase1(
+        batch, labels, config, lambda *rec: phase1.append(rec)
+    )
+    return _handoff(
+        batch, labels, means, counts, config.variance_floor
+    ), len(phase1)
+
+
+def test_phase2_is_the_map_of_one_pass_and_one_m_step(benchmark_mixture):
+    batch, labels, config = map_events(benchmark_mixture)
+    config = dataclasses.replace(config, max_iters_phase2=2)
+    out = fit(batch, config, initial_assignment=labels)
+    theta, _ = theta0(batch, labels, config)
+    weights = []
+    for _ in range(2):
+        tau, means, covariances = theta
+        sums, _ = _soft_pass(batch, means, covariances, tau)
+        theta = _m_step(sums, batch[0].size, config.variance_floor)
+        weights.append(tuple(float(w) for w in theta[0]))
+    assert [rec.weights for rec in out.trace if rec.phase == 2] == weights
+    for c, mean, cov in zip(out.model.components, theta[1], theta[2]):
+        assert np.array_equal(c.mean, mean)
+        assert np.array_equal(c.covariance, cov)
+
+
+def script_passes(monkeypatch, batch, theta, scales):
+    """Make every phase-2 pass return the sums of one pass at ``theta``,
+    with component 2's row scaled by the next of ``scales`` (by 1 once
+    they run out).  A row's mean and covariance do not change with its
+    scale; its mass does.  Returns the unscaled mass of component 2."""
+    import gmmlor.estimate as est
+
+    tau, means, covariances = theta
+    sums, loglik = _soft_pass(batch, means, covariances, tau)
+    scales = iter(scales)
+
+    def scripted(*args):
+        out = sums.copy()
+        out[2] *= next(scales, 1.0)
+        return out, loglik
+
+    monkeypatch.setattr(est, "_soft_pass", scripted)
+    return sums[2, 0]
+
+
+def test_a_mass_below_the_floor_for_the_patience_kills(
+    benchmark_mixture, monkeypatch
+):
+    batch, labels, config = map_events(benchmark_mixture)
+    theta, phase1 = theta0(batch, labels, config)
+    mass = script_passes(monkeypatch, batch, theta, LOW)
+    floor = batch[0].size * MASS_FLOOR_FACTOR / config.K
+    assert mass * LOW[-1] < floor < mass
+    with pytest.raises(ComponentDeathError) as death:
+        _run_single_fit(batch, config, labels.copy(), None)
+    assert death.value.component == 2
+    assert death.value.mass == mass * LOW[-1]
+    # the last low pass is the iteration that would have been recorded
+    assert death.value.iteration == phase1 + DEATH_PATIENCE - 1
+
+
+def test_a_mass_that_recovers_before_the_patience_lives(
+    benchmark_mixture, monkeypatch
+):
+    batch, labels, config = map_events(benchmark_mixture)
+    theta, phase1 = theta0(batch, labels, config)
+    script_passes(monkeypatch, batch, theta, LOW[:-1])
+    out = _run_single_fit(batch, config, labels.copy(), None)
+    # the low passes, the pass whose weight jumps back, the settled one
+    assert out.converged
+    assert out.state.iteration == phase1 + DEATH_PATIENCE + 1
+    weights = [rec.weights[2] for rec in out.trace[phase1:]]
+    assert max(weights[:DEATH_PATIENCE - 1]) < 1e-5 < weights[-2]
+    assert weights[-2] == weights[-1]
+
+
+def test_fit_skips_a_restart_that_dies_in_phase2(
+    benchmark_mixture, monkeypatch
+):
+    import gmmlor.estimate as est
+
+    res = simulate_lors(benchmark_mixture, counts=(700, 500, 200), seed=3)
+    config = FitConfig(K=3, seed=0, weight_tol=1e-3, restarts=2)
+    alone = fit(
+        (res.s, res.phi),
+        dataclasses.replace(config, seed=derive_seed(0, 1), restarts=1),
+    )
+    real, scales, passes = est._soft_pass, iter(LOW), []
+
+    def first_restart_dies(*args):
+        sums, loglik = real(*args)
+        sums[2] *= next(scales, 1.0)
+        passes.append(args)
+        return sums, loglik
+
+    monkeypatch.setattr(est, "_soft_pass", first_restart_dies)
+    out = fit((res.s, res.phi), config)
+    # the first restart died on its last low pass; the second ran alone
+    phase2 = sum(1 for rec in alone.trace if rec.phase == 2)
+    assert len(passes) == DEATH_PATIENCE + phase2
+    assert out.restart_index == 1
+    assert out.trace == alone.trace
+    for got, want in zip(out.model.components, alone.model.components):
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.covariance, want.covariance)
+        assert got.weight == want.weight
