@@ -497,11 +497,19 @@ def estimate_covariance(offsets, weights=None) -> np.ndarray:
 def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
     """The closed forms of :func:`estimate_covariance` after the moments:
     the covariance with variance floor ``floor`` that the moments ``m``
-    give."""
+    give.
+
+    A refit whose minor variance comes back at the floor has left the
+    feasible set (the least squares wanted a variance below it), so the
+    moment inversion's pair and the orientation solved for it stand, and
+    the orientation is not solved again.
+    """
     s1, s2 = invert_moments(m, floor)
     phi0 = solve_orientation(m, s1, s2)
-    s1, s2, phi0 = refine_sigmas(m, phi0, floor)
-    phi0 = solve_orientation(m, s1, s2)
+    r1, r2, _ = refine_sigmas(m, phi0, floor)
+    if r2 > floor:
+        s1, s2 = r1, r2
+        phi0 = solve_orientation(m, s1, s2)
     return covariance_from_eigen(EigenDecomposition2D(s1, s2, phi0))
 
 

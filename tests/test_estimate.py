@@ -28,10 +28,12 @@ from gmmlor import (
     canonicalize_orientation,
     config_to_dict,
     covariance_from_eigen,
+    eigen_from_covariance,
     estimate_covariance,
     fit,
     fit_mean,
     invert_moments,
+    kl_divergence,
     mean_sinusoid,
     moments_from_offsets,
     projection_variance,
@@ -64,7 +66,7 @@ from gmmlor.estimate import (
 )
 from gmmlor.projection import log_line_integral_profile
 from gmmlor.rng import derive_seed
-from conftest import BAD_FIT_SETTINGS, make_component
+from conftest import BAD_FIT_SETTINGS, BENCHMARK_COUNTS, make_component
 
 
 def single(mean, cov):
@@ -1561,6 +1563,21 @@ def test_fit_initial_assignment_validation(benchmark_mixture):
     bad[0] = 7
     with pytest.raises(InputError):
         fit((res.s, res.phi), cfg, initial_assignment=bad)
+
+
+def test_no_fitted_minor_variance_sits_at_the_floor(benchmark_mixture):
+    # replicate 72 of the seed-11 study: a variance refit that wanted a
+    # minor variance below the floor used to be clamped there and kept,
+    # and the fit settled with KL 0.39
+    sim = simulate_lors(
+        benchmark_mixture, counts=BENCHMARK_COUNTS, seed=derive_seed(11, 144)
+    )
+    config = FitConfig(K=3, weight_tol=1e-3, seed=derive_seed(11, 145))
+    out = fit((sim.s, sim.phi), config)
+    for c in out.model.components:
+        minor = eigen_from_covariance(c.covariance).sigma2_sq
+        assert minor > 1000 * config.variance_floor
+    assert kl_divergence(out.model, benchmark_mixture) < 0.06
 
 
 def test_fit_restart_bookkeeping(benchmark_mixture):
