@@ -71,11 +71,12 @@ def simulate_lors(
     """Sample LoRs from ``model``.
 
     Exactly one of ``counts`` (events per component) and ``n_total``
-    (total events, split by the mixture weights) must be given, each a
-    nonnegative integer (:func:`errors._as_integer`).  Events come out
-    blocked by component unless ``shuffle`` is set, in which case a
-    seeded permutation interleaves them; labels are permuted alongside
-    so the pairing survives.
+    (total events, split by the mixture weights) must be given: a
+    sequence of nonnegative integers, or one (:func:`errors._as_integer`);
+    anything else raises an :class:`InputError` that names it.  Events
+    come out blocked by component unless ``shuffle`` is set, in which
+    case a seeded permutation interleaves them; labels are permuted
+    alongside so the pairing survives.
 
     Each component writes its events straight into its run of the
     preallocated s, phi and label arrays (:func:`_draw_component`), and
@@ -92,7 +93,12 @@ def simulate_lors(
     if counts is None:
         n_total = _as_integer(n_total, "n_total", 0)
         counts = component_counts(model, n_total, stream)
-    counts = [_as_integer(c, "counts", 0) for c in counts]
+    try:
+        counts = [_as_integer(c, "counts", 0) for c in counts]
+    except TypeError:  # not a sequence
+        raise InputError(
+            f"counts must be a sequence of integers, got {counts!r}"
+        ) from None
     if len(counts) != len(model.components):
         raise InputError(
             f"got {len(counts)} counts for {len(model.components)} components"

@@ -74,6 +74,11 @@ BAD_FIT_SETTINGS = [
 NOT_INTEGERS = [True, False, 1.5, 2.0, float("nan"), "3", None]
 
 
+#: ``counts`` arguments of ``simulate_lors`` that are not a sequence,
+#: refused with an InputError that names ``counts``.
+NOT_SEQUENCES = [5, 2.5, True, np.array(5)]
+
+
 #: Model JSON that must be refused with an InputError naming what is
 #: wrong, not with the TypeError or ValueError numpy or Python meets.
 MALFORMED_MODELS = {

@@ -21,6 +21,7 @@ from gmmlor.rng import SeededStream, cholesky_2x2
 from conftest import (
     BENCHMARK_COUNTS,
     NOT_INTEGERS,
+    NOT_SEQUENCES,
     UNPARSABLE_CSVS,
     make_component,
 )
@@ -287,6 +288,12 @@ def test_counts_and_n_total_must_be_nonnegative_integers(
     if bad is not None:  # None is no n_total at all
         with pytest.raises(InputError, match="^n_total must be "):
             simulate_lors(benchmark_mixture, n_total=bad, seed=0)
+
+
+@pytest.mark.parametrize("bad", NOT_SEQUENCES, ids=repr)
+def test_counts_that_are_not_a_sequence_are_refused(benchmark_mixture, bad):
+    with pytest.raises(InputError, match="^counts must be a sequence"):
+        simulate_lors(benchmark_mixture, counts=bad, seed=0)
 
 
 def test_numpy_integer_counts_simulate_as_ints_do(benchmark_mixture):
