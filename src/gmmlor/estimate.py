@@ -22,6 +22,20 @@ centering on the new means), so all the sums an iteration needs are
 known once its memberships are, and the means and covariances are then
 solved from K rows of 14 sums.
 
+The driver, :func:`_run_single_fit`, is three steps and a policy.
+:func:`_phase1` relabels until the means settle and returns them with
+the label counts; :func:`_handoff` turns them into the parameters theta0
+= (tau, means, covariances) that phase 2 starts from; and each phase-2
+iteration is the map theta -> :func:`_m_step` of the sums of
+:func:`_soft_pass` at theta.  The driver keeps the trace, stops when no
+weight moves by ``weight_tol``, takes the closing log-likelihood and
+builds the model.  A component dies in one place, :func:`_die_if`:
+when a phase-1 label is empty at the start of an iteration or after
+phase 1's cap; when its phase-2 mass has stayed below N *
+MASS_FLOOR_FACTOR / K for DEATH_PATIENCE passes in a row (judged after
+the pass, before the M-step that the mass would break); or when its
+weight ends at 0.  :func:`fit` skips a restart that dies.
+
 Every pass over the events walks the blocks of
 :meth:`projection._Batch.blocks`, the one event batch type: a batch of
 one block is its own block and keeps the 2 phi and 4 phi features a
@@ -46,7 +60,8 @@ later step is a closed form in those averages: the radial moments fix
 the two principal variances, the angular dependence of the squared
 offsets fixes the orientation (the best-scoring root of a quartic in
 exp(2i phi0)), and a final weighted least squares refines the variances
-in the recovered frame.
+in the recovered frame.  A refit that puts the minor variance at the
+floor is dropped for the moment inversion's pair.
 """
 
 from __future__ import annotations
@@ -487,7 +502,9 @@ def estimate_covariance(offsets, weights=None) -> np.ndarray:
     Moment inversion gives the variance pair, the quartic solve gives
     the orientation, a least-squares pass re-fits the variances in that
     frame, and the orientation is solved once more with the refined
-    pair.  Returns the symmetric positive-definite covariance matrix.
+    pair; a refit whose minor variance lands at the floor is dropped
+    (:func:`_covariance_from_moments`).  Returns the symmetric
+    positive-definite covariance matrix.
     """
     return _covariance_from_moments(
         moments_from_offsets(offsets, weights), DEFAULT_VARIANCE_FLOOR
@@ -895,18 +912,10 @@ def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
 
 
 def _die_if(dead, masses, iteration: int) -> None:
-    """The one place a fit declares a component dead: raises
-    :class:`ComponentDeathError` for the first component that ``dead``
-    marks, with its entry of ``masses``, at trace iteration
-    ``iteration``.
-
-    A label that phase 1 leaves empty dies, at the iteration that would
-    solve its mean or, after phase 1's cap, at the handoff.  In phase 2 a
-    component dies once its mass has stayed below N * MASS_FLOOR_FACTOR
-    / K for DEATH_PATIENCE passes in a row, before the M-step that its
-    mass would break.  A weight that ends at 0 dies after the closing
-    log-likelihood.
-    """
+    """The one place a fit declares a component dead (the rules are in
+    the module docstring): raises :class:`ComponentDeathError` for the
+    first component that ``dead`` marks, with its entry of ``masses``,
+    at trace iteration ``iteration``."""
     if np.any(dead):
         k = int(np.argmax(dead))
         raise ComponentDeathError(

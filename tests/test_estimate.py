@@ -1617,7 +1617,9 @@ def map_events(model):
 
 #: Scales of a component's row of sums that put its mass below the
 #: floor, each pass a different one, so that the weights do not settle.
-LOW = [1e-6 * (j + 1) for j in range(DEATH_PATIENCE)]
+#: The last empties the row, whose M-step would raise a NumericalError,
+#: so a death must be judged between the pass and the M-step.
+LOW = [1e-6 * (j + 1) for j in range(DEATH_PATIENCE - 1)] + [0.0]
 
 
 def theta0(batch, labels, config):
@@ -1677,11 +1679,11 @@ def test_a_mass_below_the_floor_for_the_patience_kills(
     theta, phase1 = theta0(batch, labels, config)
     mass = script_passes(monkeypatch, batch, theta, LOW)
     floor = batch[0].size * MASS_FLOOR_FACTOR / config.K
-    assert mass * LOW[-1] < floor < mass
+    assert mass * max(LOW) < floor < mass
     with pytest.raises(ComponentDeathError) as death:
         _run_single_fit(batch, config, labels.copy(), None)
     assert death.value.component == 2
-    assert death.value.mass == mass * LOW[-1]
+    assert death.value.mass == 0.0
     # the last low pass is the iteration that would have been recorded
     assert death.value.iteration == phase1 + DEATH_PATIENCE - 1
 
@@ -1691,14 +1693,17 @@ def test_a_mass_that_recovers_before_the_patience_lives(
 ):
     batch, labels, config = map_events(benchmark_mixture)
     theta, phase1 = theta0(batch, labels, config)
-    script_passes(monkeypatch, batch, theta, LOW[:-1])
+    # one pass short of the patience, twice, with one mass above the
+    # floor between: that pass starts the count again
+    low = LOW[:-1]
+    script_passes(monkeypatch, batch, theta, low + [1.0] + low)
     out = _run_single_fit(batch, config, labels.copy(), None)
-    # the low passes, the pass whose weight jumps back, the settled one
+    # then the pass whose weight jumps back, and the settled one
     assert out.converged
-    assert out.state.iteration == phase1 + DEATH_PATIENCE + 1
     weights = [rec.weights[2] for rec in out.trace[phase1:]]
-    assert max(weights[:DEATH_PATIENCE - 1]) < 1e-5 < weights[-2]
-    assert weights[-2] == weights[-1]
+    assert len(weights) == 2 * DEATH_PATIENCE + 1
+    assert max(weights[:len(low)] + weights[len(low) + 1:-2]) < 1e-5
+    assert weights[len(low)] == weights[-2] == weights[-1] > 1e-5
 
 
 def test_fit_skips_a_restart_that_dies_in_phase2(

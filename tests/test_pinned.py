@@ -119,7 +119,10 @@ def test_the_pinned_fits_keep_their_values_without_avx512():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH")))
     )
-    code = "import json, test_pinned; print(json.dumps(test_pinned.pinned_fits()))"
+    code = (
+        "import json, test_pinned; "
+        "print(json.dumps(test_pinned.pinned_fits()))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
         capture_output=True, text=True, check=True,
