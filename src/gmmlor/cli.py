@@ -12,8 +12,14 @@ Exit codes: 0 success, 2 bad arguments or component-count mismatch,
 negative seed for ``generate`` or ``fit``, 4 numerical failure (also a
 replicate study with under 95 percent of replicates completing),
 5 iteration limit reached (outputs are still written), 6 a component
-died during fitting.  Set ``GMMLOR_LOG`` (DEBUG, INFO, ...) to raise
-log verbosity.
+died during fitting.  A usage error or a failure prints one ``error:``
+line on stderr.
+
+``fit`` writes the model, its trace (``<out>.trace.jsonl``) and a
+manifest (``<out>.manifest.json``): the input, the resolved config, the
+winning restart, the iterations of each phase, whether the weights
+settled, and the closing log-likelihood.  It holds no timings, so its
+bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ import csv
 import dataclasses
 import functools
 import json
-import logging
-import os
+import math
 import sys
 from collections import Counter
 
@@ -39,6 +44,7 @@ from .errors import (
 from .estimate import (
     FitConfig,
     config_from_dict,
+    config_to_dict,
     fit,
     trace_to_jsonl,
 )
@@ -58,8 +64,6 @@ from .model import (
 )
 from .rng import derive_seed
 from .simulate import _write_rows, read_lors_csv, simulate_lors, write_lors_csv
-
-log = logging.getLogger("gmmlor.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -200,7 +204,6 @@ def cmd_generate(args) -> int:
             "shuffled": bool(args.shuffle),
         },
     )
-    log.info("wrote %d LoRs to %s", len(result), args.out)
     print(f"generated {len(result)} LoRs -> {args.out}")
     return EXIT_OK
 
@@ -208,35 +211,31 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     s, phi = read_lors_csv(args.lors)[:2]  # a label column is not held
     config = _resolve_fit_config(args)
-
-    def on_iteration(rec):
-        log.debug(
-            "iter %d phase %d weights %s loglik %s",
-            rec.iteration,
-            rec.phase,
-            [f"{w:.4f}" for w in rec.weights],
-            "none" if rec.loglik_proxy is None else f"{rec.loglik_proxy:.6f}",
-        )
-
-    result = fit((s, phi), config, on_iteration=on_iteration)
+    result = fit((s, phi), config)
     save_model(result.model, args.out)
-    trace_path = args.out + ".trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with open(args.out + ".trace.jsonl", "w", encoding="utf-8") as fh:
         fh.write(trace_to_jsonl(result.trace))
-    log.info(
-        "fit finished after %d iterations (restart %d, loglik %.6f)",
-        result.state.iteration,
-        result.restart_index,
-        result.loglik,
+    phases = Counter(rec.phase for rec in result.trace)
+    _write_json(
+        args.out + ".manifest.json",
+        {
+            "format_version": FORMAT_VERSION,
+            "source_lors": str(args.lors),
+            "rows": s.size,
+            "config": config_to_dict(config),
+            "restart": result.restart_index,
+            "iterations": {"phase1": phases[1], "phase2": phases[2]},
+            "converged": result.converged,
+            "loglik": (
+                result.loglik if math.isfinite(result.loglik) else None
+            ),
+        },
     )
     print(
         f"fit {config.K} components to {s.size} LoRs -> {args.out}"
         + ("" if result.converged else " (iteration limit reached)")
     )
-    if not result.converged:
-        log.warning("weights did not settle within the iteration limit")
-        return EXIT_MAX_ITER
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_MAX_ITER
 
 
 def cmd_evaluate(args) -> int:
@@ -374,7 +373,6 @@ def cmd_replicate(args) -> int:
             "mean kl {mean:.4f}, max kl {max:.4f}".format(**summary["kl"])
         )
     if len(done) < MIN_STUDY_SUCCESS * len(rows):
-        log.error("only %d of %d replicates completed", len(done), len(rows))
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -452,17 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("GMMLOR_LOG", "").strip().upper()
-    level = getattr(logging, level_name, None) if level_name else None
-    logging.basicConfig(
-        level=level if isinstance(level, int) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -472,8 +460,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliUsageError, GmmLorError) as exc:
-        if isinstance(exc, CliUsageError):
-            log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 

@@ -279,6 +279,69 @@ def test_fit_iteration_cap_exit_code(tmp_path, truth_path):
         "--out", str(tmp_path / "m.json"),
     ])
     assert rc == 5
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["converged"] is False
+
+
+def test_fit_manifest_explains_the_fit(tmp_path, single_path):
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", single_path, "--n", "500", "--out", lors])
+    manifests = []
+    for name in ("a.json", "b.json"):
+        out = str(tmp_path / name)
+        assert main(["fit", lors, "--k", "1", "--seed", "3",
+                     "--out", out]) == 0
+        manifests.append(Path(out + ".manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    trace = Path(out + ".trace.jsonl").read_text().splitlines()
+    phases = [json.loads(line)["phase"] for line in trace]
+    assert manifest == {
+        "format_version": "1.0",
+        "source_lors": lors,
+        "rows": 500,
+        "config": dict(
+            gmmlor.estimate.config_to_dict(gmmlor.FitConfig(K=1)), seed=3
+        ),
+        "restart": 0,
+        "iterations": {"phase1": phases.count(1), "phase2": phases.count(2)},
+        "converged": True,
+        "loglik": manifest["loglik"],
+    }
+    assert sum(manifest["iterations"].values()) == len(trace)
+    assert np.isfinite(manifest["loglik"])
+
+
+def test_fit_manifest_names_the_winning_restart(
+    tmp_path, truth_path, monkeypatch
+):
+    # on these events restart 2 of 3 has the highest log-likelihood
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", truth_path, "--counts", "350,250,100",
+          "--seed", "2", "--out", lors])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 3, "weight_tol": 1e-3}))
+    out = str(tmp_path / "m.json")
+    assert main(["fit", lors, "--config", str(cfg), "--seed", "0",
+                 "--restarts", "3", "--out", out]) == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    s, phi = read_lors_csv(lors)[:2]
+    logliks = [
+        gmmlor.fit((s, phi), gmmlor.FitConfig(
+            K=3, weight_tol=1e-3, seed=derive_seed(0, r) if r else 0,
+        )).loglik
+        for r in range(3)
+    ]
+    assert manifest["restart"] == int(np.argmax(logliks)) == 2
+    assert manifest["loglik"] == logliks[2]
+
+
+def test_a_fit_that_raises_writes_no_manifest(tmp_path):
+    lors = tmp_path / "parallel.csv"
+    write_lors_csv(lors, np.linspace(-1.0, 1.0, 60), np.full(60, 0.3))
+    out = tmp_path / "m.json"
+    assert main(["fit", str(lors), "--k", "2", "--out", str(out)]) == 4
+    assert not Path(str(out) + ".manifest.json").exists()
 
 
 def test_fit_of_parallel_lors_is_a_numerical_error(tmp_path, capsys):
@@ -457,6 +520,55 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def _run_module(*argv, **kwargs):
+    """``python -m`` with this checkout's package on the path."""
+    src = str(Path(gmmlor.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        **kwargs,
+    )
+
+
+def test_importing_the_cli_leaves_out_logging():
+    proc = _run_module(
+        "-c", "import sys, gmmlor.cli; print('logging' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
+def test_a_usage_error_prints_one_error_line(tmp_path, truth_path):
+    # in a subprocess, so that every line written to stderr is seen
+    proc = _run_module(
+        "-m", "gmmlor", "generate", "--model", truth_path,
+        "--counts", "1,2,-1", "--out", "x.csv", cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --counts entries must be nonnegative\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_main_leaves_the_root_logger_alone(
+    tmp_path, truth_path, monkeypatch
+):
+    import logging
+
+    # as in a process that has not configured logging; pytest's own
+    # handlers come back after the test
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    before = (list(root.handlers), root.level)
+    main(["generate", "--model", truth_path, "--counts", "1,2,-1",
+          "--out", str(tmp_path / "x.csv")])
+    main(["generate", "--model", truth_path, "--counts", "3,2,1",
+          "--out", str(tmp_path / "x.csv")])
+    assert (list(root.handlers), root.level) == before
 
 
 def test_replicate_refuses_a_k_it_cannot_score_before_it_fits(

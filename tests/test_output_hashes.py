@@ -22,7 +22,8 @@ SMALL = (
 )
 OUTPUTS = [
     "study.csv", "study.csv.summary.json", "events.csv",
-    "events.csv.manifest.json", "fit.json", "fit.json.trace.jsonl",
+    "events.csv.manifest.json", "fit.json", "fit.json.manifest.json",
+    "fit.json.trace.jsonl",
 ]
 
 
