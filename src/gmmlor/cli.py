@@ -118,10 +118,11 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _resolve_fit_config(args) -> FitConfig:
+def _resolve_fit_config(args, default_k=None) -> FitConfig:
     """Merge config file and CLI flags; flags win, and a ``--k`` must
     agree with the config file's K once :class:`FitConfig` has checked
-    it.  A malformed file raises :class:`InputError`."""
+    it.  ``default_k`` is K when neither gives one.  A malformed file
+    raises :class:`InputError`."""
     file_cfg = {}
     if args.config is not None:
         raw = _load_json(args.config)
@@ -130,7 +131,8 @@ def _resolve_fit_config(args) -> FitConfig:
         check_format_version(raw)
         raw.pop("format_version", None)
         file_cfg = raw
-    if "K" not in file_cfg and args.k is None:
+    k = default_k if args.k is None else args.k
+    if "K" not in file_cfg and k is None:
         raise CliUsageError("give --k or a config file with K")
     overrides = {}
     if args.seed is not None:
@@ -138,7 +140,7 @@ def _resolve_fit_config(args) -> FitConfig:
     if args.restarts is not None:
         overrides["restarts"] = args.restarts
     try:
-        config = config_from_dict({"K": args.k, **file_cfg}, **overrides)
+        config = config_from_dict({"K": k, **file_cfg}, **overrides)
     except InputError as exc:
         if args.config is not None:
             raise
@@ -312,9 +314,7 @@ def cmd_replicate(args) -> int:
     over the completed replicates, one column of their values each."""
     truth = load_model(args.model)
     counts = _resolve_counts(args, truth)
-    if args.k is None:
-        args.k = len(truth.components)
-    config = _resolve_fit_config(args)
+    config = _resolve_fit_config(args, default_k=len(truth.components))
     k = config.K
     if k != len(truth.components):
         raise CliUsageError(
@@ -381,11 +381,23 @@ def cmd_replicate(args) -> int:
 # parser and dispatch
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_positive_int = _int_at_least(1)
+#: the KL quadrature's least resolution per axis
+#: (:func:`metrics.kl_divergence`)
+_grid_int = _int_at_least(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("estimate", help="estimated model JSON")
     p_eval.add_argument("--model", required=True, help="truth model JSON")
     p_eval.add_argument("--out", help="optional evaluation JSON")
-    p_eval.add_argument("--grid", type=_positive_int, default=512,
+    p_eval.add_argument("--grid", type=_grid_int, default=512,
                         help="KL quadrature resolution per axis")
     p_eval.add_argument("--plot-data", dest="plot_data",
                         help="prefix for truth/estimate density raster CSVs")
@@ -442,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--config", help="fit configuration JSON")
     p_rep.add_argument("--restarts", type=_positive_int, default=None)
     p_rep.add_argument("--jobs", type=_positive_int, default=1)
-    p_rep.add_argument("--grid", type=_positive_int, default=512,
+    p_rep.add_argument("--grid", type=_grid_int, default=512,
                        help="KL quadrature resolution per axis")
     p_rep.add_argument("--out", required=True, help="study CSV path")
     p_rep.set_defaults(func=cmd_replicate)

@@ -316,10 +316,12 @@ def _one_component_sums(lors, weights) -> tuple[np.ndarray, float]:
     :func:`moments_from_offsets`.
 
     Event i weighs ``weights[i]`` (1 for None), and its offset is a copy
-    of its first coordinate s, so t = s^2 (:func:`_pass`).  The total is
-    one np.sum of every weight, and must be positive and finite.
+    of its first coordinate s, so t = s^2 (:func:`_pass`), and an s that
+    :func:`_check_reach` refuses raises :class:`InputError`.  The total
+    is one np.sum of every weight, and must be positive and finite.
     """
     batch = _as_arrays(lors)
+    _check_reach(batch[0], "s", 1.001)
     w = _as_weights(weights, batch[0].size)
     mass = float(np.sum(w))
     if not (mass > 0.0 and math.isfinite(mass)):
@@ -582,6 +584,36 @@ def _as_arrays(lors) -> _Batch:
     return _Batch(s, phi)
 
 
+def _check_reach(s, name: str, room: float) -> None:
+    """Refuse a batch whose sums of s^4 could overflow, with an
+    :class:`InputError` that names the values ``name``: the check of
+    :func:`fit`'s events, of the offsets :func:`center_offsets` forms,
+    and of the events that :func:`fit_mean` and
+    :func:`moments_from_offsets` take as offsets.  A LoR CSV may hold
+    any finite s, so the check belongs to the sums, not to the event
+    coercion :func:`_as_arrays`.
+
+    The largest |s| of N events must be at most (F / N)^(1/4) / ``room``,
+    F the largest double (``np.finfo(float).max``).  Then N (room |s|)^4
+    is at most F, so the sum of t^2 = s^4 over the events, the largest
+    sum of :func:`_block_sums` at unit weights, stays finite.  A fit's
+    events take room 2, for offsets about a mean sinusoid that reach twice the
+    largest |s|; offsets take room 1.001, for the rounding of the limit
+    and of the sums.  The largest |s| is taken with np.max and np.min,
+    as :class:`_HardLabels` takes it, so no event-length temporary is
+    made.
+    """
+    if s.size == 0:
+        return
+    reach = float(max(np.max(s), -np.min(s)))
+    limit = (np.finfo(float).max / s.size) ** 0.25 / room
+    if reach > limit:
+        raise InputError(
+            f"|{name}| reaches {reach:.3g}, beyond {limit:.3g}, the most "
+            f"whose fourth powers sum over {s.size} events without overflow"
+        )
+
+
 def fit_mean(lors, weights=None) -> np.ndarray:
     """Weighted least-squares mean under the sinusoid model.
 
@@ -629,7 +661,8 @@ def _solve_sym2(p, q, r, b1, b2, what: str) -> tuple[float, float]:
 def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of each LoR from the mean sinusoid of ``mean``, as the
     (s_c, phi) pair the covariance pipeline takes.  Offsets that
-    overflow, or a non-finite mean, raise :class:`InputError`.
+    overflow or whose fourth powers could (:func:`_check_reach`), or a
+    non-finite mean, raise :class:`InputError`.
 
     The offsets are written and checked block by block into one
     N-length array, so the temporaries of :func:`mean_sinusoid` stay
@@ -643,6 +676,7 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(b[0], mean_sinusoid(b, mean), out=out)
         if not np.all(np.isfinite(out)):
             raise InputError("offsets from the mean are not finite")
+    _check_reach(s_c, "s_c", 1.001)
     return batch.with_s(s_c)
 
 
@@ -1056,6 +1090,7 @@ def fit(
     """
     batch = _as_arrays(lors)
     s, phi = batch
+    _check_reach(s, "s", 2.0)
     K = config.K
     if s.size < 5 * K:
         raise InputError(

@@ -7,11 +7,13 @@ point, s = -x sin(phi) + y cos(phi).  No detector blur is added: the
 only randomness is in the emission point and the angle.
 
 Events are stored as CSV text: a header, then one s,phi[,label] row per
-event.  :func:`_write_rows` writes every CSV the package writes, each
-float as ``%.17g`` so that reading it back gives the same double.  Its
-numpy kernel (the ``_g17`` functions) writes the bytes that ``%`` would,
-without a Python call per value, and leaves to ``%`` the rows it cannot
-settle exactly.  :func:`read_lors_csv` parses with ``np.loadtxt``.
+event.  :func:`_write_rows` writes the LoR CSV and the density rasters
+of ``evaluate --plot-data``, each float as ``%.17g`` so that reading it
+back gives the same double.  Its numpy kernel (the ``_g17`` functions)
+writes the bytes that ``%`` would, without a Python call per value, and
+leaves to ``%`` the rows it cannot settle exactly.  A ``replicate``
+study's CSV is written by :func:`csv.writer`, one row per replicate.
+:func:`read_lors_csv` parses with ``np.loadtxt``.
 """
 
 from __future__ import annotations

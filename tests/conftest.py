@@ -127,6 +127,18 @@ UNPARSABLE_JSON = {
 BENCHMARK_COUNTS = (3500, 2500, 1000)
 
 
+def overflow_cases():
+    """300 events whose s^4 overflow a sum over them, by name: s ~
+    N(0, 1) 1e150 (``spread``), and one event at s = 1e300 among
+    N(0, 1) ones (``outlier``)."""
+    rng = np.random.default_rng(19)
+    z, phi = rng.normal(size=300), rng.uniform(-1.5, 1.5, 300)
+    return {
+        "spread": (z * 1e150, phi),
+        "outlier": (np.append(z[:-1], 1e300), phi),
+    }
+
+
 @pytest.fixture(scope="session")
 def benchmark_mixture():
     return gmmlor.MixtureModel2D(benchmark_components())

@@ -27,6 +27,7 @@ from conftest import (
     UNPARSABLE_CSVS,
     UNPARSABLE_JSON,
     make_component,
+    overflow_cases,
 )
 
 
@@ -344,6 +345,19 @@ def test_a_fit_that_raises_writes_no_manifest(tmp_path):
     assert not Path(str(out) + ".manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["spread", "outlier"])
+def test_fit_of_events_whose_fourth_powers_overflow_exits_3(
+    tmp_path, capsys, case
+):
+    lors = tmp_path / "huge.csv"
+    write_lors_csv(lors, *overflow_cases()[case])
+    out = tmp_path / "m.json"
+    assert main(["fit", str(lors), "--k", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: |s| reaches ")
+    assert not out.exists()
+
+
 def test_fit_of_parallel_lors_is_a_numerical_error(tmp_path, capsys):
     # every LoR at one angle leaves the mean free along their direction
     lors = tmp_path / "parallel.csv"
@@ -586,6 +600,46 @@ def test_replicate_refuses_a_k_it_cannot_score_before_it_fits(
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: component counts differ: fit K 2, truth 3\n"
+    assert not out.exists()
+
+
+def test_replicate_takes_k_from_the_config_before_the_truth(
+    tmp_path, capsys, truth_path, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(gmmlor.cli, "fit", no_fit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 2}))
+    out = tmp_path / "s.csv"
+    rc = main([
+        "replicate", "--model", truth_path, "--counts", "35,25,10",
+        "--replicates", "2", "--config", str(cfg), "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: component counts differ: fit K 2, truth 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "replicate"])
+def test_a_grid_below_2_is_a_usage_error_before_any_work(
+    tmp_path, capsys, truth_path, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit or evaluation called")
+
+    monkeypatch.setattr(gmmlor.cli, "fit", no_work)
+    monkeypatch.setattr(gmmlor.cli, "evaluate_against_truth", no_work)
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", truth_path, "--model", truth_path],
+        "replicate": ["replicate", "--model", truth_path,
+                      "--counts", "35,25,10", "--replicates", "2"],
+    }[command]
+    assert main(argv + ["--grid", "1", "--out", str(out)]) == 2
+    assert "argument --grid: must be at least 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -66,7 +66,12 @@ from gmmlor.estimate import (
 )
 from gmmlor.projection import log_line_integral_profile
 from gmmlor.rng import derive_seed
-from conftest import BAD_FIT_SETTINGS, BENCHMARK_COUNTS, make_component
+from conftest import (
+    BAD_FIT_SETTINGS,
+    BENCHMARK_COUNTS,
+    make_component,
+    overflow_cases,
+)
 
 
 def single(mean, cov):
@@ -221,6 +226,48 @@ def test_offsets_that_overflow_are_input_errors():
     with np.errstate(over="ignore"):
         with pytest.raises(InputError, match="not finite"):
             center_offsets(events, (-1.7e308, 1.7e308))
+
+
+def reach_limit(n, room):
+    return (np.finfo(float).max / n) ** 0.25 / room
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["spread", "outlier"])
+@pytest.mark.parametrize("reader", [
+    fit_mean,
+    moments_from_offsets,
+    lambda lors: fit(lors, FitConfig(K=1)),
+    lambda lors: fit(lors, FitConfig(K=3)),
+])
+def test_events_whose_fourth_powers_overflow_are_input_errors(case, reader):
+    with pytest.raises(InputError, match=r"^\|s\| reaches "):
+        reader(overflow_cases()[case])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [1, 3])
+def test_events_just_below_the_reach_limit_fit(K):
+    rng = np.random.default_rng(20)
+    z, phi = rng.normal(size=300), rng.uniform(-1.5, 1.5, 300)
+    limit = reach_limit(300, 2.0)
+    s = z / np.max(np.abs(z)) * limit
+    assert np.max(np.abs(s)) <= limit
+    result = fit((s, phi), FitConfig(K=K))
+    assert np.isclose(sum(c.weight for c in result.model.components), 1.0)
+    s[np.argmax(np.abs(s))] = np.nextafter(limit, np.inf)
+    with pytest.raises(InputError, match=r"^\|s\| reaches "):
+        fit((s, phi), FitConfig(K=K))
+
+
+def test_offsets_whose_fourth_powers_overflow_are_input_errors():
+    # at phi = 0 the offset of s from the mean (0, y) is s - y
+    s, phi = np.full(8, reach_limit(8, 2.0)), np.zeros(8)
+    limit = reach_limit(8, 1.001)
+    s_c, _ = center_offsets((s, phi), (0.0, s[0] - 0.99 * limit))
+    assert np.all((s_c > 0.98 * limit) & (s_c < limit))
+    with pytest.raises(InputError, match=r"^\|s_c\| reaches "):
+        center_offsets((s, phi), (0.0, -s[0]))
 
 
 def test_fit_mean_three_lines_exact():
