@@ -585,23 +585,20 @@ def _as_arrays(lors) -> _Batch:
 
 
 def _check_reach(s, name: str, room: float) -> None:
-    """Refuse a batch whose sums of s^4 could overflow, with an
-    :class:`InputError` that names the values ``name``: the check of
-    :func:`fit`'s events, of the offsets :func:`center_offsets` forms,
-    and of the events that :func:`fit_mean` and
-    :func:`moments_from_offsets` take as offsets.  A LoR CSV may hold
-    any finite s, so the check belongs to the sums, not to the event
-    coercion :func:`_as_arrays`.
+    """Refuse a batch whose sum of s^4 could overflow, with an
+    :class:`InputError` that names the values ``name``.  :func:`fit`
+    checks its events; :func:`center_offsets`, :func:`fit_mean` and
+    :func:`moments_from_offsets` check the offsets they sum.  A LoR CSV
+    may hold any finite s, so :func:`_as_arrays` does not check it.
 
     The largest |s| of N events must be at most (F / N)^(1/4) / ``room``,
     F the largest double (``np.finfo(float).max``).  Then N (room |s|)^4
-    is at most F, so the sum of t^2 = s^4 over the events, the largest
-    sum of :func:`_block_sums` at unit weights, stays finite.  A fit's
-    events take room 2, for offsets about a mean sinusoid that reach twice the
+    is at most F, so the sum of t^2 = s^4, the largest sum of
+    :func:`_block_sums` at unit weights, stays finite.  A fit's events
+    take room 2, for offsets about a mean sinusoid up to twice the
     largest |s|; offsets take room 1.001, for the rounding of the limit
-    and of the sums.  The largest |s| is taken with np.max and np.min,
-    as :class:`_HardLabels` takes it, so no event-length temporary is
-    made.
+    and of the sum.  The largest |s| comes from np.max and np.min, as
+    in :class:`_HardLabels`, so no event-length temporary is made.
     """
     if s.size == 0:
         return
@@ -661,8 +658,9 @@ def _solve_sym2(p, q, r, b1, b2, what: str) -> tuple[float, float]:
 def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of each LoR from the mean sinusoid of ``mean``, as the
     (s_c, phi) pair the covariance pipeline takes.  Offsets that
-    overflow or whose fourth powers could (:func:`_check_reach`), or a
-    non-finite mean, raise :class:`InputError`.
+    overflow, offsets whose sum of fourth powers could
+    (:func:`_check_reach`), or a non-finite mean raise
+    :class:`InputError`.
 
     The offsets are written and checked block by block into one
     N-length array, so the temporaries of :func:`mean_sinusoid` stay

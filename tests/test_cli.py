@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main()."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -301,9 +302,7 @@ def test_fit_manifest_explains_the_fit(tmp_path, single_path):
         "format_version": "1.0",
         "source_lors": lors,
         "rows": 500,
-        "config": dict(
-            gmmlor.estimate.config_to_dict(gmmlor.FitConfig(K=1)), seed=3
-        ),
+        "config": gmmlor.config_to_dict(gmmlor.FitConfig(K=1, seed=3)),
         "restart": 0,
         "iterations": {"phase1": phases.count(1), "phase2": phases.count(2)},
         "converged": True,
@@ -313,9 +312,7 @@ def test_fit_manifest_explains_the_fit(tmp_path, single_path):
     assert np.isfinite(manifest["loglik"])
 
 
-def test_fit_manifest_names_the_winning_restart(
-    tmp_path, truth_path, monkeypatch
-):
+def test_fit_manifest_names_the_winning_restart(tmp_path, truth_path):
     # on these events restart 2 of 3 has the highest log-likelihood
     lors = str(tmp_path / "ev.csv")
     main(["generate", "--model", truth_path, "--counts", "350,250,100",
@@ -571,8 +568,6 @@ def test_a_usage_error_prints_one_error_line(tmp_path, truth_path):
 def test_main_leaves_the_root_logger_alone(
     tmp_path, truth_path, monkeypatch
 ):
-    import logging
-
     # as in a process that has not configured logging; pytest's own
     # handlers come back after the test
     root = logging.getLogger()
