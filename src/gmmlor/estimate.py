@@ -664,8 +664,8 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
 
     The offsets are written and checked block by block into one
     N-length array, so the temporaries of :func:`mean_sinusoid` stay
-    block-sized.  The result shares the batch's phi and the features
-    computed so far.
+    block-sized.  The result is a plain tuple of two float arrays whose
+    phi is the batch's own.
     """
     batch = _as_arrays(lors)
     s_c = np.empty_like(batch[0])
@@ -675,7 +675,7 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
         if not np.all(np.isfinite(out)):
             raise InputError("offsets from the mean are not finite")
     _check_reach(s_c, "s_c", 1.001)
-    return batch.with_s(s_c)
+    return s_c, batch[1]
 
 
 def _memberships_arrays(s, phi, means, covariances, tau):
@@ -797,16 +797,18 @@ def _nearest_sinusoid(batch, means):
     """Label of the mean sinusoid passing closest to each event, and the
     gap from that distance to the second-closest (inf when K = 1).
 
-    Components are compared one at a time, so no N x K array is built;
-    the strict < sends a tie to the lower label, as argmin would, and a
-    tie leaves a gap of 0.
+    The distance is |s - m_k(phi)|, the offset of :func:`center_offsets`
+    and the E-step, from :func:`mean_sinusoid`.  Components are compared
+    one at a time, so no N x K array is built; the strict < sends a tie
+    to the lower label, as argmin would, and a tie leaves a gap of 0.
+    The labels are of phase 1's label type (:func:`_label_dtype`).
     """
-    s, si, co = batch[0], batch.sin, batch.cos
-    best = np.abs(s + means[0, 0] * si - means[0, 1] * co)
+    s = batch[0]
+    best = np.abs(s - mean_sinusoid(batch, means[0]))
     second = np.full(s.size, np.inf)
-    labels = np.zeros(s.size, dtype=np.int64)
+    labels = np.zeros(s.size, dtype=_label_dtype(len(means)))
     for k in range(1, len(means)):
-        dist = np.abs(s + means[k, 0] * si - means[k, 1] * co)
+        dist = np.abs(s - mean_sinusoid(batch, means[k]))
         labels[dist < best] = k
         nearer = np.minimum(best, dist)
         np.maximum(best, dist, out=dist)
@@ -821,17 +823,18 @@ class _HardLabels:
     date across relabelling passes, and with a bound that lets a pass
     skip the events whose nearest sinusoid cannot have changed.
 
-    The distance |s + mu_x sin phi - mu_y cos phi| of an event to a mean
-    sinusoid is the distance from the point mu to the event's line, so
-    moving a mean by d changes every distance to it by at most d.  If
-    the means moved by at most d since an event was last relabelled, its
-    gap between the second-nearest and the nearest distance has shrunk
-    by at most 2 d (Elkan 2003; Hamerly 2010).  So each event keeps the
-    key gap + drift from its last relabel, where ``drift`` sums 2 d over
-    the passes, and a pass recomputes only the events whose key is not
-    above the current drift by more than a rounding margin.  A skipped
-    event keeps a label that is strictly nearest, which is what
-    :func:`_nearest_sinusoid` would give it; ties are always recomputed.
+    The distance |s - m(phi)| of an event to the mean sinusoid
+    m(phi) = -mu_x sin phi + mu_y cos phi is the distance from the point
+    mu to the event's line, so moving a mean by d changes every distance
+    to it by at most d.  If the means moved by at most d since an event
+    was last relabelled, its gap between the second-nearest and the
+    nearest distance has shrunk by at most 2 d (Elkan 2003; Hamerly
+    2010).  So each event keeps the key gap + drift from its last
+    relabel, where ``drift`` sums 2 d over the passes, and a pass
+    recomputes only the events whose key is not above the current drift
+    by more than a rounding margin.  A skipped event keeps a label that
+    is strictly nearest, which is what :func:`_nearest_sinusoid` would
+    give it; ties are always recomputed.
     Keys start at -inf, so the first relabelling pass recomputes every
     event.
 

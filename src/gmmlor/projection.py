@@ -14,8 +14,9 @@ vice versa.
 
 An event batch has one representation, :class:`_Batch`: the (s, phi)
 pair with the angle features computed from it, and the one walk over
-its events in blocks (:meth:`_Batch.blocks`).  The functions here take
-one in place of ``phi`` and read its sines and cosines.
+its events in blocks (:meth:`_Batch.blocks`).  It is the fit's private
+working set: the public functions return plain arrays.  The functions
+here take one in place of ``phi`` and read its sines and cosines.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ SIGMA_P_SQ_FLOOR = 1e-15
 
 class _Batch(tuple):
     """A batch of events: the (s, phi) or (s_c, phi) pair, with the sin
-    and cos of phi, 2 phi and 4 phi of its events.  It unpacks as the
+    and cos of phi, 2 phi and 4 phi of its events, held inside a fit
+    and never returned by a public function.  It unpacks as the
     plain pair, and the projection functions below accept one wherever
     they accept ``phi``, reading its sines and cosines.
 
@@ -45,9 +47,8 @@ class _Batch(tuple):
     cos 2x = (cos x - sin x)(cos x + sin x), a few products in place of
     a trigonometric call, within 1e-15 of np.sin and np.cos.
 
-    Its values are finite: ``estimate._as_arrays`` and
-    ``estimate.center_offsets`` check them when they build one, so no
-    reader checks them again.
+    Its values are finite: ``estimate._as_arrays`` checks them when it
+    builds one, so no reader checks them again.
 
     The E-step (``estimate._memberships_arrays``) leaves on the batch it
     is given the offsets of its events from each component's mean
@@ -55,18 +56,14 @@ class _Batch(tuple):
     (``estimate._soft_pass``) takes them off the block, as the offsets
     it squares; the handoff centres each block itself
     (``estimate.center_offsets``), and the closing log-likelihood
-    (``estimate._soft_loglik``) leaves them.  :meth:`take` and
-    :meth:`with_s` carry only the angle features.
+    (``estimate._soft_loglik``) leaves them.  :meth:`take` carries only
+    the angle features.
     """
 
     _FEATURES = ("sin", "cos", "sin2", "cos2", "sin4", "cos4")
 
     def __new__(cls, s, phi):
         return super().__new__(cls, (s, phi))
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild a tuple subclass from these
-        return tuple(self)
 
     @cached_property
     def sin(self):
@@ -97,21 +94,10 @@ class _Batch(tuple):
         indexed rather than computed again: views for a slice, copies for
         an index array.  Features computed on the result stay with it."""
         out = _Batch(self[0][idx], self[1][idx])
-        for name, value in self._features():
-            setattr(out, name, value[idx])
+        for name, value in vars(self).items():
+            if name in self._FEATURES:
+                setattr(out, name, value[idx])
         return out
-
-    def with_s(self, s):
-        """The batch of the same phi, and of the features computed so
-        far, with ``s`` in place of its s: the offsets of its events."""
-        out = _Batch(s, self[1])
-        vars(out).update(self._features())
-        return out
-
-    def _features(self):
-        """(name, value) of each angle feature computed so far."""
-        return [(name, value) for name, value in vars(self).items()
-                if name in self._FEATURES]
 
     def blocks(self):
         """(slice, batch) for each block of :data:`_BLOCK_EVENTS`

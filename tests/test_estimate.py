@@ -362,16 +362,28 @@ def test_center_offsets_result_copies_and_pickles(clone):
     s = rng.normal(size=25)
     phis = rng.uniform(-1.5, 1.5, 25)
     offs = center_offsets((s, phis), np.array([0.2, -0.1]))
-    offs.sin2  # a computed feature travels with the copy
     s_c, phi = clone(offs)
     assert np.array_equal(s_c, offs[0])
     assert np.array_equal(phi, phis)
-    copied = clone(offs)
-    assert "sin2" in vars(copied)
-    assert np.array_equal(copied.sin2, offs.sin2)
     assert estimate_covariance(clone(offs)).tobytes() == (
         estimate_covariance(offs).tobytes()
     )
+
+
+@pytest.mark.parametrize("lors", ["pair", "batch"])
+def test_center_offsets_returns_a_plain_pair_of_float_arrays(lors):
+    # the fit's batch stays private: a batch given in, with its angle
+    # features computed, still comes back as the plain (s_c, phi) tuple
+    rng = np.random.default_rng(15)
+    s = rng.normal(size=25)
+    phis = rng.uniform(-1.5, 1.5, 25)
+    given = (s, phis) if lors == "pair" else cached(s, phis)
+    offs = center_offsets(given, np.array([0.2, -0.1]))
+    assert type(offs) is tuple and len(offs) == 2
+    assert not isinstance(offs, _Batch)
+    for part in offs:
+        assert type(part) is np.ndarray and part.dtype == np.float64
+        assert part.shape == (25,)
 
 
 # ----------------------------------------------------------- orientation solve
@@ -779,13 +791,12 @@ def test_nearest_sinusoid_matches_argmin(K):
     phi = rng.uniform(-math.pi / 2, math.pi / 2, 500)
     means = rng.normal(0.0, 1.0, size=(K, 2))
     means[-1] = means[0]  # every event ties between two labels
+    # the offsets of center_offsets and the E-step, one column per mean
     dist = np.abs(
-        s[:, None]
-        + means[None, :, 0] * np.sin(phi)[:, None]
-        - means[None, :, 1] * np.cos(phi)[:, None]
+        np.stack([s - mean_sinusoid(phi, mean) for mean in means], axis=1)
     )
     labels, gap = _nearest_sinusoid(cached(s, phi), means)
-    assert labels.dtype == np.int64
+    assert labels.dtype == _label_dtype(K)
     assert np.array_equal(labels, np.argmin(dist, axis=1))
     if K == 1:
         assert np.all(gap == np.inf)
@@ -1151,8 +1162,8 @@ def test_phase2_pass_takes_its_offsets_from_the_e_step(n, monkeypatch):
     _soft_loglik(batch, means, covariances, tau)
     if n <= B:  # the batch is its own block, and keeps the last offsets
         assert batch.offsets.shape == (3, n)
-    for other in (batch.take(slice(0, 5)), batch.with_s(batch[0])):
-        assert "offsets" not in vars(other) and "sin" in vars(other)
+    other = batch.take(slice(0, 5))
+    assert "offsets" not in vars(other) and "sin" in vars(other)
 
 
 def test_fit_hands_the_e_step_one_block_at_a_time(

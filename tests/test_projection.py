@@ -212,19 +212,6 @@ def test_larger_batches_walk_views_of_their_sines_and_cosines(n):
     assert set(vars(batch)) == {"sin", "cos"}
 
 
-def test_with_s_keeps_phi_and_the_computed_features():
-    batch = random_batch(50, 5)
-    batch.sin, batch.cos2
-    s_c = batch[0] - 1.0
-    out = batch.with_s(s_c)
-    assert out[0] is s_c and out[1] is batch[1]
-    assert set(vars(out)) == {"sin", "cos", "cos2"}
-    for name in vars(out):
-        assert np.shares_memory(getattr(out, name), getattr(batch, name))
-    out.sin4  # formed on the result, not on the batch it came from
-    assert "sin4" not in vars(batch)
-
-
 def test_mean_sinusoid_shape_and_values():
     mu = (1.0, 2.0)
     phis = np.array([0.0, math.pi / 4, -math.pi / 3])
