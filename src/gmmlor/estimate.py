@@ -834,9 +834,8 @@ class _HardLabels:
     recomputes only the events whose key is not above the current drift
     by more than a rounding margin.  A skipped event keeps a label that
     is strictly nearest, which is what :func:`_nearest_sinusoid` would
-    give it; ties are always recomputed.
-    Keys start at -inf, so the first relabelling pass recomputes every
-    event.
+    give it; ties are always recomputed.  Keys start at -inf, so the
+    first relabelling pass recomputes every event.
 
     The counts and sums are the sufficient statistics of the
     hard-assignment mean fit (incremental EM, Neal & Hinton 1998), the

@@ -379,8 +379,7 @@ def test_center_offsets_returns_a_plain_pair_of_float_arrays(lors):
     phis = rng.uniform(-1.5, 1.5, 25)
     given = (s, phis) if lors == "pair" else cached(s, phis)
     offs = center_offsets(given, np.array([0.2, -0.1]))
-    assert type(offs) is tuple and len(offs) == 2
-    assert not isinstance(offs, _Batch)
+    assert type(offs) is tuple and len(offs) == 2  # not a _Batch
     for part in offs:
         assert type(part) is np.ndarray and part.dtype == np.float64
         assert part.shape == (25,)
