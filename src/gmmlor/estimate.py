@@ -7,11 +7,13 @@ passes closest.  The means come from running per-label sums that only
 the moving LoRs change, and a pass recomputes only the LoRs whose
 nearest sinusoid the last moves of the means can have changed.  Phase 1
 holds one label per event, in the smallest unsigned type that holds K
-labels.  The handoff is a phase-2 pass whose memberships are one-hot:
-every event weighs 1 for its phase-1 label, each block of events is
-centred on each phase-1 mean, and each hard cluster's covariance comes
-from the moment sums of its offsets, so no cluster's events are
-gathered.  Phase 2 switches to soft memberships derived from the
+labels, one float32 skip key per event, rounded so that it never
+exceeds the float64 key it stands for, and sin and cos of phi; it
+recomputes its candidates one block at a time.  The handoff is a
+phase-2 pass whose memberships are one-hot: every event weighs 1 for
+its phase-1 label, each block of events is centred on each phase-1
+mean, and each hard cluster's covariance comes from the moment sums of
+its offsets, so no cluster's events are gathered.  Phase 2 switches to soft memberships derived from the
 per-component projected densities and re-estimates means, covariances,
 and weights until the weights settle.  Each phase-2 iteration is one
 pass over blocks of events: a block's memberships are formed, weigh
@@ -802,6 +804,8 @@ def _nearest_sinusoid(batch, means):
     one at a time, so no N x K array is built; the strict < sends a tie
     to the lower label, as argmin would, and a tie leaves a gap of 0.
     The labels are of phase 1's label type (:func:`_label_dtype`).
+    Only s and the sin and cos of phi are read, so phase 1 passes the
+    batches of :meth:`_Batch.take_sin_cos`.
     """
     s = batch[0]
     best = np.abs(s - mean_sinusoid(batch, means[0]))
@@ -837,6 +841,13 @@ class _HardLabels:
     give it; ties are always recomputed.  Keys start at -inf, so the
     first relabelling pass recomputes every event.
 
+    The keys are float32 (:func:`_key_floor`): each stored key is at
+    most the float64 key it stands for, so a key that clears the limit
+    in float32 clears it in float64 too (:meth:`_candidates`), and the
+    rounding can only send more events to be recomputed.  Besides its
+    batch and labels, phase 1 holds 4 bytes of key per event and the
+    batch's sin and cos of phi (16).
+
     The counts and sums are the sufficient statistics of the
     hard-assignment mean fit (incremental EM, Neal & Hinton 1998), the
     sums being the five of :func:`_solve_mean` per label.  They start
@@ -851,7 +862,7 @@ class _HardLabels:
         self.sums = np.zeros((5, K))
         for block, b in batch.blocks():
             self._move(labels[block], labels[:0], b[0], b.sin, b.cos)
-        self.keys = np.full(labels.size, -np.inf)
+        self.keys = np.full(labels.size, -np.inf, dtype=np.float32)
         self.drift = 0.0
         s = batch[0]
         self.s_max = float(max(np.max(s), -np.min(s)))  # max |s|
@@ -859,31 +870,54 @@ class _HardLabels:
     def relabel(self, means, moved_by: float) -> int:
         """Move each event to the nearest of the sinusoids of ``means``,
         given that no mean moved by more than ``moved_by`` since the last
-        pass.  Returns how many events were recomputed."""
+        pass.  Returns how many events were recomputed.
+
+        Each run of :meth:`_candidates` is recomputed in pieces of at
+        most one block (:meth:`_recompute`), each gathering only s, sin
+        phi and cos phi, and the run's moved events are tallied by one
+        :meth:`_move`, in index order, whatever its pieces.
+        """
         self.drift += 2.0 * moved_by
         # bounds the rounding of two computed distances and of the keys
         margin = 1e-12 * (
             self.s_max + 2.0 * float(np.max(np.abs(means))) + self.drift + 1.0
         )
-        limit = self.drift + margin
+        # a limit beyond float32 recomputes every event, as the keys
+        # never exceed its largest value
+        limit = min(self.drift + margin, _KEY_MAX)
+        batch, n = self.batch, self.keys.size
         recomputed = 0
         for run in self._candidates(limit):
-            events = self.batch.take(run)
-            recomputed += events[0].size
-            new, gap = _nearest_sinusoid(events, means)
-            self.keys[run] = gap + self.drift
-            old = self.labels[run]
-            moved = np.flatnonzero(new != old)
-            old, new = old[moved], new[moved]
             if isinstance(run, slice):
-                self.labels[run][moved] = new
+                pieces = [run]
+                recomputed += len(range(n)[run])
             else:
-                self.labels[run[moved]] = new
+                pieces = [run[piece] for piece in _blocks(run.size)]
+                recomputed += run.size
+            moves = [self._recompute(piece, means) for piece in pieces]
+            idx, old, new = (np.concatenate(m) for m in zip(*moves))
+            moves = None  # the pieces' arrays would run beside _move's
             self._move(
-                new, old,
-                events[0][moved], events.sin[moved], events.cos[moved],
+                new, old, batch[0][idx], batch.sin[idx], batch.cos[idx]
             )
         return recomputed
+
+    def _recompute(self, piece, means):
+        """Relabel the events ``piece`` selects, a slice or an index
+        array of at most one block, and key them from the current drift.
+        Returns the positions, old labels and new labels of those that
+        moved."""
+        new, gap = _nearest_sinusoid(self.batch.take_sin_cos(piece), means)
+        gap += self.drift
+        self.keys[piece] = _key_floor(gap)
+        moved = np.flatnonzero(new != self.labels[piece])
+        if isinstance(piece, slice):
+            idx = moved + piece.start
+        else:
+            idx = piece[moved]
+        old = self.labels[idx]
+        self.labels[idx] = new = new[moved]
+        return idx, old, new
 
     def _move(self, new, old, s, si, co):
         """Move events from the labels ``old`` to the labels ``new`` in
@@ -896,13 +930,21 @@ class _HardLabels:
             row += np.bincount(new, weights=feature, minlength=K)
             row -= np.bincount(old, weights=feature, minlength=K)
 
-    def _candidates(self, limit):
+    def _candidates(self, limit: float):
         """The events whose key is not above ``limit``, block by block.
 
         A block whose every event is a candidate comes as its slice, so
         the pass reads views of it.  The others come as index arrays, in
         ascending runs of one to two blocks' worth, so that a pass that
         recomputes few events handles them together.
+
+        The float32 keys meet a Python float ``limit``, which NumPy 2
+        (NEP 50) and NumPy 1's value-based casting both round to float32
+        for the comparison (so it must not exceed float32's largest
+        value).  Rounded either way, it skips an event only when its
+        float64 key is above the unrounded limit: a float32 key above a
+        limit rounded down is at least the next float32, which is above
+        the limit, and a stored key is never above the float64 key.
         """
         pending, held = [], 0
         for block in _blocks(self.keys.size):
@@ -923,6 +965,27 @@ class _HardLabels:
                 pending, held = [], 0
         if held:
             yield np.concatenate(pending)
+
+
+#: The largest float32, where :func:`_key_floor` clamps phase 1's keys.
+_KEY_MAX = float(np.finfo(np.float32).max)
+
+
+def _key_floor(key) -> np.ndarray:
+    """The float32 keys of the nonnegative float64 ``key``, each at most
+    the value it stands for: clamped at :data:`_KEY_MAX` (so an infinite
+    or overflowing key casts without overflow), then rounded toward -inf.
+    ``key`` is clamped in place; a NaN stays NaN.
+
+    A key is a gap plus the drift, both nonnegative, so a float32 that
+    the cast rounded up is positive, and the next float32 below it is one
+    less in its bit pattern (np.nextafter is several times slower).
+    """
+    np.minimum(key, _KEY_MAX, out=key)
+    low = key.astype(np.float32)
+    bits = low.view(np.int32)
+    bits -= low > key
+    return low
 
 
 def _cluster_moment_sums(batch, labels, means) -> np.ndarray:

@@ -57,7 +57,7 @@ class _Batch(tuple):
     it squares; the handoff centres each block itself
     (``estimate.center_offsets``), and the closing log-likelihood
     (``estimate._soft_loglik``) leaves them.  :meth:`take` carries only
-    the angle features.
+    the angle features, and :meth:`take_sin_cos` only s, sin and cos.
     """
 
     _FEATURES = ("sin", "cos", "sin2", "cos2", "sin4", "cos4")
@@ -97,6 +97,14 @@ class _Batch(tuple):
         for name, value in vars(self).items():
             if name in self._FEATURES:
                 setattr(out, name, value[idx])
+        return out
+
+    def take_sin_cos(self, idx):
+        """The events ``idx`` selects as s with the sin and cos of phi
+        alone, indexed as :meth:`take` does, and None for phi: all that
+        a distance to a mean sinusoid reads (phase 1's relabelling)."""
+        out = _Batch(self[0][idx], None)
+        out.sin, out.cos = self.sin[idx], self.cos[idx]
         return out
 
     def blocks(self):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from gmmlor.estimate import (
     _block_sums,
     _cluster_moment_sums,
     _handoff,
+    _key_floor,
     _label_dtype,
     _m_step,
     _memberships_arrays,
@@ -1332,6 +1334,84 @@ def test_whole_candidate_blocks_come_as_slices():
     assert len(runs) == 4
     assert runs[0] == blocks[0] and runs[2:] == blocks[2:]
     assert np.array_equal(runs[1], np.delete(np.arange(B, 2 * B), 5))
+
+
+def test_key_floor_never_exceeds_the_float64_key():
+    rng = np.random.default_rng(92)
+    key = np.concatenate([
+        rng.uniform(0.0, 10.0, 1000) * 10.0 ** rng.integers(-45, 45, 1000),
+        [0.0, 1e-300, 3.4028235e38, 1e39, 1e300, np.inf, np.nan],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = _key_floor(key.copy())
+    assert low.dtype == np.float32
+    top = float(np.finfo(np.float32).max)
+    finite = ~np.isnan(key)
+    assert np.all(low[finite].astype(float) <= np.minimum(key[finite], top))
+    assert np.all(low[key >= top] == top) and np.isnan(low[-1])
+    # rounded toward -inf: the next float32 up is above the key
+    below = key < top
+    up = np.nextafter(low[below], np.float32(np.inf)).astype(float)
+    assert np.all(up > key[below])
+
+
+def test_relabel_runs_longer_than_a_block_go_in_block_pieces(monkeypatch):
+    # one event of each of the first two blocks is not due, so their
+    # other events form one run of 2B - 2; it is evaluated as a piece of
+    # B and one of B - 2, and its moves are tallied by one call
+    import gmmlor.estimate as est
+
+    rng = np.random.default_rng(93)
+    s, phi = random_events(3 * B + 7, rng)
+    batch = cached(s, phi)
+    means = rng.normal(0.0, 1.0, size=(3, 2))
+    hard = _HardLabels(batch, rng.integers(0, 3, s.size), 3)
+    hard.keys[[5, B + 5]] = 1.0
+    sizes, moves = [], []
+    original = est._nearest_sinusoid
+
+    def spy(events, means):
+        sizes.append(events[0].size)
+        return original(events, means)
+
+    monkeypatch.setattr(est, "_nearest_sinusoid", spy)
+    monkeypatch.setattr(
+        hard, "_move", lambda new, *rest: moves.append(new.size)
+    )
+    assert hard.relabel(means, 0.0) == s.size - 2
+    assert sizes == [B, B - 2, B, 7]
+    assert len(moves) == 3
+    want = original(batch, means)[0]
+    keep = np.ones(s.size, dtype=bool)
+    keep[[5, B + 5]] = False
+    assert np.array_equal(hard.labels[keep], want[keep])
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1.0, 1e60])
+def test_skip_bound_holds_at_extreme_scales(
+    benchmark_mixture, scale, monkeypatch
+):
+    # the events of the benchmark, scaled; every relabelling pass leaves
+    # the labels of a full recompute, and no RuntimeWarning escapes the
+    # float32 keys or the limit they meet
+    res = simulate_lors(benchmark_mixture, counts=BENCHMARK_COUNTS, seed=0)
+    s, phi = np.array(res.s) * scale, np.array(res.phi)
+    original = _HardLabels.relabel
+    passes = []
+
+    def relabel(self, means, moved_by):
+        out = original(self, means, moved_by)
+        want = _nearest_sinusoid(self.batch, means)[0]
+        passes.append(np.array_equal(self.labels, want))
+        return out
+
+    monkeypatch.setattr(_HardLabels, "relabel", relabel)
+    config = FitConfig(K=3, weight_tol=1e-3, seed=0, mean_tol=1e-6 * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit((s, phi), config)
+    assert len(passes) > 1 and all(passes)
 
 
 def test_an_initially_empty_label_dies_in_the_first_iteration():

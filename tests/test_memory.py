@@ -3,11 +3,12 @@
 The bounds are bytes per event of 2^17 shuffled events from the
 benchmark mixture, as tracemalloc counts the NumPy buffers allocated
 during the call.  A fit that kept N-length 2 phi and 4 phi features, the
-phase-1 labels or a spent offsets batch beside its memberships would
-exceed its bound, as would a simulator that held its per-component
-blocks beside their concatenation, or whose draws kept a temporary of
-each step beside the next, or a CSV writer that formatted more than a
-chunk of rows at once.  The phase-1 handoff and phase 2 hold no
+phase-1 labels or a spent offsets batch beside its memberships, or
+whose phase 1 kept float64 skip keys or recomputed runs of two blocks
+whole, would exceed its bound, as would a simulator that held its
+per-component blocks beside their concatenation, or whose draws kept a
+temporary of each step beside the next, or a CSV writer that formatted
+more than a chunk of rows at once.  The phase-1 handoff and phase 2 hold no
 per-event array beyond what they start with: every gathered copy,
 membership and offset they form lives for one block of events.  The
 fit command holds no label column of its input.
@@ -58,7 +59,42 @@ def test_fit_peak_per_event_above_its_inputs(benchmark_mixture):
     config = FitConfig(K=3, weight_tol=1e-3, seed=0)
     out, peak = traced_peak(lambda: fit((s, phi), config))
     assert out.converged
-    assert peak <= 80 * N
+    assert peak <= 40 * N
+
+
+def test_phase1_peak_per_event_above_what_it_starts_with(
+    benchmark_mixture, monkeypatch
+):
+    # phase 1 takes sin and cos of every event (16 bytes per event) and
+    # a float32 skip key (4), and recomputes its candidates one block at
+    # a time; float64 keys and whole runs of two blocks read 44.1 here
+    res = shuffled_events(benchmark_mixture)
+    s, phi = np.array(res.s), np.array(res.phi)
+    original = est._phase1
+    marks, keys = {}, []
+
+    class Recorded(est._HardLabels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            keys.append(self.keys.dtype)
+
+    def spy(*args):
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = original(*args)
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(est, "_phase1", spy)
+    monkeypatch.setattr(est, "_HardLabels", Recorded)
+    config = FitConfig(K=3, weight_tol=1e-3, seed=0)
+    tracemalloc.start()
+    try:
+        fit((s, phi), config)
+    finally:
+        tracemalloc.stop()
+    assert keys == [np.float32]
+    assert marks["peak"] - marks["start"] <= 36 * N
 
 
 def test_phase2_peak_per_event_above_what_it_holds(

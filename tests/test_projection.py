@@ -212,6 +212,25 @@ def test_larger_batches_walk_views_of_their_sines_and_cosines(n):
     assert set(vars(batch)) == {"sin", "cos"}
 
 
+def test_take_sin_cos_carries_s_sin_and_cos_alone():
+    batch = random_batch(3 * B + 7, 18)
+    batch.sin2  # computed features other than sin and cos stay behind
+    idx = np.flatnonzero(np.random.default_rng(18).random(3 * B + 7) < 0.3)
+    for sel in (slice(B, 2 * B), idx):
+        part = batch.take_sin_cos(sel)
+        assert part[1] is None
+        assert set(vars(part)) == {"sin", "cos"}
+        for got, want in zip(
+            (part[0], part.sin, part.cos), (batch[0], batch.sin, batch.cos)
+        ):
+            assert np.array_equal(got, want[sel])
+            assert np.shares_memory(got, want) == isinstance(sel, slice)
+        assert np.array_equal(
+            mean_sinusoid(part, (0.3, -0.7)),
+            mean_sinusoid(batch, (0.3, -0.7))[sel],
+        )
+
+
 def test_mean_sinusoid_shape_and_values():
     mu = (1.0, 2.0)
     phis = np.array([0.0, math.pi / 4, -math.pi / 3])
