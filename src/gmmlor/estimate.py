@@ -13,16 +13,16 @@ recomputes its candidates one block at a time.  The handoff is a
 phase-2 pass whose memberships are one-hot: every event weighs 1 for
 its phase-1 label, each block of events is centred on each phase-1
 mean, and each hard cluster's covariance comes from the moment sums of
-its offsets, so no cluster's events are gathered.  Phase 2 switches to soft memberships derived from the
-per-component projected densities and re-estimates means, covariances,
-and weights until the weights settle.  Each phase-2 iteration is one
-pass over blocks of events: a block's memberships are formed, weigh
-that block's terms of every per-component sum, and are dropped.  The
-covariance moments are taken about the means that entered the
-iteration (lagged centering, which has the same fixed point as
-centering on the new means), so all the sums an iteration needs are
-known once its memberships are, and the means and covariances are then
-solved from K rows of 14 sums.
+its offsets, so no cluster's events are gathered.  Phase 2 switches to
+soft memberships derived from the per-component projected densities
+and re-estimates means, covariances, and weights until the weights
+settle.  Each phase-2 iteration is one pass over blocks of events: a
+block's memberships are formed, weigh that block's terms of every
+per-component sum, and are dropped.  The covariance moments are taken
+about the means that entered the iteration (lagged centering, which
+has the same fixed point as centering on the new means), so all the
+sums an iteration needs are known once its memberships are, and the
+means and covariances are then solved from K rows of 14 sums.
 
 The driver, :func:`_run_single_fit`, is three steps and a policy.
 :func:`_phase1` relabels until the means settle and returns them with
