@@ -248,7 +248,7 @@ def cmd_evaluate(args) -> int:
             f"component counts differ: truth {len(truth.components)}, "
             f"estimate {len(estimated.components)}"
         )
-    report = evaluate_against_truth(estimated, truth, kl_grid=args.grid)
+    report = evaluate_against_truth(estimated, truth)
     for i in range(len(truth.components)):
         print(
             f"component {i}: mean_err={report.mean_errors[i]:.6f} "
@@ -273,7 +273,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _replicate_task(index, *, truth, counts, n_total, config, kl_grid):
+def _replicate_task(index, *, truth, counts, n_total, config):
     """Replicate ``index`` of a study: simulate from ``truth``, fit with
     ``config`` and score the fit against ``truth``.
 
@@ -294,7 +294,7 @@ def _replicate_task(index, *, truth, counts, n_total, config, kl_grid):
         )
         config = dataclasses.replace(config, seed=fit_seed)
         result = fit((sim.s, sim.phi), config)
-        report = evaluate_against_truth(result.model, truth, kl_grid=kl_grid)
+        report = evaluate_against_truth(result.model, truth)
     except ComponentDeathError:
         return head + ["death"], None
     except NumericalError:
@@ -323,7 +323,7 @@ def cmd_replicate(args) -> int:
         )
     task = functools.partial(
         _replicate_task, truth=truth, counts=counts, n_total=args.n,
-        config=config, kl_grid=args.grid,
+        config=config,
     )
     if args.jobs > 1:
         # imported here: it pulls in multiprocessing, socket and
@@ -395,9 +395,12 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
-#: the KL quadrature's least resolution per axis
-#: (:func:`metrics.kl_divergence`)
+#: ``--grid`` is parsed and checked, so that command lines passing it
+#: keep working, and then ignored: :func:`metrics.kl_divergence` takes
+#: no grid
 _grid_int = _int_at_least(2)
+_GRID_HELP = ("accepted and ignored, an integer of at least 2: the KL "
+              "takes a fixed cubature rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True, help="truth model JSON")
     p_eval.add_argument("--out", help="optional evaluation JSON")
     p_eval.add_argument("--grid", type=_grid_int, default=512,
-                        help="KL quadrature resolution per axis")
+                        help=_GRID_HELP)
     p_eval.add_argument("--plot-data", dest="plot_data",
                         help="prefix for truth/estimate density raster CSVs")
     p_eval.add_argument("--plot-grid", dest="plot_grid",
@@ -455,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--restarts", type=_positive_int, default=None)
     p_rep.add_argument("--jobs", type=_positive_int, default=1)
     p_rep.add_argument("--grid", type=_grid_int, default=512,
-                       help="KL quadrature resolution per axis")
+                       help=_GRID_HELP)
     p_rep.add_argument("--out", required=True, help="study CSV path")
     p_rep.set_defaults(func=cmd_replicate)
 

@@ -50,7 +50,7 @@ def _as_integer(value, name: str, minimum=None) -> int:
     """``value`` as a Python int, if it is an integer (a NumPy one too,
     but not a bool) of at least ``minimum``, or of any value for None.
 
-    The one check of a count, grid size, seed or stream index.  Anything
+    The one check of a count, seed or stream index.  Anything
     else raises an :class:`InputError` that names the argument ``name``.
     """
     if minimum is None:

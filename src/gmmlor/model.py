@@ -228,12 +228,10 @@ def density_at_points(model: MixtureModel2D, points: np.ndarray) -> np.ndarray:
 def _mixture_density(model: MixtureModel2D, x, y) -> np.ndarray:
     """Mixture density at the points (x, y) of two broadcastable arrays.
 
-    The one density formula.  A grid passed as an (n, 1) column of x and
-    a (1, m) row of y costs one reused (n, m) buffer and one exp per
-    point and component: the x and y terms of each exponent are formed
-    on the short axes.  The exponent is -(c dx^2 - 2 b dx dy + a dy^2)
-    / (2 det) with the halving moved inside, which is exact, so it
-    rounds as that expression does.
+    The one density formula: the sum over components of exp of
+    :func:`_gaussian_exponent` times the component's factor.  A grid
+    passed as an (n, 1) column of x and a (1, m) row of y costs one
+    reused (n, m) buffer and one exp per point and component.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -241,23 +239,40 @@ def _mixture_density(model: MixtureModel2D, x, y) -> np.ndarray:
     out = np.zeros(shape)
     buf = np.empty(shape)
     for comp in model.components:
-        a, b = comp.covariance[0, 0], comp.covariance[0, 1]
-        c = comp.covariance[1, 1]
-        det = a * c - b * b
-        if det <= 1e-300:
-            raise SingularCovarianceError(
-                f"covariance determinant {det:.3e} underflows"
-            )
-        dx = x - comp.mean[0]
-        dy = y - comp.mean[1]
-        np.multiply(b * dx, dy, out=buf)
-        buf += -0.5 * (c * dx * dx)
-        buf += -0.5 * (a * dy * dy)
-        buf /= det
+        factor = _gaussian_exponent(comp, x, y, buf)
         np.exp(buf, out=buf)
-        buf *= comp.weight / (_TWO_PI * math.sqrt(det))
+        buf *= factor
         out += buf
     return out
+
+
+def _gaussian_exponent(comp: GaussianComponent2D, x, y, out) -> float:
+    """Write the exponent of component ``comp``'s Gaussian at the points
+    (x, y) into ``out`` and return its factor weight / (2 pi sqrt(det)),
+    so that the weighted density is factor * exp(out).
+
+    The one exponent formula, of the density and of the KL's log
+    density.  The x and y terms are formed on the arrays as given, so a
+    column of x and a row of y form them on the short axes.  The
+    exponent is -(c dx^2 - 2 b dx dy + a dy^2) / (2 det) with the
+    halving moved inside, which is exact, so it rounds as that
+    expression does.  A determinant at or below 1e-300 raises
+    :class:`SingularCovarianceError`.
+    """
+    a, b = comp.covariance[0, 0], comp.covariance[0, 1]
+    c = comp.covariance[1, 1]
+    det = a * c - b * b
+    if det <= 1e-300:
+        raise SingularCovarianceError(
+            f"covariance determinant {det:.3e} underflows"
+        )
+    dx = x - comp.mean[0]
+    dy = y - comp.mean[1]
+    np.multiply(b * dx, dy, out=out)
+    out += -0.5 * (c * dx * dx)
+    out += -0.5 * (a * dy * dy)
+    out /= det
+    return comp.weight / (_TWO_PI * math.sqrt(det))
 
 
 def covariance_from_eigen(e: EigenDecomposition2D) -> np.ndarray:

@@ -24,16 +24,11 @@ from .errors import InputError, _as_integer
 #: Events per block of the passes over every event: the tie check of
 #: :meth:`SeededStream.permutation`, every pass over an event batch
 #: (``projection._Batch.blocks`` alone decides how one is walked), phase
-#: 1's starting labels and relabelling runs, and grid cells per row tile
-#: of the KL quadrature (``metrics.kl_divergence``).  A block's float
+#: 1's starting labels and relabelling runs.  A block's float
 #: temporaries take 128 KiB each, so a pass stays in cache instead of
 #: streaming N-length arrays through memory.  On a 2-core Xeon with one
 #: BLAS thread, fitting the 10^6-event benchmark scan (median of 3) took
-#: 4.5 s at 2^12, 4.2 s at 2^14, 4.9 s at 2^17 and 5.7 s in one block.  A
-#: 512 x 512 KL between a fit of 7000 events and its truth, timed between
-#: fits (median of 30), took 21.6 ms in tiles of 2^12 cells, 17.2 ms at
-#: 2^13, 14.8 ms at 2^14, 14.2 ms at 2^15, 14.1 ms at 2^16 and 20.0 ms in
-#: one tile.
+#: 4.5 s at 2^12, 4.2 s at 2^14, 4.9 s at 2^17 and 5.7 s in one block.
 _BLOCK_EVENTS = 1 << 14
 
 

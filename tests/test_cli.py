@@ -398,6 +398,24 @@ def test_evaluate_model_against_itself(tmp_path, truth_path, capsys):
     assert abs(payload["kl_divergence"]) < 1e-6
 
 
+def test_evaluate_grid_is_accepted_and_ignored(
+    tmp_path, truth_path, benchmark_mixture
+):
+    est_path = str(tmp_path / "estimate.json")
+    save_model(MixtureModel2D(tuple(
+        make_component(c.mean + (0.1, 0.0), 1.2 * c.covariance, c.weight)
+        for c in benchmark_mixture.components
+    )), est_path)
+    reports = [tmp_path / f"report{grid}.json" for grid in (16, 512)]
+    for grid, report in zip((16, 512), reports):
+        assert main([
+            "evaluate", est_path, "--model", truth_path,
+            "--grid", str(grid), "--out", str(report),
+        ]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert json.loads(reports[0].read_text())["kl_divergence"] > 0.0
+
+
 def test_evaluate_component_count_mismatch(tmp_path, truth_path, single_path):
     assert main(["evaluate", single_path, "--model", truth_path]) == 2
 

@@ -83,11 +83,11 @@ PARAMETERS = {
     "derive_seed": ("master_seed", "index"),
     "eigen_from_covariance": ("c",),
     "estimate_covariance": ("offsets", "weights"),
-    "evaluate_against_truth": ("estimated", "truth", "kl_grid"),
+    "evaluate_against_truth": ("estimated", "truth"),
     "fit": ("lors", "config", "initial_assignment", "on_iteration"),
     "fit_mean": ("lors", "weights"),
     "invert_moments": ("m", "variance_floor"),
-    "kl_divergence": ("estimated", "truth", "grid_n"),
+    "kl_divergence": ("estimated", "truth"),
     "load_model": ("path",),
     "match_components": ("estimated", "truth"),
     "mean_sinusoid": ("phi", "mean"),
