@@ -347,6 +347,17 @@ def test_kl_matches_the_point_oracle_on_benchmark_fits(
     )
 
 
+def test_kl_grid_refinement_converged(benchmark_mixture):
+    # the midpoint grid converges on the rule as it refines
+    sim = simulate_lors(benchmark_mixture, counts=BENCHMARK_COUNTS, seed=100)
+    est = fit((sim.s, sim.phi),
+              FitConfig(K=3, weight_tol=1e-3, seed=0)).model
+    coarse = kl_on_points(est, benchmark_mixture, grid_n=512)
+    fine = kl_on_points(est, benchmark_mixture, grid_n=1024)
+    assert abs(coarse - fine) < 1e-4
+    assert abs(kl_divergence(est, benchmark_mixture) - fine) < 1e-4
+
+
 @pytest.mark.parametrize("master, replicate", [(3, 9), (11, 72)])
 def test_kl_matches_the_point_oracle_on_wrong_basin_study_fits(
     benchmark_mixture, master, replicate
@@ -405,6 +416,22 @@ def test_kl_resolves_a_needle_that_grid_512_misses(benchmark_mixture):
         kl_reference(est, benchmark_mixture), rel=1e-3, abs=0.0
     )
     assert got > 1.0 + kl_on_points(est, benchmark_mixture, grid_n=512)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 127, 512])
+def test_kl_matches_the_point_oracle_on_oblong_boxes(seed):
+    # components up to 80 apart in x: the truth density underflows at
+    # most nodes, where a midpoint grid floors it and the rule keeps its
+    # log
+    rng = np.random.default_rng(seed)
+    for k_est, k_truth in ((1, 4), (2, 3), (3, 1), (4, 2)):
+        est = random_mixture(rng, k_est, x_spread=40.0)
+        truth = random_mixture(rng, k_truth, x_spread=40.0)
+        box = union_bounding_box((est, truth))
+        assert box[1] - box[0] > 2.0 * (box[3] - box[2])
+        want = kl_reference(est, truth)
+        got = kl_divergence(est, truth)
+        assert got == pytest.approx(want, rel=1e-3, abs=0.0)
 
 
 # ------------------------------------------------------ KL invariance
