@@ -22,7 +22,11 @@ per-component sum, and are dropped.  The covariance moments are taken
 about the means that entered the iteration (lagged centering, which
 has the same fixed point as centering on the new means), so all the
 sums an iteration needs are known once its memberships are, and the
-means and covariances are then solved from K rows of 14 sums.
+means and covariances are then solved from K rows of 11 sums.  The
+sums are taken in the 2 phi basis: the mean's normal system reads the
+mass and the sums of cos 2 phi and sin 2 phi that the covariance
+moments read, and the E-step's projected variances read the same
+cos 2 phi and sin 2 phi of each event.
 
 The driver, :func:`_run_single_fit`, is three steps and a policy.
 :func:`_phase1` relabels until the means settle and returns them with
@@ -40,10 +44,11 @@ weight ends at 0.  :func:`fit` skips a restart that dies.
 
 Every pass over the events walks the blocks of
 :meth:`projection._Batch.blocks`, the one event batch type: a batch of
-one block is its own block and keeps the 2 phi and 4 phi features a
-pass forms, and a larger batch keeps only sin and cos of every event.
-Every weighted pass is one loop, :func:`_pass`, around one kernel,
-:func:`_block_sums`: the handoff, each phase-2 pass, and
+one block is its own block and keeps the feature table (cos and sin of
+2 phi and 4 phi) a pass forms, and a larger batch keeps only sin and
+cos of every event.  Every weighted pass is one loop, :func:`_pass`,
+around one kernel, :func:`_block_sums`, whose angle sums are one einsum
+against that table: the handoff, each phase-2 pass, and
 :func:`fit_mean` and :func:`moments_from_offsets`, which take one batch
 as one component.  The passes differ only in how they weigh a block's
 events and where its offsets come from: phase 2 weighs by the E-step's
@@ -61,8 +66,9 @@ sin of 2 phi and 4 phi, and of t times cos and sin of 2 phi.  Every
 later step is a closed form in those averages: the radial moments fix
 the two principal variances, the angular dependence of the squared
 offsets fixes the orientation (the best-scoring root of a quartic in
-exp(2i phi0)), and a final weighted least squares refines the variances
-in the recovered frame.  A refit that puts the minor variance at the
+exp(2i phi0), which :func:`quartic.solve_quartic` solves in closed
+form), and a final weighted least squares refines the variances in the
+recovered frame.  A refit that puts the minor variance at the
 floor is dropped for the moment inversion's pair.
 """
 
@@ -247,78 +253,80 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _block_sums(w, t, b) -> np.ndarray:
+def _block_sums(rows, b) -> np.ndarray:
     """The sums of every weighted pass over the events of one block
-    ``b``: a (K, 14) array, one row per row of the (K, n) weights ``w``
-    and squared offsets ``t``.
+    ``b``: a (K, 11) array, one row per component, from the (2K, n)
+    array ``rows`` whose first K rows are the components' weights w and
+    whose last K rows are their squared offsets t.
 
-    Row k holds the mass (the sum of w), the five weighted sums of
-    :func:`_solve_mean` (sin^2, sin cos, cos^2, s sin and s cos, with s
-    the block's first coordinate) and the eight of
+    Row k holds the mass (the sum of w), the weighted sums of s sin and
+    s cos (s the block's first coordinate), and the eight sums of
     :class:`WeightedMoments` in field order (t, t^2, cos and sin of
-    2 phi and 4 phi, t cos 2 phi and t sin 2 phi).  They are the
+    2 phi and 4 phi, t cos 2 phi and t sin 2 phi).  With the mass and
+    the sums of cos 2 phi and sin 2 phi they give the five sums of
+    :func:`_solve_mean` (:func:`_mean_from_sums`).  They are the
     sufficient statistics of the M-step (Neal & Hinton 1998), so a pass
     adds them block by block.
 
-    Each sum is one einsum over the events, and the mass one np.sum.
-    np.dot or @ would hand long sums to BLAS, which splits them across
-    its threads, so the last digits of a fit would depend on the host's
-    thread count; einsum adds in the same order everywhere.  Phase 1's
-    per-label sums are np.bincount's (:class:`_HardLabels`), a single
-    loop in NumPy itself that adds each label's terms in event order.
+    The angle sums are one np.einsum("kn,fn->kf") of the rows against
+    the block's feature table (:attr:`_Batch.table`), once the squared
+    offsets are weighed in place, so that the last K rows hold w t; the
+    masses and the sums of w t are one np.sum over the rows.  np.dot or
+    @ would hand long sums to BLAS, which splits them across its
+    threads, so the last digits of a fit would depend on the host's
+    thread count; einsum and np.sum add in the same order everywhere.
+    Phase 1's per-label sums are np.bincount's (:class:`_HardLabels`),
+    a single loop in NumPy itself that adds each label's terms in event
+    order.
     """
-    s, si, co = b[0], b.sin, b.cos
-    return np.stack([
-        np.sum(w, axis=1),
-        np.einsum("kn,n,n->k", w, si, si),
-        np.einsum("kn,n,n->k", w, si, co),
-        np.einsum("kn,n,n->k", w, co, co),
-        np.einsum("kn,n,n->k", w, s, si),
-        np.einsum("kn,n,n->k", w, s, co),
-        np.einsum("kn,kn->k", w, t),
-        np.einsum("kn,kn,kn->k", w, t, t),
-        np.einsum("kn,n->k", w, b.cos2),
-        np.einsum("kn,n->k", w, b.sin2),
-        np.einsum("kn,n->k", w, b.cos4),
-        np.einsum("kn,n->k", w, b.sin4),
-        np.einsum("kn,kn,n->k", w, t, b.cos2),
-        np.einsum("kn,kn,n->k", w, t, b.sin2),
-    ], axis=1)
+    K = len(rows) // 2
+    w, t = rows[:K], rows[K:]
+    s = b[0]
+    t_sq = np.einsum("kn,kn,kn->k", w, t, t)
+    s_sin = np.einsum("kn,n,n->k", w, s, b.sin)
+    s_cos = np.einsum("kn,n,n->k", w, s, b.cos)
+    np.multiply(t, w, out=t)  # the squared offsets are spent once weighed
+    mass = np.sum(rows, axis=1)
+    angular = np.einsum("kn,fn->kf", rows, b.table)
+    return np.column_stack([
+        mass[:K], s_sin, s_cos, mass[K:], t_sq, angular[:K], angular[K:, :2]
+    ])
 
 
 def _pass(batch, K: int, weigh) -> tuple[np.ndarray, float]:
-    """The one walk of every weighted pass over the events: the (K, 14)
+    """The one walk of every weighted pass over the events: the (K, 11)
     sums of :func:`_block_sums` over the blocks of
     :meth:`_Batch.blocks`, and the sum of the blocks' log-likelihood
     terms.
 
-    ``weigh(block, b)`` gives the (K, n) weights, the (K, n) offsets and
-    the log-likelihood term of the block ``b`` of events ``block``; the
-    offsets must be the pass's own, since they are squared in place.
-    Offsets that are not finite raise :class:`InputError`.  The sums
-    add in block order, and a block's arrays die before the next block
-    is weighed.
+    ``weigh(block, b)`` gives the (2K, n) rows of the block ``b`` of
+    events ``block``, K rows of weights and then K rows of offsets, and
+    its log-likelihood term; the rows must be the pass's own, since the
+    offsets are squared and weighed in place.  Offsets that are not
+    finite raise :class:`InputError`.  The sums add in block order, and
+    a block's arrays die before the next block is weighed.
     """
-    sums = np.zeros((K, 14))
+    sums = np.zeros((K, 11))
     loglik = 0.0
     for block, b in batch.blocks():
-        w, t, block_loglik = weigh(block, b)
+        rows, block_loglik = weigh(block, b)
         loglik += block_loglik
+        t = rows[K:]
         if not np.all(np.isfinite(t)):
             raise InputError("offsets from the mean are not finite")
         np.multiply(t, t, out=t)  # the offsets are spent once squared
-        sums += _block_sums(w, t, b)
-        b = w = t = None  # the next block's would run beside them
+        sums += _block_sums(rows, b)
+        b = rows = t = None  # the next block's would run beside them
     return sums, loglik
 
 
 def _one_component_sums(lors, weights) -> tuple[np.ndarray, float]:
-    """The 14 sums of :func:`_block_sums` over a batch of events as one
+    """The 11 sums of :func:`_block_sums` over a batch of events as one
     component, and its total weight: the pass of :func:`fit_mean` and
     :func:`moments_from_offsets`.
 
-    Event i weighs ``weights[i]`` (1 for None), and its offset is a copy
-    of its first coordinate s, so t = s^2 (:func:`_pass`), and an s that
+    Event i weighs ``weights[i]`` (1 for None), and its offset is its
+    first coordinate s, so t = s^2 (:func:`_pass`), and an s that
     :func:`_check_reach` refuses raises :class:`InputError`.  The total
     is one np.sum of every weight, and must be positive and finite.
     """
@@ -330,7 +338,7 @@ def _one_component_sums(lors, weights) -> tuple[np.ndarray, float]:
         raise InputError("total weight must be positive and finite")
 
     def weigh(block, b):
-        return w[None, block], b[0][None].copy(), 0.0
+        return np.stack([w[block], b[0]]), 0.0
 
     return _pass(batch, 1, weigh)[0][0], mass
 
@@ -383,7 +391,7 @@ def moments_from_offsets(offsets, weights=None) -> WeightedMoments:
     by block (:func:`_one_component_sums`).
     """
     sums, mass = _one_component_sums(offsets, weights)
-    return _moments_from_sums(sums[6:], mass)
+    return _moments_from_sums(sums[3:], mass)
 
 
 def _moments_from_sums(sums, mass: float) -> WeightedMoments:
@@ -537,11 +545,11 @@ def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
 def _covariances(sums, floor: float) -> np.ndarray:
     """The covariance M-step of the handoff and of phase 2: the
     (K, 2, 2) covariances, with variance floor ``floor``, of the K rows
-    of the (K, 14) sums of :func:`_block_sums`, each row's moment sums
+    of the (K, 11) sums of :func:`_block_sums`, each row's moment sums
     averaged over its mass, column 0."""
     return np.array([
         _covariance_from_moments(
-            _moments_from_sums(row[6:], float(row[0])), floor
+            _moments_from_sums(row[3:], float(row[0])), floor
         )
         for row in sums
     ])
@@ -617,15 +625,26 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     """Weighted least-squares mean under the sinusoid model.
 
     Minimizes sum p_i (s_i - (-mu_x sin(phi_i) + mu_y cos(phi_i)))^2.
-    The five sums of the 2x2 normal system are those of
+    The sums of the 2x2 normal system come from those of
     :func:`_block_sums` with the events as one component, taken block by
     block (:func:`_one_component_sums`), and the system is solved in
-    closed form; a condition number beyond 1e12 (all LoRs nearly
-    parallel) is refused since the mean position is unidentifiable along
-    the common line direction.
+    closed form (:func:`_mean_from_sums`); a condition number beyond
+    1e12 (all LoRs nearly parallel) is refused since the mean position
+    is unidentifiable along the common line direction.
     """
     sums, _ = _one_component_sums(lors, weights)
-    return _solve_mean(*sums[1:6])
+    return _mean_from_sums(sums)
+
+
+def _mean_from_sums(row) -> np.ndarray:
+    """The mean that a row of the sums of :func:`_block_sums` gives: its
+    normal system's sums of sin^2, sin cos and cos^2 are
+    (mass - C)/2, S/2 and (mass + C)/2 in the 2 phi basis, with C and S
+    the weighted sums of cos 2 phi and sin 2 phi."""
+    mass, s_sin, s_cos, cos2, sin2 = row[[0, 1, 2, 5, 6]]
+    return _solve_mean(
+        0.5 * (mass - cos2), 0.5 * sin2, 0.5 * (mass + cos2), s_sin, s_cos
+    )
 
 
 def _solve_mean(a, b, c, s_sin, s_cos) -> np.ndarray:
@@ -692,34 +711,38 @@ def _memberships_arrays(s, phi, means, covariances, tau):
     computed.
 
     The memberships are stored component-major: the result is the (N, K)
-    transposed view of a (K, N) array, so each column ``resp[:, k]`` is
-    contiguous and every per-component step reads and writes one
-    contiguous run of events.  It is normalized in place.  An event's
-    memberships are summed in component order (np.sum over a row would
-    round differently from K = 8 on), and the per-event log marginals
-    are summed once at the end.
+    transposed view of rows 0 to K - 1 of a (2K, N) array, so each
+    column ``resp[:, k]`` is contiguous and every per-component step
+    reads and writes one contiguous run of events.  Each component's
+    log-density is written into its row by
+    :func:`log_line_integral_profile`, and the rows are normalized in
+    place.  An event's memberships are summed in component order
+    (np.sum over a row would round differently from K = 8 on), and the
+    per-event log marginals are summed once at the end.
 
     It handles its whole input at once: the fit calls it on one block of
     events at a time (:func:`_soft_pass`, :func:`_soft_loglik`), so it
-    never holds every event's memberships.  The offsets of the events
-    from each mean sinusoid, s - m_k(phi), are left on the batch as
-    ``phi.offsets``, a (K, N) array that :func:`_soft_pass` takes
-    instead of forming them again.
+    never holds every event's memberships.  Rows K to 2K - 1 hold the
+    offsets of the events from each mean sinusoid, s - m_k(phi), and
+    the whole (2K, N) array is left on the batch as ``phi.pass_rows``,
+    the weights and offsets that :func:`_soft_pass` takes instead of
+    forming them again.
     """
     K = len(tau)
     if not isinstance(phi, _Batch):
         phi = _Batch(s, phi)  # one sin and cos for every component
-    logp = np.empty((K, s.size))
-    phi.offsets = offsets = np.empty((K, s.size))
+    phi.pass_rows = rows = np.empty((2 * K, s.size))
+    logp, offsets = rows[:K], rows[K:]
     for k in range(K):
         if tau[k] <= 0.0:
             logp[k] = -np.inf
             np.subtract(s, mean_sinusoid(phi, means[k]), out=offsets[k])
         else:
-            profile = log_line_integral_profile(
-                covariances[k], means[k], s, phi, offsets=offsets[k]
+            log_line_integral_profile(
+                covariances[k], means[k], s, phi,
+                offsets=offsets[k], out=logp[k],
             )
-            np.add(profile, math.log(tau[k]), out=logp[k])
+            logp[k] += math.log(tau[k])
     row_max = logp[0].copy()
     for k in range(1, K):
         np.maximum(row_max, logp[k], out=row_max)
@@ -742,22 +765,22 @@ def _memberships_arrays(s, phi, means, covariances, tau):
 
 
 def _soft_pass(batch, means, covariances, tau):
-    """One phase-2 pass over the events: a (K, 14) array of
+    """One phase-2 pass over the events: a (K, 11) array of
     per-component sums, and the log-likelihood proxy of the entering
     parameters.
 
     Each block is weighed by its E-step memberships
     (:func:`_memberships_arrays`), and its offsets are those the E-step
-    formed from the entering means and left on the block, taken off it
-    here, so row k holds component k's membership mass, the five sums
-    of :func:`_solve_mean` and the eight moment sums about the entering
-    mean k (:func:`_pass`).  A block with an underflow row makes the
-    proxy -inf.
+    formed from the entering means: both are the rows the E-step left
+    on the block, taken off it here, so row k holds component k's
+    membership mass, the sums of its mean and the eight moment sums
+    about the entering mean k (:func:`_pass`).  A block with an
+    underflow row makes the proxy -inf.
     """
 
     def weigh(block, b):
-        resp, loglik = _memberships_arrays(b[0], b, means, covariances, tau)
-        return resp.T, vars(b).pop("offsets"), loglik
+        loglik = _memberships_arrays(b[0], b, means, covariances, tau)[1]
+        return vars(b).pop("pass_rows"), loglik
 
     return _pass(batch, len(tau), weigh)
 
@@ -991,19 +1014,22 @@ def _key_floor(key) -> np.ndarray:
 def _cluster_moment_sums(batch, labels, means) -> np.ndarray:
     """The handoff's pass: a phase-2 pass whose memberships are the
     one-hot phase-1 ``labels``, about the phase-1 ``means``.  Returns
-    the (K, 14) sums of :func:`_block_sums`, one row per row of
+    the (K, 11) sums of :func:`_block_sums`, one row per row of
     ``means``; the mass column is each label's count.
 
     Each block is centred on each mean by :func:`center_offsets`, and an
     event weighs 1 in its own cluster's row and 0 in the others
-    (:func:`_pass`), so no cluster's events are gathered.
+    (:func:`_pass`), so no cluster's events are gathered.  The weights
+    and offsets are written into the block's rows as they are formed.
     """
     K = len(means)
 
     def weigh(block, b):
-        w = (labels[block] == np.arange(K)[:, None]).astype(float)
-        t = np.array([center_offsets(b, mean)[0] for mean in means])
-        return w, t, 0.0
+        rows = np.empty((2 * K, b[0].size))
+        np.equal(labels[block], np.arange(K)[:, None], out=rows[:K])
+        for k, mean in enumerate(means):
+            rows[K + k] = center_offsets(b, mean)[0]
+        return rows, 0.0
 
     return _pass(batch, K, weigh)[0]
 
@@ -1059,16 +1085,16 @@ def _handoff(batch, labels, means, counts, floor: float):
 
 def _m_step(sums, n: int, floor: float):
     """The M-step of phase 2: the parameters (tau, means, covariances)
-    that the (K, 14) sums of a pass over ``n`` events give, with
+    that the (K, 11) sums of a pass over ``n`` events give, with
     variance floor ``floor``.  Each row's mass is its weight times n,
-    its five sums of :func:`_solve_mean` give its mean, and its moment
-    sums its covariance (:func:`_covariances`).
+    its mass and angle sums give its mean (:func:`_mean_from_sums`), and
+    its moment sums its covariance (:func:`_covariances`).
 
     One phase-2 iteration is the map theta -> _m_step(sums, n, floor)
     with ``sums`` from :func:`_soft_pass` at theta."""
     return (
         sums[:, 0] / n,
-        np.array([_solve_mean(*row[1:6]) for row in sums]),
+        np.array([_mean_from_sums(row) for row in sums]),
         _covariances(sums, floor),
     )
 

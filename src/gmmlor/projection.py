@@ -10,7 +10,11 @@ quadratic form of the covariance with the line's unit normal
 
 where ``sigma1^2`` is the eigenvalue along the axis at angle ``phi0``.
 Lines parallel to the major axis therefore see the minor variance, and
-vice versa.
+vice versa.  In the entries of Sigma it is taken in the 2 phi basis,
+
+    n^T Sigma n = (Sxx + Syy)/2 + (Syy - Sxx)/2 cos 2 phi - Sxy sin 2 phi,
+
+which reads the cos 2 phi and sin 2 phi that the moment sums use too.
 
 An event batch has one representation, :class:`_Batch`: the (s, phi)
 pair with the angle features computed from it, and the one walk over
@@ -35,10 +39,17 @@ SIGMA_P_SQ_FLOOR = 1e-15
 
 class _Batch(tuple):
     """A batch of events: the (s, phi) or (s_c, phi) pair, with the sin
-    and cos of phi, 2 phi and 4 phi of its events, held inside a fit
-    and never returned by a public function.  It unpacks as the
+    and cos of phi and the feature table of its events, held inside a
+    fit and never returned by a public function.  It unpacks as the
     plain pair, and the projection functions below accept one wherever
     they accept ``phi``, reading its sines and cosines.
+
+    The feature table is a (4, n) array whose rows are cos and sin of
+    2 phi and of 4 phi, the angle features of every weighted sum
+    (``estimate._block_sums``) and, through cos 2 phi and sin 2 phi, of
+    :func:`projection_variance`.  The rows are written in place, and
+    ``cos2``, ``sin2``, ``cos4`` and ``sin4`` are views of them, so the
+    features are held once.
 
     Each feature is computed on first use and then kept, so a fit that
     holds one batch takes every sine and cosine once.  Only phi's pair
@@ -51,16 +62,17 @@ class _Batch(tuple):
     builds one, so no reader checks them again.
 
     The E-step (``estimate._memberships_arrays``) leaves on the batch it
-    is given the offsets of its events from each component's mean
-    sinusoid, a (K, n) array ``offsets``.  Only the phase-2 pass
-    (``estimate._soft_pass``) takes them off the block, as the offsets
-    it squares; the handoff centres each block itself
-    (``estimate.center_offsets``), and the closing log-likelihood
-    (``estimate._soft_loglik``) leaves them.  :meth:`take` carries only
-    the angle features, and :meth:`take_sin_cos` only s, sin and cos.
+    is given a (2K, n) array ``pass_rows``: its memberships, then the
+    offsets of its events from each component's mean sinusoid.  Only the
+    phase-2 pass (``estimate._soft_pass``) takes them off the block, as
+    the weights and the offsets it squares; the handoff centres each
+    block itself (``estimate.center_offsets``), and the closing
+    log-likelihood (``estimate._soft_loglik``) leaves them.
+    :meth:`take` carries only the angle features, and
+    :meth:`take_sin_cos` only s, sin and cos.
     """
 
-    _FEATURES = ("sin", "cos", "sin2", "cos2", "sin4", "cos4")
+    _FEATURES = ("sin", "cos", "table")
 
     def __new__(cls, s, phi):
         return super().__new__(cls, (s, phi))
@@ -74,20 +86,33 @@ class _Batch(tuple):
         return np.cos(self[1])
 
     @cached_property
-    def sin2(self):
-        return 2.0 * self.sin * self.cos
+    def table(self):
+        si, co = self.sin, self.cos
+        table = np.empty((4,) + np.shape(si))
+        cos2, sin2, cos4, sin4 = (table[i, ...] for i in range(4))
+        for c, s, cos_row, sin_row in ((co, si, cos2, sin2),
+                                       (cos2, sin2, cos4, sin4)):
+            np.multiply(s, 2.0, out=sin_row)
+            sin_row *= c
+            np.subtract(c, s, out=cos_row)
+            cos_row *= c + s
+        return table
 
     @cached_property
     def cos2(self):
-        return (self.cos - self.sin) * (self.cos + self.sin)
+        return self.table[0, ...]
 
     @cached_property
-    def sin4(self):
-        return 2.0 * self.sin2 * self.cos2
+    def sin2(self):
+        return self.table[1, ...]
 
     @cached_property
     def cos4(self):
-        return (self.cos2 - self.sin2) * (self.cos2 + self.sin2)
+        return self.table[2, ...]
+
+    @cached_property
+    def sin4(self):
+        return self.table[3, ...]
 
     def take(self, idx):
         """The events ``idx`` selects, with the features computed so far
@@ -96,7 +121,7 @@ class _Batch(tuple):
         out = _Batch(self[0][idx], self[1][idx])
         for name, value in vars(self).items():
             if name in self._FEATURES:
-                setattr(out, name, value[idx])
+                setattr(out, name, value[..., idx])
         return out
 
     def take_sin_cos(self, idx):
@@ -112,11 +137,10 @@ class _Batch(tuple):
         consecutive events, in order: the one walk of every pass over a
         batch.
 
-        A batch of one block yields itself, so the 2 phi and 4 phi
-        features a pass forms stay with it for the next pass.  A larger
-        batch takes its sin and cos once and yields views of them; the
-        2 phi and 4 phi features of its blocks are formed per block and
-        never kept.
+        A batch of one block yields itself, so the feature table a pass
+        forms stays with it for the next pass.  A larger batch takes its
+        sin and cos once and yields views of them; the feature tables of
+        its blocks are formed per block and never kept.
         """
         n = self[0].size
         if n <= _BLOCK_EVENTS:
@@ -127,19 +151,36 @@ class _Batch(tuple):
             yield block, self.take(block)
 
 
-def _sin_cos(phi):
-    """(sin phi, cos phi), read from ``phi`` when it is a :class:`_Batch`."""
+def _angles(phi) -> _Batch:
+    """``phi`` as a batch whose angle features can be read: a
+    :class:`_Batch` as it is, anything else as float angles with no s."""
     if isinstance(phi, _Batch):
-        return phi.sin, phi.cos
-    phi = np.asarray(phi, dtype=float)
-    return np.sin(phi), np.cos(phi)
+        return phi
+    return _Batch(None, np.asarray(phi, dtype=float))
 
 
 def mean_sinusoid(phi, mean) -> np.ndarray:
     """s-coordinate of the sinusoid traced by a point source at ``mean``:
     m(phi) = -mu_x sin(phi) + mu_y cos(phi)."""
-    si, co = _sin_cos(phi)
-    return -mean[0] * si + mean[1] * co
+    b = _angles(phi)
+    out = np.multiply(b.sin, -mean[0])
+    out += mean[1] * b.cos
+    return out
+
+
+def _variance_array(covariance, phi) -> np.ndarray:
+    """n^T Sigma n at each angle of ``phi`` as a new array, also for a
+    scalar ``phi``, in the 2 phi basis:
+    (Sxx + Syy)/2 + (Syy - Sxx)/2 cos 2 phi - Sxy sin 2 phi."""
+    cov = np.asarray(covariance, dtype=float)
+    if cov.shape != (2, 2):
+        raise InputError(f"covariance must have shape (2, 2), got {cov.shape}")
+    b = _angles(phi)
+    a, c = cov[0, 0], cov[1, 1]
+    out = np.multiply(b.cos2, 0.5 * (c - a), out=np.empty(np.shape(b.cos2)))
+    out += 0.5 * (a + c)
+    out -= cov[0, 1] * b.sin2
+    return out
 
 
 def projection_variance(covariance, phi) -> float | np.ndarray:
@@ -147,18 +188,18 @@ def projection_variance(covariance, phi) -> float | np.ndarray:
 
     This is the variance of the line-integral profile at angle phi; a
     scalar phi gives a float.  ``covariance`` is any 2 x 2 array-like.
+    With sin^2 = (1 - cos 2 phi)/2, sin cos = sin 2 phi / 2 and
+    cos^2 = (1 + cos 2 phi)/2 it is
+    (Sxx + Syy)/2 + (Syy - Sxx)/2 cos 2 phi - Sxy sin 2 phi, read from
+    the batch's cos 2 phi and sin 2 phi when ``phi`` is a
+    :class:`_Batch`.
     """
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (2, 2):
-        raise InputError(f"covariance must have shape (2, 2), got {cov.shape}")
-    si, co = _sin_cos(phi)
-    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
-    out = a * si * si - 2.0 * b * si * co + c * co * co
+    out = _variance_array(covariance, phi)
     return float(out) if out.ndim == 0 else out
 
 
 def log_line_integral_profile(
-    covariance, mean, s, phi, *, offsets=None
+    covariance, mean, s, phi, *, offsets=None, out=None
 ) -> np.ndarray:
     """Log of the line integral of a Gaussian's density along each LoR,
     vectorized over (s, phi).
@@ -167,9 +208,11 @@ def log_line_integral_profile(
     sinusoid with variance :func:`projection_variance`.  Kept in log space
     so far-away lines never underflow to zero before membership
     normalization.  The offsets s - m(phi) from the mean sinusoid are
-    written to ``offsets`` when it is given.
+    written to ``offsets`` and the log-densities to ``out`` when they
+    are given; then only the variances and the temporaries of their
+    formula and of :func:`mean_sinusoid` are allocated.
     """
-    var = projection_variance(covariance, phi)
+    var = _variance_array(covariance, phi)
     if np.min(var) < SIGMA_P_SQ_FLOOR:
         raise DegenerateCovarianceError("projected variance below floor")
     s_c = np.subtract(
@@ -178,7 +221,12 @@ def log_line_integral_profile(
     # huge offsets may overflow to inf; the -inf log-density that results
     # is meaningful and handled by the membership normalizer
     with np.errstate(over="ignore"):
-        return -0.5 * (np.log(2.0 * math.pi * var) + s_c * s_c / var)
+        out = np.multiply(s_c, s_c, out=out)
+        out /= var
+        var *= 2.0 * math.pi
+        out += np.log(var, out=var)
+        out *= -0.5
+    return out
 
 
 def theoretical_moments(e: EigenDecomposition2D) -> tuple[float, float]:

@@ -313,10 +313,11 @@ def test_fit_manifest_explains_the_fit(tmp_path, single_path):
 
 
 def test_fit_manifest_names_the_winning_restart(tmp_path, truth_path):
-    # on these events restart 2 of 3 has the highest log-likelihood
+    # on these events restart 2 of 3 has the highest log-likelihood, by
+    # about 0.004 over restart 1 and 0.008 over restart 0
     lors = str(tmp_path / "ev.csv")
     main(["generate", "--model", truth_path, "--counts", "350,250,100",
-          "--seed", "2", "--out", lors])
+          "--seed", "11", "--out", lors])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"K": 3, "weight_tol": 1e-3}))
     out = str(tmp_path / "m.json")

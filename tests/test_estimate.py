@@ -1,5 +1,6 @@
 """Moment estimation, orientation solve, covariance pipeline, mixture driver."""
 
+import cmath
 import collections
 import copy
 import dataclasses
@@ -41,12 +42,14 @@ from gmmlor import (
     refine_sigmas,
     simulate_lors,
     solve_orientation,
+    solve_quartic,
     theoretical_moments,
     trace_to_jsonl,
 )
 from gmmlor.estimate import (
     _BLOCK_EVENTS,
     DEATH_PATIENCE,
+    DEFAULT_VARIANCE_FLOOR,
     MASS_FLOOR_FACTOR,
     _Batch,
     _HardLabels,
@@ -416,6 +419,139 @@ def test_orientation_handles_mild_eccentricity():
         assert abs(math.remainder(got - phi0, math.pi)) < 1e-6
 
 
+def companion_quartic_roots(c4, c3, c2, c1, c0):
+    """The roots of the quartic as the eigenvalues of its companion
+    matrix, in one LAPACK call, with the demotion and order of
+    :func:`solve_quartic`: the test-local oracle of the closed form."""
+    coeffs = (c4, c3, c2, c1, c0)
+    mags = [abs(c) for c in coeffs]
+    lead = next(i for i, mag in enumerate(mags) if mag > 1e-14 * max(mags))
+    degree = 4 - lead
+    companion = np.eye(degree, k=-1, dtype=complex)
+    companion[0] = np.array(coeffs[lead + 1:], dtype=complex) / -coeffs[lead]
+    roots = map(complex, np.linalg.eigvals(companion))
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def companion_orientations(monkeypatch, calls):
+    """solve_orientation of each (moments, sigma1_sq, sigma2_sq) of
+    ``calls`` with its quartic solved by the companion matrix."""
+    import gmmlor.estimate as est
+
+    with monkeypatch.context() as patched:
+        patched.setattr(est, "solve_quartic", companion_quartic_roots)
+        return [solve_orientation(*call) for call in calls]
+
+
+def orientation_gap(a, b):
+    return abs(math.remainder(a - b, math.pi))
+
+
+def test_orientation_matches_the_companion_oracle_on_benchmark_moments(
+    benchmark_mixture, monkeypatch
+):
+    # every orientation solve of the benchmark replicates of master seed
+    # 0, up to 10^4 of them
+    import gmmlor.estimate as est
+
+    calls = []
+    original = est.solve_orientation
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(est, "solve_orientation", spy)
+    i = 0
+    while len(calls) < 10_000:
+        res = simulate_lors(
+            benchmark_mixture, counts=BENCHMARK_COUNTS, seed=derive_seed(0, 2 * i)
+        )
+        config = FitConfig(K=3, weight_tol=1e-3, seed=derive_seed(0, 2 * i + 1))
+        try:
+            fit((res.s, res.phi), config)
+        except ComponentDeathError:
+            pass
+        i += 1
+    monkeypatch.undo()
+    calls = calls[:10_000]
+    want = companion_orientations(monkeypatch, calls)
+    got = [solve_orientation(*call) for call in calls]
+    assert max(map(orientation_gap, got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("split", [0.0, 1e-12, 1e-9, 1e-6])
+def test_orientation_matches_the_companion_oracle_near_double_roots(
+    split, monkeypatch
+):
+    # the objective P cos 2a + Q sin 2a + R cos a + S sin a with R and S
+    # chosen so that its slope and curvature vanish together at a1 (a
+    # double root of the quartic at exp(i a1)), then R moved by
+    # ``split``.  Its third derivative at a1 is kept away from 0: where
+    # it vanishes too, the minimum joins the cluster, and no solver
+    # places it within 1e-12 (the two read up to 3.3e-11 apart there).
+    s1, s2 = 0.09, 0.01
+    c = 0.5 * (s2 - s1)
+    rng = np.random.default_rng(int(-math.log10(split)) if split else 0)
+    calls, gaps = [], []
+    while len(calls) < 200:
+        P, Q = rng.normal(size=2)
+        a1 = rng.uniform(-math.pi, math.pi)
+        slope = [[-math.sin(a1), math.cos(a1)], [-math.cos(a1), -math.sin(a1)]]
+        rhs = [2 * P * math.sin(2 * a1) - 2 * Q * math.cos(2 * a1),
+               4 * P * math.cos(2 * a1) + 4 * Q * math.sin(2 * a1)]
+        R, S = np.linalg.solve(slope, rhs)
+        third = (8 * P * math.sin(2 * a1) - 8 * Q * math.cos(2 * a1)
+                 + R * math.sin(a1) - S * math.cos(a1))
+        if abs(third) < 1.0:
+            continue
+        R += split * math.hypot(R, S)
+        calls.append((WeightedMoments(
+            0.05, 0.0033, 1.0, cos4w=2 * P / c**2, sin4w=2 * Q / c**2,
+            tcos2w=-R / (2 * c), tsin2w=-S / (2 * c),
+        ), s1, s2))
+        coeffs = (complex(-2 * P, 2 * Q), complex(-R, S), 0.0,
+                  complex(R, S), complex(2 * P, 2 * Q))
+        roots = solve_quartic(*coeffs)
+        # the pair near exp(i a1), and each root against the oracle's
+        pair = sorted(abs(z - cmath.exp(1j * a1)) for z in roots)[:2]
+        oracle = companion_quartic_roots(*coeffs)
+        gaps.append((pair[1], max(
+            min(abs(z - w) for w in oracle) for z in roots
+        )))
+    assert max(pair for pair, _ in gaps) <= 0.05
+    assert max(gap for _, gap in gaps) <= 1e-6
+    want = companion_orientations(monkeypatch, calls)
+    got = [solve_orientation(*call) for call in calls]
+    assert max(map(orientation_gap, got, want)) <= 1e-12
+
+
+def test_fit_and_solve_quartic_make_no_lapack_call(
+    benchmark_mixture, monkeypatch
+):
+    # np.linalg.norm measures phase 1's mean moves; no other np.linalg
+    # function runs in a fit or a quartic solve
+    res = simulate_lors(benchmark_mixture, counts=(700, 500, 200), seed=5)
+    config = FitConfig(K=3, weight_tol=1e-3, seed=0, restarts=2)
+    want = fit((res.s, res.phi), config)
+    roots = solve_quartic(1.0, -1.0, 1.25, -1.0, 0.25)
+    called = []
+    for name in dir(np.linalg):
+        function = getattr(np.linalg, name)
+        # every function, not the error class
+        if name[0].islower() and callable(function) and name != "norm":
+            def spy(*args, _name=name, _function=function, **kwargs):
+                called.append(_name)
+                return _function(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+    got = fit((res.s, res.phi), config)
+    assert solve_quartic(1.0, -1.0, 1.25, -1.0, 0.25) == roots
+    assert called == []
+    for a, b in zip(got.model.components, want.model.components):
+        assert np.array_equal(a.covariance, b.covariance)
+
+
 # ------------------------------------------------------------ sigma refinement
 
 def test_refine_sigmas_exact_on_clean_data():
@@ -772,6 +908,163 @@ def test_memberships_with_one_underflow_row_match_the_reference(benchmark_mixtur
     assert loglik == -math.inf
 
 
+def plain_profile(cov, mean, s, phi):
+    """The log line-integral profile written out in the 2 phi basis, with
+    cos 2 phi and sin 2 phi from the batch's products: the formula that
+    log_line_integral_profile must give bitwise."""
+    batch = _Batch(s, phi)
+    var = (
+        batch.cos2 * (0.5 * (cov[1][1] - cov[0][0]))
+        + 0.5 * (cov[0][0] + cov[1][1])
+        - cov[0][1] * batch.sin2
+    )
+    s_c = s - mean_sinusoid(batch, mean)
+    return var, -0.5 * (np.log(2.0 * math.pi * var) + s_c * s_c / var)
+
+
+def sin_cos_variance(cov, phi):
+    """n^T Sigma n in its sin/cos form, Sxx sin^2 - 2 Sxy sin cos +
+    Syy cos^2, as the E-step took it before the 2 phi basis: the oracle
+    the basis is held to."""
+    si, co = np.sin(phi), np.cos(phi)
+    return cov[0][0] * si * si - 2.0 * cov[0][1] * si * co + cov[1][1] * co * co
+
+
+def sin_cos_profile(cov, mean, s, phi):
+    var = sin_cos_variance(cov, phi)
+    s_c = s - mean_sinusoid(phi, mean)
+    return -0.5 * (np.log(2.0 * math.pi * var) + s_c * s_c / var)
+
+
+def sin_cos_memberships(s, phi, means, covariances, tau):
+    """The E-step's memberships and log-likelihood proxy from
+    :func:`sin_cos_profile`."""
+    logp = np.column_stack([
+        math.log(t) + sin_cos_profile(c, m, s, phi)
+        for m, c, t in zip(means, covariances, tau)
+    ])
+    row_max = np.max(logp, axis=1)
+    shifted = np.exp(logp - row_max[:, None])
+    row_sum = component_order_sum(shifted)
+    return shifted / row_sum[:, None], float(np.sum(row_max + np.log(row_sum)))
+
+
+def sin_cos_sums(s, phi, means, covariances, tau):
+    """The sums of one phase-2 pass from the sin/cos E-step, as the
+    14-einsum kernel formed them before the 2 phi basis: per component
+    the mass, the weighted sums of sin^2, sin cos, cos^2, s sin and
+    s cos, and the eight moment sums; and the same sums of the absolute
+    terms."""
+    resp, _ = sin_cos_memberships(s, phi, means, covariances, tau)
+    si, co = np.sin(phi), np.cos(phi)
+    features = [(), (si, si), (si, co), (co, co), (s, si), (s, co)]
+    sums, scales = [], []
+    for k, mean in enumerate(means):
+        w = resp[:, k].copy()
+        t = (s - mean_sinusoid(phi, mean)) ** 2
+        features[6:] = [
+            (t,), (t, t), (np.cos(2 * phi),), (np.sin(2 * phi),),
+            (np.cos(4 * phi),), (np.sin(4 * phi),), (t, np.cos(2 * phi)),
+            (t, np.sin(2 * phi)),
+        ]
+        sums.append([wsum(w, *f) for f in features])
+        scales.append([wsum(w, *(np.abs(x) for x in f)) for f in features])
+    return np.array(sums), np.array(scales)
+
+
+def as_sin_cos_sums(sums):
+    """The (K, 11) sums of the kernel in the layout of
+    :func:`sin_cos_sums`: the normal system's sums of sin^2, sin cos
+    and cos^2 from the mass and the sums of cos 2 phi and sin 2 phi."""
+    mass, cos2, sin2 = sums[:, 0], sums[:, 5], sums[:, 6]
+    return np.column_stack([
+        mass, 0.5 * (mass - cos2), 0.5 * sin2, 0.5 * (mass + cos2),
+        sums[:, 1:3], sums[:, 3:],
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 2000, _BLOCK_EVENTS + 1])
+def test_line_integral_profile_is_the_2phi_formula_bitwise(n):
+    rng = np.random.default_rng([n, 50])
+    means, covariances, _ = random_mixture_arrays(3, rng)
+    s, phi = random_events(n, rng)
+    for mean, cov in zip(means, covariances):
+        var, want = plain_profile(cov, mean, s, phi)
+        assert projection_variance(cov, phi).tobytes() == var.tobytes()
+        for events in (phi, cached(s, phi)):
+            got = log_line_integral_profile(cov, mean, s, events)
+            assert got.tobytes() == want.tobytes()
+        offsets, out = np.empty(n), np.empty(n)
+        got = log_line_integral_profile(
+            cov, mean, s, phi, offsets=offsets, out=out
+        )
+        assert got is out and out.tobytes() == want.tobytes()
+        assert offsets.tobytes() == (s - mean_sinusoid(phi, mean)).tobytes()
+
+
+def sin_cos_cases(benchmark_mixture):
+    """(s, phi, means, covariances, tau): the benchmark events at the
+    truth, and random mixtures of 3 and 9 components."""
+    res = simulate_lors(benchmark_mixture, counts=BENCHMARK_COUNTS, seed=6)
+    comps = benchmark_mixture.components
+    yield (res.s, res.phi, np.array([c.mean for c in comps]),
+           np.array([c.covariance for c in comps]),
+           np.array([c.weight for c in comps]))
+    for K in (3, 9):
+        rng = np.random.default_rng(60 + K)
+        means, covariances, tau = random_mixture_arrays(K, rng)
+        yield (*random_events(2000, rng), means, np.array(covariances), tau)
+
+
+def test_e_step_stays_within_1e_13_of_the_sin_cos_formula(benchmark_mixture):
+    for s, phi, means, covariances, tau in sin_cos_cases(benchmark_mixture):
+        for cov in covariances:
+            want = sin_cos_variance(cov, phi)
+            got = projection_variance(cov, phi)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+        resp, loglik = _memberships_arrays(s, phi, means, covariances, tau)
+        want, want_loglik = sin_cos_memberships(s, phi, means, covariances, tau)
+        assert np.max(np.abs(resp - want)) <= 1e-13
+        assert loglik == pytest.approx(want_loglik, rel=1e-13, abs=0.0)
+
+
+def test_phase2_sums_stay_within_1e_13_of_the_sin_cos_kernel(benchmark_mixture):
+    # each sum within 1e-13 of the sum of its absolute terms, since the
+    # angle sums cancel to near 0
+    for s, phi, means, covariances, tau in sin_cos_cases(benchmark_mixture):
+        want, scale = sin_cos_sums(s, phi, means, covariances, tau)
+        sums, _ = _soft_pass(_as_arrays((s, phi)), means, covariances, tau)
+        assert np.all(np.abs(as_sin_cos_sums(sums) - want) <= 1e-13 * scale)
+
+
+def test_needles_at_the_variance_floor_keep_the_sin_cos_profile():
+    # a minor variance at the fit's floor, at 64 orientations, seen from
+    # LoRs along the needle and across it.  Either form of the projected
+    # variance rounds at about 1e-16 of the trace, which is 1e-9 of the
+    # floor, so the variances agree within 1e-13 of the trace and the
+    # log-densities within what such a variance error gives them.
+    rng = np.random.default_rng(64)
+    mean = np.array([0.3, -0.2])
+    for j in range(64):
+        phi0 = -math.pi / 2 + (j + 0.5) * math.pi / 64
+        e = EigenDecomposition2D(0.09, DEFAULT_VARIANCE_FLOOR, phi0)
+        cov = covariance_from_eigen(e)
+        phi = np.concatenate([
+            rng.uniform(-math.pi / 2, math.pi / 2, 500),
+            phi0 + np.array([0.0, 1e-9, -1e-6, 1e-3, math.pi / 2]),
+        ])
+        var = sin_cos_variance(cov, phi)
+        assert np.max(np.abs(projection_variance(cov, phi) - var)) <= (
+            1e-13 * np.trace(cov)
+        )
+        s = mean_sinusoid(phi, mean) + rng.normal(0.0, 3.0, phi.size) * np.sqrt(var)
+        want = sin_cos_profile(cov, mean, s, phi)
+        got = log_line_integral_profile(cov, mean, s, phi)
+        s_c2 = (s - mean_sinusoid(phi, mean)) ** 2
+        reach = 0.5 * 1e-13 * np.trace(cov) / var * (1.0 + s_c2 / var)
+        assert np.all(np.abs(got - want) <= reach + 1e-13 * np.abs(want))
+
+
 # -------------------------------------------------- phase-1 reassignment
 
 def test_nearest_sinusoid_sends_ties_to_the_lower_label():
@@ -903,15 +1196,24 @@ MOMENT_FIELDS = (
 
 def unblocked_moment_sums(s_c, phi, w):
     """The eight weighted sums of :func:`moments_from_offsets`, in field
-    order, each as one reduction over every event, and the same sums of
-    the absolute terms."""
+    order, each as one reduction over every event, formed as the kernel
+    forms them (einsum chunks a long reduction by its own subscripts):
+    the sums of w and w t (t = s_c^2) against cos and sin of 2 phi and
+    4 phi as one einsum, the sum of w t as np.sum and that of w t^2 as
+    one einsum.  Also returns the same sums of the absolute terms."""
     batch = _Batch(s_c, phi)
     t = s_c * s_c
+    rows = np.stack([w, w * t])
+    angular = np.einsum("kn,fn->kf", rows, batch.table)
+    sums = [
+        float(np.sum(rows[1])),
+        float(np.einsum("kn,kn,kn->k", w[None], t[None], t[None])[0]),
+        *angular[0].tolist(), *angular[1, :2].tolist(),
+    ]
     features = [
         (t,), (t, t), (batch.cos2,), (batch.sin2,), (batch.cos4,),
         (batch.sin4,), (t, batch.cos2), (t, batch.sin2),
     ]
-    sums = [wsum(w, *f) for f in features]
     scales = [wsum(np.abs(w), *(np.abs(x) for x in f)) for f in features]
     return sums, scales
 
@@ -1009,12 +1311,13 @@ def test_handoff_sums_are_each_clusters_moment_sums(n):
     means = rng.normal(0.0, 3.0, size=(3, 2))
     labels = rng.integers(0, 3, n).astype(np.uint8)
     sums = _cluster_moment_sums(batch, labels, means)
-    assert sums.shape == (3, 14)
+    assert sums.shape == (3, 11)
     assert np.array_equal(sums[:, 0], np.bincount(labels, minlength=3))
     if n <= B:
         onehot = (labels == np.arange(3)[:, None]).astype(float)
         s_c = np.array([s - mean_sinusoid(batch, mean) for mean in means])
-        want = _block_sums(onehot, s_c * s_c, cached(s, phi))
+        rows = np.concatenate([onehot, s_c * s_c])
+        want = _block_sums(rows, cached(s, phi))
         assert sums.tobytes() == want.tobytes()
     else:  # the blocks form their 2 phi and 4 phi features and drop them
         assert set(vars(batch)) == {"sin", "cos"}
@@ -1026,7 +1329,7 @@ def test_handoff_sums_are_each_clusters_moment_sums(n):
         offsets = center_offsets(batch.take(idx), means[k])
         m = moments_from_offsets(offsets)
         _, scales = unblocked_moment_sums(*offsets, np.ones(idx.size))
-        for field, got, scale in zip(MOMENT_FIELDS, sums[k, 6:], scales):
+        for field, got, scale in zip(MOMENT_FIELDS, sums[k, 3:], scales):
             want = getattr(m, field) * m.mass
             assert abs(got - want) <= 1e-12 * scale, field
 
@@ -1058,13 +1361,13 @@ def shifted_mixture(n, shift, rng):
 
 def oracle_phase2_sums(batch, means, covariances, tau):
     """The sums of one phase-2 pass from one call of the E-step over
-    every event: per component the mass, fit_mean's five sums and the
-    eight moment sums about the entering mean, and the same sums of the
-    absolute terms."""
+    every event: per component the mass, the sums of s sin and s cos
+    and the eight moment sums about the entering mean, and the same
+    sums of the absolute terms."""
     s, phi = batch
     resp, _ = _memberships_arrays(s, phi, means, covariances, tau)
     si, co = np.sin(phi), np.cos(phi)
-    mean_terms = [(si, si), (si, co), (co, co), (s, si), (s, co)]
+    mean_terms = [(s, si), (s, co)]
     sums, scales = [], []
     for k in range(len(tau)):
         w = resp[:, k].copy()
@@ -1090,7 +1393,7 @@ def test_phase2_pass_sums_match_the_unblocked_formulas(n, shift):
     if n > 1:
         assert np.min(resp) < 1e-6  # some memberships are near 0
     got, loglik = _soft_pass(batch, means, covariances, tau)
-    assert got.shape == (3, 14)
+    assert got.shape == (3, 11)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
     ref_loglik = _memberships_arrays(*batch, means, covariances, tau)[1]
     assert loglik == pytest.approx(ref_loglik, rel=1e-12, abs=0.0)
@@ -1101,8 +1404,10 @@ def test_phase2_pass_of_one_block_is_the_kernel_on_one_e_step(n):
     rng = np.random.default_rng([n, 21])
     batch, means, covariances, tau = shifted_mixture(n, 10.0, rng)
     resp, loglik = _memberships_arrays(batch[0], batch, means, covariances, tau)
-    t = vars(batch).pop("offsets")
-    want = _block_sums(resp.T, t * t, batch)
+    rows = vars(batch).pop("pass_rows")
+    assert np.shares_memory(rows, resp)
+    rows[3:] *= rows[3:]
+    want = _block_sums(rows, batch)
     got, got_loglik = _soft_pass(batch, means, covariances, tau)
     assert got.tobytes() == want.tobytes()
     assert got_loglik == loglik
@@ -1141,8 +1446,8 @@ def test_phase2_pass_refuses_offsets_that_overflow():
 @pytest.mark.parametrize("n", [B, 3 * B + 7])
 def test_phase2_pass_takes_its_offsets_from_the_e_step(n, monkeypatch):
     # one mean sinusoid per component and block, formed by the E-step;
-    # the pass takes the offsets off the block, and no batch built from
-    # the events carries them
+    # the pass takes the memberships and offsets off the block, and no
+    # batch built from the events carries them
     import gmmlor.estimate as est
     import gmmlor.projection as proj
 
@@ -1159,12 +1464,12 @@ def test_phase2_pass_takes_its_offsets_from_the_e_step(n, monkeypatch):
     monkeypatch.setattr(est, "mean_sinusoid", counted)
     _soft_pass(batch, means, covariances, tau)
     assert len(sizes) == 3 * -(-n // B) and sum(sizes) == 3 * n
-    assert "offsets" not in vars(batch)
+    assert "pass_rows" not in vars(batch)
     _soft_loglik(batch, means, covariances, tau)
-    if n <= B:  # the batch is its own block, and keeps the last offsets
-        assert batch.offsets.shape == (3, n)
+    if n <= B:  # the batch is its own block, and keeps the last rows
+        assert batch.pass_rows.shape == (6, n)
     other = batch.take(slice(0, 5))
-    assert "offsets" not in vars(other) and "sin" in vars(other)
+    assert "pass_rows" not in vars(other) and "sin" in vars(other)
 
 
 def test_fit_hands_the_e_step_one_block_at_a_time(
