@@ -26,12 +26,14 @@ means and covariances are then solved from K rows of 11 sums.  The
 sums are taken in the 2 phi basis: the mean's normal system reads the
 mass and the sums of cos 2 phi and sin 2 phi that the covariance
 moments read, and the E-step's projected variances read the same
-cos 2 phi and sin 2 phi of each event.
+cos 2 phi and sin 2 phi of each event.  Every mean, of phase 1, of
+phase 2 and of :func:`fit_mean`, comes from the same five sums by one
+formula, :func:`_mean_from_sums`.
 
 The driver, :func:`_run_single_fit`, is three steps and a policy.
-:func:`_phase1` relabels until the means settle and returns them with
-the label counts; :func:`_handoff` turns them into the parameters theta0
-= (tau, means, covariances) that phase 2 starts from; and each phase-2
+:func:`_phase1` relabels until the means settle and returns them;
+:func:`_handoff` turns them into the parameters theta0 = (tau, means,
+covariances) that phase 2 starts from; and each phase-2
 iteration is the map theta -> :func:`_m_step` of the sums of
 :func:`_soft_pass` at theta.  The driver keeps the trace, stops when no
 weight moves by ``weight_tol``, takes the closing log-likelihood and
@@ -57,7 +59,7 @@ by the one-hot phase-1 labels and centres the block with
 :func:`center_offsets`, and the single-batch readers weigh by the
 caller's weights with s as the offset.  Phase 1 alone sums per label
 with np.bincount, since a relabelling pass changes only the sums of the
-events that move.
+events that move; it keeps only the five sums that a mean reads.
 
 Covariances never come from point clouds: a component only sees the
 scalar offsets of its LoRs from the mean sinusoid.  One pass over those
@@ -98,7 +100,9 @@ from .model import (
     canonicalize_orientation,
     covariance_from_eigen,
 )
-from .projection import _Batch, log_line_integral_profile, mean_sinusoid
+from .projection import (
+    _Batch, _double_angle, log_line_integral_profile, mean_sinusoid,
+)
 from .quartic import solve_quartic
 from .rng import _BLOCK_EVENTS, SeededStream, _blocks, derive_seed
 
@@ -262,16 +266,17 @@ def _block_sums(rows, b) -> np.ndarray:
     Row k holds the mass (the sum of w), the weighted sums of s sin and
     s cos (s the block's first coordinate), and the eight sums of
     :class:`WeightedMoments` in field order (t, t^2, cos and sin of
-    2 phi and 4 phi, t cos 2 phi and t sin 2 phi).  With the mass and
-    the sums of cos 2 phi and sin 2 phi they give the five sums of
-    :func:`_solve_mean` (:func:`_mean_from_sums`).  They are the
-    sufficient statistics of the M-step (Neal & Hinton 1998), so a pass
-    adds them block by block.
+    2 phi and 4 phi, t cos 2 phi and t sin 2 phi).  Columns
+    :data:`_MEAN_COLUMNS` are the five sums of :func:`_mean_from_sums`.
+    They are the sufficient statistics of the M-step (Neal & Hinton
+    1998), so a pass adds them block by block.
 
-    The angle sums are one np.einsum("kn,fn->kf") of the rows against
-    the block's feature table (:attr:`_Batch.table`), once the squared
-    offsets are weighed in place, so that the last K rows hold w t; the
-    masses and the sums of w t are one np.sum over the rows.  np.dot or
+    The angle sums are two np.einsum("kn,fn->kf") against the block's
+    feature table (:attr:`_Batch.table`): the w rows against the whole
+    table, and the w t rows, once the squared offsets are weighed in
+    place, against its cos 2 phi and sin 2 phi rows alone, so no sum is
+    formed that the result drops.  The masses and the sums of w t are
+    one np.sum over the rows.  np.dot or
     @ would hand long sums to BLAS, which splits them across its
     threads, so the last digits of a fit would depend on the host's
     thread count; einsum and np.sum add in the same order everywhere.
@@ -287,9 +292,10 @@ def _block_sums(rows, b) -> np.ndarray:
     s_cos = np.einsum("kn,n,n->k", w, s, b.cos)
     np.multiply(t, w, out=t)  # the squared offsets are spent once weighed
     mass = np.sum(rows, axis=1)
-    angular = np.einsum("kn,fn->kf", rows, b.table)
+    angular = np.einsum("kn,fn->kf", w, b.table)
+    t_angular = np.einsum("kn,fn->kf", t, b.table[:2])
     return np.column_stack([
-        mass[:K], s_sin, s_cos, mass[K:], t_sq, angular[:K], angular[K:, :2]
+        mass[:K], s_sin, s_cos, mass[K:], t_sq, angular, t_angular
     ])
 
 
@@ -633,35 +639,36 @@ def fit_mean(lors, weights=None) -> np.ndarray:
     is unidentifiable along the common line direction.
     """
     sums, _ = _one_component_sums(lors, weights)
-    return _mean_from_sums(sums)
+    return _mean_from_sums(sums[_MEAN_COLUMNS])
 
 
-def _mean_from_sums(row) -> np.ndarray:
-    """The mean that a row of the sums of :func:`_block_sums` gives: its
-    normal system's sums of sin^2, sin cos and cos^2 are
-    (mass - C)/2, S/2 and (mass + C)/2 in the 2 phi basis, with C and S
-    the weighted sums of cos 2 phi and sin 2 phi."""
-    mass, s_sin, s_cos, cos2, sin2 = row[[0, 1, 2, 5, 6]]
-    return _solve_mean(
-        0.5 * (mass - cos2), 0.5 * sin2, 0.5 * (mass + cos2), s_sin, s_cos
-    )
+#: The columns of the sums of :func:`_block_sums` that a mean reads: the
+#: mass and the weighted sums of s sin, s cos, cos 2 phi and sin 2 phi.
+_MEAN_COLUMNS = [0, 1, 2, 5, 6]
 
 
-def _solve_mean(a, b, c, s_sin, s_cos) -> np.ndarray:
-    """The mean from the weighted sums of sin^2, sin cos, cos^2,
-    s sin and s cos over the events: the 2x2 normal system of
-    :func:`fit_mean`, [[a, -b], [-b, c]] mu = (-s sin, s cos), solved by
-    :func:`_solve_sym2`."""
+def _mean_from_sums(sums) -> np.ndarray:
+    """The one mean formula: the mean that the five weighted sums
+    ``sums`` give, the mass, s sin, s cos, C and S, with C and S the sums
+    of cos 2 phi and sin 2 phi.  These are columns :data:`_MEAN_COLUMNS`
+    of the sums of :func:`_block_sums` and phase 1's per-label tally
+    (:class:`_HardLabels`).
+
+    The 2x2 normal system of :func:`fit_mean` has the sums of sin^2,
+    sin cos and cos^2 in its matrix, (mass - C)/2, S/2 and (mass + C)/2
+    in the 2 phi basis: [[(mass - C)/2, -S/2], [-S/2, (mass + C)/2]] mu
+    = (-s sin, s cos), solved by :func:`_solve_sym2`."""
+    mass, s_sin, s_cos, cos2, sin2 = sums
     return np.array(_solve_sym2(
-        a, -b, c, -s_sin, s_cos,
-        "LoR angles too concentrated to locate a mean",
+        0.5 * (mass - cos2), -0.5 * sin2, 0.5 * (mass + cos2),
+        -s_sin, s_cos, "LoR angles too concentrated to locate a mean",
     ))
 
 
 def _solve_sym2(p, q, r, b1, b2, what: str) -> tuple[float, float]:
     """The solution (x1, x2) of [[p, q], [q, r]] (x1, x2) = (b1, b2) by
     Cramer's rule: the one conditioned 2x2 solve, for the normal systems
-    of :func:`_solve_mean` and :func:`refine_sigmas`.
+    of :func:`_mean_from_sums` and :func:`refine_sigmas`.
 
     The matrix is a sum of outer products, so it is positive
     semidefinite.  If its smaller eigenvalue (:func:`_sym2_eigenvalues`)
@@ -846,9 +853,9 @@ def _nearest_sinusoid(batch, means):
 
 
 class _HardLabels:
-    """Phase 1's labels with their per-label counts and sums, kept up to
-    date across relabelling passes, and with a bound that lets a pass
-    skip the events whose nearest sinusoid cannot have changed.
+    """Phase 1's labels with their per-label sums, kept up to date
+    across relabelling passes, and with a bound that lets a pass skip
+    the events whose nearest sinusoid cannot have changed.
 
     The distance |s - m(phi)| of an event to the mean sinusoid
     m(phi) = -mu_x sin phi + mu_y cos phi is the distance from the point
@@ -871,17 +878,18 @@ class _HardLabels:
     batch and labels, phase 1 holds 4 bytes of key per event and the
     batch's sin and cos of phi (16).
 
-    The counts and sums are the sufficient statistics of the
-    hard-assignment mean fit (incremental EM, Neal & Hinton 1998), the
-    sums being the five of :func:`_solve_mean` per label.  They start
-    from zero with every event tallied to its starting label, one block
-    at a time, and a relabelling pass tallies only the events that move,
-    by the same np.bincount code (:meth:`_move`).
+    The (5, K) ``sums`` are the sufficient statistics of the
+    hard-assignment mean fit (incremental EM, Neal & Hinton 1998): per
+    label, the five sums of :func:`_mean_from_sums`, the mass (the
+    label's count, an exact integer), s sin, s cos, cos 2 phi and
+    sin 2 phi, which are columns :data:`_MEAN_COLUMNS` of a pass's sums.
+    They start from zero with every event tallied to its starting label,
+    one block at a time, and a relabelling pass tallies only the events
+    that move, by the same np.bincount code (:meth:`_move`).
     """
 
     def __init__(self, batch, labels, K: int):
         self.batch, self.labels, self.K = batch, labels, K
-        self.counts = np.zeros(K, dtype=np.int64)
         self.sums = np.zeros((5, K))
         for block, b in batch.blocks():
             self._move(labels[block], labels[:0], b[0], b.sin, b.cos)
@@ -901,9 +909,12 @@ class _HardLabels:
         :meth:`_move`, in index order, whatever its pieces.
         """
         self.drift += 2.0 * moved_by
-        # bounds the rounding of two computed distances and of the keys
+        # bounds the rounding of two computed distances, each within a
+        # few ulps of max |s| plus its mean's entries, and of the keys,
+        # within an ulp of the drift: every term is relative, so the
+        # margin scales with the events and has no absolute term
         margin = 1e-12 * (
-            self.s_max + 2.0 * float(np.max(np.abs(means))) + self.drift + 1.0
+            self.s_max + 2.0 * float(np.max(np.abs(means))) + self.drift
         )
         # a limit beyond float32 recomputes every event, as the keys
         # never exceed its largest value
@@ -944,11 +955,12 @@ class _HardLabels:
 
     def _move(self, new, old, s, si, co):
         """Move events from the labels ``old`` to the labels ``new`` in
-        the counts and sums, given their s, sin phi and cos phi."""
+        the sums, given their s, sin phi and cos phi: a count for the
+        mass, then s sin, s cos and the cos 2 phi and sin 2 phi of
+        :func:`projection._double_angle`, the products of the feature
+        table."""
         K = self.K
-        self.counts += np.bincount(new, minlength=K)
-        self.counts -= np.bincount(old, minlength=K)
-        features = si * si, si * co, co * co, s * si, s * co
+        features = None, s * si, s * co, *_double_angle(co, si)
         for row, feature in zip(self.sums, features):
             row += np.bincount(new, weights=feature, minlength=K)
             row -= np.bincount(old, weights=feature, minlength=K)
@@ -1047,40 +1059,40 @@ def _die_if(dead, masses, iteration: int) -> None:
 
 
 def _phase1(batch, labels, config: FitConfig, record):
-    """Phase 1: hard assignments, means only.  Returns the means and the
-    per-label counts of its last labels; ``labels`` is relabelled in
-    place, and ``record(1, shares, None)`` is called once per iteration
-    with each label's share of the events.  It stops when no mean moves
-    by ``config.mean_tol`` or more, or at ``config.max_iters_phase1``.
+    """Phase 1: hard assignments, means only.  Returns the means of its
+    last labels; ``labels`` is relabelled in place, and
+    ``record(1, shares, None)`` is called once per iteration with each
+    label's share of the events.  It stops when no mean moves by
+    ``config.mean_tol`` or more, or at ``config.max_iters_phase1``.
     """
-    K = config.K
-    means = np.zeros((K, 2))
     prev_means = None
     delta = 0.0
-    hard = _HardLabels(batch, labels, K)
+    hard = _HardLabels(batch, labels, config.K)
+    counts = hard.sums[0]  # a view, so it follows every move
     for i in range(config.max_iters_phase1):
-        _die_if(hard.counts == 0, hard.counts, i)
-        for k in range(K):
-            means[k] = _solve_mean(*hard.sums[:, k])
-        record(1, hard.counts / labels.size, None)
+        _die_if(counts == 0, counts, i)
+        means = np.array([_mean_from_sums(label) for label in hard.sums.T])
+        record(1, counts / labels.size, None)
         if prev_means is not None:
             delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
             if delta < config.mean_tol:
-                return means, hard.counts
-        prev_means = means.copy()
+                return means
+        prev_means = means
         hard.relabel(means, delta)
-    _die_if(hard.counts == 0, hard.counts, config.max_iters_phase1)
-    return means, hard.counts
+    _die_if(counts == 0, counts, config.max_iters_phase1)
+    return means
 
 
-def _handoff(batch, labels, means, counts, floor: float):
+def _handoff(batch, labels, means, floor: float):
     """The parameters phase 2 starts from, (tau, means, covariances):
-    the phase-1 ``means``, the label shares of ``counts``, and each
-    cluster's covariance, with variance floor ``floor``, from the
-    moment sums of one pass over the events
-    (:func:`_cluster_moment_sums`)."""
+    the phase-1 ``means``, and each cluster's share of the events and
+    covariance, with variance floor ``floor``, from the sums of one
+    pass over the events (:func:`_cluster_moment_sums`).  The pass's
+    mass column holds each label's count, the exact integers of phase
+    1's mass row, so tau is the label shares that phase 1 recorded
+    last."""
     sums = _cluster_moment_sums(batch, labels, means)
-    return counts / labels.size, means, _covariances(sums, floor)
+    return sums[:, 0] / labels.size, means, _covariances(sums, floor)
 
 
 def _m_step(sums, n: int, floor: float):
@@ -1094,7 +1106,7 @@ def _m_step(sums, n: int, floor: float):
     with ``sums`` from :func:`_soft_pass` at theta."""
     return (
         sums[:, 0] / n,
-        np.array([_mean_from_sums(row) for row in sums]),
+        np.array([_mean_from_sums(row) for row in sums[:, _MEAN_COLUMNS]]),
         _covariances(sums, floor),
     )
 
@@ -1119,8 +1131,8 @@ def _run_single_fit(batch, config: FitConfig, assignment, on_iteration):
         if on_iteration is not None:
             on_iteration(rec)
 
-    means, counts = _phase1(batch, assignment, config, record)
-    tau, means, covariances = _handoff(batch, assignment, means, counts, floor)
+    means = _phase1(batch, assignment, config, record)
+    tau, means, covariances = _handoff(batch, assignment, means, floor)
     assignment = None  # the phase-1 labels are spent
 
     mass_floor = n * MASS_FLOOR_FACTOR / K
@@ -1175,7 +1187,9 @@ def fit(
     starting labels of the first restart; later restarts always start
     from a fresh seeded random balanced assignment.  Restarts that lose
     a component are skipped as long as at least one restart completes;
-    the best completed restart by final log-likelihood wins.
+    the best completed restart by final log-likelihood wins, and of
+    restarts whose log-likelihoods agree within 1e-12 relative, the
+    earliest.
     """
     batch = _as_arrays(lors)
     s, phi = batch
@@ -1214,7 +1228,12 @@ def fit(
             last_death = death
             continue
         result.restart_index = r
-        if best is None or result.loglik > best.loglik:
+        # a later restart wins only by more than rounding: restarts that
+        # reach one optimum differ in their last digits
+        if best is None or (
+            result.loglik > best.loglik
+            and not math.isclose(result.loglik, best.loglik, rel_tol=1e-12)
+        ):
             best = result
     if best is None:
         assert last_death is not None

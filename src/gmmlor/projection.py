@@ -54,9 +54,8 @@ class _Batch(tuple):
     Each feature is computed on first use and then kept, so a fit that
     holds one batch takes every sine and cosine once.  Only phi's pair
     comes from trigonometry: each doubled angle's pair follows from the
-    one before, sin 2x = 2 sin x cos x and
-    cos 2x = (cos x - sin x)(cos x + sin x), a few products in place of
-    a trigonometric call, within 1e-15 of np.sin and np.cos.
+    one before by :func:`_double_angle`, a few products in place of a
+    trigonometric call, within 1e-15 of np.sin and np.cos.
 
     Its values are finite: ``estimate._as_arrays`` checks them when it
     builds one, so no reader checks them again.
@@ -87,15 +86,12 @@ class _Batch(tuple):
 
     @cached_property
     def table(self):
-        si, co = self.sin, self.cos
-        table = np.empty((4,) + np.shape(si))
+        """The (4, n) rows cos 2 phi, sin 2 phi, cos 4 phi and sin 4 phi,
+        each pair the :func:`_double_angle` of the one before."""
+        table = np.empty((4,) + np.shape(self.sin))
         cos2, sin2, cos4, sin4 = (table[i, ...] for i in range(4))
-        for c, s, cos_row, sin_row in ((co, si, cos2, sin2),
-                                       (cos2, sin2, cos4, sin4)):
-            np.multiply(s, 2.0, out=sin_row)
-            sin_row *= c
-            np.subtract(c, s, out=cos_row)
-            cos_row *= c + s
+        _double_angle(self.cos, self.sin, cos2, sin2)
+        _double_angle(cos2, sin2, cos4, sin4)
         return table
 
     @cached_property
@@ -149,6 +145,19 @@ class _Batch(tuple):
         self.sin, self.cos  # kept for the whole batch; blocks read views
         for block in _blocks(n):
             yield block, self.take(block)
+
+
+def _double_angle(co, si, cos_out=None, sin_out=None):
+    """cos 2x and sin 2x from cos x and sin x by products alone,
+    cos 2x = (cos x - sin x)(cos x + sin x) and sin 2x = 2 sin x cos x,
+    written into ``cos_out`` and ``sin_out`` when they are given: the
+    one double-angle formula, of :attr:`_Batch.table` and of phase 1's
+    per-label sums (``estimate._HardLabels``)."""
+    sin_out = np.multiply(si, 2.0, out=sin_out)
+    sin_out *= co
+    cos_out = np.subtract(co, si, out=cos_out)
+    cos_out *= co + si
+    return cos_out, sin_out
 
 
 def _angles(phi) -> _Batch:

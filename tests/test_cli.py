@@ -335,6 +335,33 @@ def test_fit_manifest_names_the_winning_restart(tmp_path, truth_path):
     assert manifest["loglik"] == logliks[2]
 
 
+def test_restarts_that_tie_within_rounding_keep_the_first(
+    tmp_path, truth_path
+):
+    # on these events the three restarts reach one optimum, and their
+    # log-likelihoods differ only in the last digits, so the winner
+    # is restart 0 however they round
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", truth_path, "--counts", "350,250,100",
+          "--seed", "2", "--out", lors])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 3, "weight_tol": 1e-3}))
+    out = str(tmp_path / "m.json")
+    assert main(["fit", lors, "--config", str(cfg), "--seed", "0",
+                 "--restarts", "3", "--out", out]) == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    s, phi = read_lors_csv(lors)[:2]
+    logliks = [
+        gmmlor.fit((s, phi), gmmlor.FitConfig(
+            K=3, weight_tol=1e-3, seed=derive_seed(0, r) if r else 0,
+        )).loglik
+        for r in range(3)
+    ]
+    assert max(logliks) - min(logliks) <= 1e-12 * abs(logliks[0])
+    assert manifest["restart"] == 0
+    assert manifest["loglik"] == logliks[0]
+
+
 def test_a_fit_that_raises_writes_no_manifest(tmp_path):
     lors = tmp_path / "parallel.csv"
     write_lors_csv(lors, np.linspace(-1.0, 1.0, 60), np.full(60, 0.3))

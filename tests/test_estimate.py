@@ -48,6 +48,7 @@ from gmmlor import (
 )
 from gmmlor.estimate import (
     _BLOCK_EVENTS,
+    _MEAN_COLUMNS,
     DEATH_PATIENCE,
     DEFAULT_VARIANCE_FLOOR,
     MASS_FLOOR_FACTOR,
@@ -60,13 +61,13 @@ from gmmlor.estimate import (
     _key_floor,
     _label_dtype,
     _m_step,
+    _mean_from_sums,
     _memberships_arrays,
     _nearest_sinusoid,
     _phase1,
     _run_single_fit,
     _soft_loglik,
     _soft_pass,
-    _solve_mean,
     _solve_sym2,
 )
 from gmmlor.projection import log_line_integral_profile
@@ -1517,36 +1518,104 @@ def test_fit_loglik_is_the_e_step_loglik_of_the_returned_model(
     assert out.loglik == original(s, phi, means, covariances, tau)[1]
 
 
+def sin_cos_tally(s, phi, labels, K):
+    """Per label, the sums of sin^2, sin cos, cos^2, s sin and s cos:
+    the (5, K) tally of phase 1 before it read the 2 phi basis, the
+    oracle of its sums."""
+    si, co = np.sin(phi), np.cos(phi)
+    features = (si * si, si * co, co * co, s * si, s * co)
+    return np.array([np.bincount(labels, f, K) for f in features])
+
+
+def solve_sin_cos_mean(a, b, c, s_sin, s_cos):
+    """The mean from the sums of sin^2, sin cos, cos^2, s sin and
+    s cos: the normal system [[a, -b], [-b, c]] mu = (-s sin, s cos)."""
+    return np.linalg.solve([[a, -b], [-b, c]], [-s_sin, s_cos])
+
+
 @pytest.mark.parametrize("n", BLOCK_SIZES[1:])
 def test_label_pass_means_match_fit_mean_on_each_cluster(n):
+    # phase 1's means, fit_mean's on each gathered cluster, and the
+    # means of the sin^2 tally agree within 1e-12 relative
     rng = np.random.default_rng(50 + n)
     s, phi = random_events(n, rng)
     batch = cached(s, phi)
     K = 3
     labels = rng.integers(0, K, n)
     hard = _HardLabels(batch, labels, K)
-    counts, sums = hard.counts, hard.sums
-    assert np.array_equal(counts, np.bincount(labels, minlength=K))
+    assert np.array_equal(hard.sums[0], np.bincount(labels, minlength=K))
+    oracle = sin_cos_tally(s, phi, labels, K)
     for k in range(K):
         want = fit_mean(batch.take(np.flatnonzero(labels == k)))
-        got = _solve_mean(*sums[:, k])
+        got = _mean_from_sums(hard.sums[:, k])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        got = solve_sin_cos_mean(*oracle[:, k])
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES[:3])
 def test_phase1_start_sums_are_one_bincount_per_feature(n):
-    # the sums the starting labels give, for one block, bitwise
+    # the sums the starting labels give, for one block, bitwise: the
+    # counts, then s sin, s cos and the table's cos 2 phi and sin 2 phi
     rng = np.random.default_rng(55 + n)
     s, phi = random_events(n, rng)
     labels = rng.integers(0, 3, n).astype(np.uint8)
     hard = _HardLabels(fit_held_batch(s, phi), labels, 3)
-    si, co = np.sin(phi), np.cos(phi)
-    want = [
+    table = cached(s, phi).table
+    want = [np.bincount(labels, minlength=3).astype(float)] + [
         np.bincount(labels, weights=f, minlength=3)
-        for f in (si * si, si * co, co * co, s * si, s * co)
+        for f in (s * np.sin(phi), s * np.cos(phi), table[0], table[1])
     ]
     assert hard.sums.tobytes() == np.array(want).tobytes()
-    assert np.array_equal(hard.counts, np.bincount(labels, minlength=3))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[1:])
+def test_phase1_sums_are_the_sin_cos_tally_in_the_2phi_basis(n):
+    # (mass - C)/2, S/2 and (mass + C)/2 are the sums of sin^2, sin cos
+    # and cos^2, and s sin and s cos the tally's own, within 1e-12 of
+    # the largest magnitude a label's sum could reach
+    rng = np.random.default_rng(57 + n)
+    s, phi = random_events(n, rng)
+    labels = rng.integers(0, 3, n)
+    mass, s_sin, s_cos, cos2, sin2 = _HardLabels(
+        fit_held_batch(s, phi), labels, 3
+    ).sums
+    got = [(mass - cos2) / 2, sin2 / 2, (mass + cos2) / 2, s_sin, s_cos]
+    reach = np.maximum(mass, 1.0) * (1.0 + np.max(np.abs(s)))
+    want = sin_cos_tally(s, phi, labels, 3)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-12 * reach)
+
+
+@pytest.mark.parametrize("n", [7000, 3 * B + 7])
+def test_handoff_pass_reads_phase1s_final_sums(
+    benchmark_mixture, n, monkeypatch
+):
+    # after a phase 1 that converged, the mean columns of the handoff's
+    # one-hot pass are phase 1's running sums up to rounding: within
+    # 1e-12 of the largest magnitude a label's sum could reach
+    import gmmlor.estimate as est
+
+    kept = []
+
+    class Kept(_HardLabels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    monkeypatch.setattr(est, "_HardLabels", Kept)
+    res = simulate_lors(benchmark_mixture, n_total=n, seed=4, shuffle=True)
+    batch = fit_held_batch(np.array(res.s), np.array(res.phi))
+    labels = np.random.default_rng(4).integers(0, 3, n).astype(np.uint8)
+    config = FitConfig(K=3, seed=0)
+    iterations = []
+    means = _phase1(batch, labels, config, lambda *rec: iterations.append(rec))
+    assert len(iterations) < config.max_iters_phase1  # it converged
+    sums = _cluster_moment_sums(batch, labels, means)[:, _MEAN_COLUMNS].T
+    (hard,) = kept
+    assert np.array_equal(sums[0], hard.sums[0])
+    assert np.array_equal(sums[0], np.bincount(labels, minlength=3))
+    reach = sums[0] * (1.0 + np.max(np.abs(batch[0])))
+    assert np.all(np.abs(sums - hard.sums) <= 1e-12 * reach)
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -1560,8 +1629,8 @@ def test_label_pass_relabels_as_the_unblocked_kernel(n):
     assert hard.relabel(means, 0.0) == n  # the first pass sees every event
     want = _nearest_sinusoid(cached(s, phi), means)[0]
     assert np.array_equal(labels, want)
-    assert np.array_equal(hard.counts, np.bincount(want, minlength=3))
-    assert hard.counts[2] == 0
+    assert np.array_equal(hard.sums[0], np.bincount(want, minlength=3))
+    assert hard.sums[0, 2] == 0
 
 
 def assert_matches_a_full_pass(hard, batch, means):
@@ -1570,10 +1639,10 @@ def assert_matches_a_full_pass(hard, batch, means):
     the largest magnitude a label's sum could reach."""
     want = _nearest_sinusoid(batch, means)[0]
     assert np.array_equal(hard.labels, want)
-    full = _HardLabels(batch, want, len(means))
-    counts, sums = full.counts, full.sums
-    assert np.array_equal(hard.counts, counts)
-    assert np.array_equal(counts, np.bincount(want, minlength=len(means)))
+    counts = np.bincount(want, minlength=len(means))
+    sums = _HardLabels(batch, want, len(means)).sums
+    assert np.array_equal(hard.sums[0], counts)
+    assert np.array_equal(sums[0], counts)
     reach = np.maximum(counts, 1) * (1.0 + np.max(np.abs(batch[0])))
     assert np.all(np.abs(hard.sums - sums) <= 1e-12 * reach)
 
@@ -1717,6 +1786,40 @@ def test_skip_bound_holds_at_extreme_scales(
         warnings.simplefilter("error")
         fit((s, phi), config)
     assert len(passes) > 1 and all(passes)
+
+
+def test_skip_margin_scales_with_the_events(benchmark_mixture, monkeypatch):
+    # the benchmark's events scaled by 2^-100, with mean_tol and the
+    # variance floor scaled too: every relabel recomputes as many events
+    # as at scale 1, and the means are 2^-100 times those at scale 1,
+    # bitwise; an absolute term in the margin would recompute them all
+    res = simulate_lors(benchmark_mixture, counts=BENCHMARK_COUNTS, seed=0)
+    s, phi = np.array(res.s), np.array(res.phi)
+    original = _HardLabels.relabel
+    recomputed = []
+
+    def relabel(self, means, moved_by):
+        recomputed.append(original(self, means, moved_by))
+        return recomputed[-1]
+
+    monkeypatch.setattr(_HardLabels, "relabel", relabel)
+    runs = []
+    for scale in (1.0, 2.0 ** -100):
+        recomputed = []
+        config = FitConfig(
+            K=3, seed=0, mean_tol=1e-6 * scale,
+            variance_floor=DEFAULT_VARIANCE_FLOOR * scale * scale,
+        )
+        labels = np.random.default_rng(0).integers(0, 3, s.size)
+        batch = _as_arrays((s * scale, phi))
+        means = _phase1(
+            batch, labels.astype(np.uint8), config, lambda *rec: None
+        )
+        runs.append((means, recomputed))
+    (means, counts), (scaled_means, scaled_counts) = runs
+    assert scaled_counts == counts
+    assert min(counts) < s.size  # the bound skips events
+    assert scaled_means.tobytes() == (means * 2.0 ** -100).tobytes()
 
 
 def test_an_initially_empty_label_dies_in_the_first_iteration():
@@ -2069,12 +2172,8 @@ def theta0(batch, labels, config):
     count of phase-1 iterations."""
     labels = labels.astype(_label_dtype(config.K))
     phase1 = []
-    means, counts = _phase1(
-        batch, labels, config, lambda *rec: phase1.append(rec)
-    )
-    return _handoff(
-        batch, labels, means, counts, config.variance_floor
-    ), len(phase1)
+    means = _phase1(batch, labels, config, lambda *rec: phase1.append(rec))
+    return _handoff(batch, labels, means, config.variance_floor), len(phase1)
 
 
 def test_phase2_is_the_map_of_one_pass_and_one_m_step(benchmark_mixture):
