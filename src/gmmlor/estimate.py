@@ -96,6 +96,9 @@ from .model import (
     GaussianComponent2D,
     LineOfResponse,
     MixtureModel2D,
+    _as_finite,
+    _as_finite_real,
+    _as_vec2,
     _sym2_eigenvalues,
     canonicalize_orientation,
     covariance_from_eigen,
@@ -246,14 +249,13 @@ class FitResult:
 
 def _as_weights(weights, n: int) -> np.ndarray:
     """The one coercion of per-event weights: ones for None, else an
-    (n,) float array of finite, nonnegative weights."""
+    (n,) float array of finite (:func:`model._as_finite`), nonnegative
+    weights."""
     if weights is None:
         return np.ones(n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise InputError(f"weights must have shape ({n},), got {w.shape}")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
-        raise InputError("weights must be finite and nonnegative")
+    w = _as_finite(weights, (n,), "weights", f"an ({n},) array")
+    if not np.all(w >= 0.0):
+        raise InputError("weights must be nonnegative")
     return w
 
 
@@ -363,6 +365,7 @@ class WeightedMoments:
     m4w is clamped up to m2w^2 on construction: any distribution has
     E[X^4] >= E[X^2]^2, so a violation is pure sampling noise and would
     otherwise leak a negative discriminant into the moment inversion.
+    Every field must be a finite number (:func:`model._as_finite_real`).
     """
 
     m2w: float
@@ -376,12 +379,12 @@ class WeightedMoments:
     tsin2w: float = 0.0
 
     def __post_init__(self):
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise InputError("moment mass must be positive and finite")
-        if not (self.m2w >= 0.0 and math.isfinite(self.m2w)):
-            raise InputError("m2w must be nonnegative and finite")
-        if not math.isfinite(self.m4w):
-            raise InputError("m4w must be finite")
+        for name, value in vars(self).items():
+            _as_finite_real(value, name)
+        if not self.mass > 0.0:
+            raise InputError("moment mass must be positive")
+        if not self.m2w >= 0.0:
+            raise InputError("m2w must be nonnegative")
         floor = self.m2w * self.m2w
         if self.m4w < floor:
             object.__setattr__(self, "m4w", floor)
@@ -569,10 +572,12 @@ def _as_arrays(lors) -> _Batch:
     """The one coercion of an event batch to matching 1-D float arrays.
 
     Accepts an (s, phi) or (s_c, phi) array pair, an (N, 2) array, or a
-    sequence of :class:`LineOfResponse` records.  A tuple of two records
-    is a sequence of records, not an array pair.  Returns a
-    :class:`_Batch` with fresh angle features, each computed on first
-    use, after checking that every value is finite.  A batch passed in
+    sequence of :class:`LineOfResponse` records; anything else is
+    refused.  A tuple of two records is a sequence of
+    records, not an array pair.  Every array goes through
+    :func:`model._as_finite`, so a value that is not a finite number
+    raises :class:`InputError`.  Returns a :class:`_Batch` with fresh
+    angle features, each computed on first use.  A batch passed in
     comes back as it is: it was checked where it was built.
     """
     if isinstance(lors, _Batch):
@@ -582,21 +587,24 @@ def _as_arrays(lors) -> _Batch:
         and len(lors) == 2
         and not isinstance(lors[0], LineOfResponse)
     ):
-        s = np.asarray(lors[0], dtype=float)
-        phi = np.asarray(lors[1], dtype=float)
+        s, phi = lors
     elif isinstance(lors, np.ndarray):
-        arr = np.asarray(lors, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InputError("LoR array must have shape (N, 2)")
-        s, phi = arr[:, 0].copy(), arr[:, 1].copy()
+        arr = _as_finite(lors, (None, 2), "the LoR array", "an (N, 2) array")
+        return _Batch(arr[:, 0].copy(), arr[:, 1].copy())
     else:
-        items = list(lors)
-        s = np.array([lor.s for lor in items], dtype=float)
-        phi = np.array([lor.phi for lor in items], dtype=float)
-    if s.shape != phi.shape or s.ndim != 1:
+        items = list(lors) if np.iterable(lors) else [None]
+        if not all(isinstance(lor, LineOfResponse) for lor in items):
+            raise InputError(
+                "events must be an (s, phi) pair, an (N, 2) array or a "
+                "sequence of LineOfResponse records"
+            )
+        s = [lor.s for lor in items]
+        phi = [lor.phi for lor in items]
+    what = "one of two matching 1-D arrays"
+    s = _as_finite(s, (None,), "s", what)
+    phi = _as_finite(phi, (None,), "phi", what)
+    if s.shape != phi.shape:
         raise InputError("s and phi must be matching 1-D arrays")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(phi))):
-        raise InputError("LoRs contain non-finite values")
     return _Batch(s, phi)
 
 
@@ -687,8 +695,8 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of each LoR from the mean sinusoid of ``mean``, as the
     (s_c, phi) pair the covariance pipeline takes.  Offsets that
     overflow, offsets whose sum of fourth powers could
-    (:func:`_check_reach`), or a non-finite mean raise
-    :class:`InputError`.
+    (:func:`_check_reach`), or a mean that is not a finite 2-vector
+    (:func:`model._as_vec2`) raise :class:`InputError`.
 
     The offsets are written and checked block by block into one
     N-length array, so the temporaries of :func:`mean_sinusoid` stay
@@ -696,6 +704,7 @@ def center_offsets(lors, mean) -> tuple[np.ndarray, np.ndarray]:
     phi is the batch's own.
     """
     batch = _as_arrays(lors)
+    mean = _as_vec2(mean, "mean")
     s_c = np.empty_like(batch[0])
     for block, b in batch.blocks():
         out = s_c[block]

@@ -22,8 +22,8 @@ from .errors import InputError
 from .model import (  # noqa: F401
     MixtureModel2D,
     _gaussian_exponent,
-    _sym2_eigenvalues,
     density_at_points,
+    eigen_from_covariance,
 )
 
 
@@ -129,14 +129,13 @@ def union_bounding_box(models, n_sigma: float = 6.0):
     """Axis-aligned box covering every component mean plus n_sigma of
     the largest principal standard deviation across all models, the
     root of the largest of the components' larger covariance
-    eigenvalues (:func:`model._sym2_eigenvalues`)."""
+    eigenvalues (:func:`model.eigen_from_covariance`)."""
     means = []
     max_var = 0.0
     for model in models:
         for comp in model.components:
             means.append(comp.mean)
-            cov = comp.covariance
-            _, top = _sym2_eigenvalues(cov[0, 0], cov[0, 1], cov[1, 1])
+            top = eigen_from_covariance(comp.covariance).sigma1_sq
             max_var = max(max_var, top)
     means = np.asarray(means)
     pad = n_sigma * math.sqrt(max_var)
@@ -219,10 +218,10 @@ def kl_divergence(estimated: MixtureModel2D, truth: MixtureModel2D) -> float:
 
     KL = sum_j w_j E_{N_j}[log p - log q], with p the estimated density,
     q the truth and N_j estimated component j.  Each expectation is the
-    64 x 64 product Gauss-Hermite rule at x = mu_j + V_j L_j^(1/2) z:
-    the eigenvalues L_j of :func:`model._sym2_eigenvalues` and the
-    eigenvectors V_j at the major-axis angle atan2(2b, a - c) / 2.  The
-    nodes follow their component, so a needle-thin component is
+    64 x 64 product Gauss-Hermite rule at x = mu_j + V_j L_j^(1/2) z,
+    with the eigenvalues L_j and the major-axis angle of V_j from
+    :func:`model.eigen_from_covariance`, the package's one eigenframe.
+    The nodes follow their component, so a needle-thin component is
     resolved as well as a round one, and a log-ratio that is quadratic,
     as between two single Gaussians, is integrated exactly.  Cf. Hershey
     and Olsen (2007), on approximating the KL between mixtures.
@@ -236,12 +235,9 @@ def kl_divergence(estimated: MixtureModel2D, truth: MixtureModel2D) -> float:
     x = np.empty((len(estimated.components), _Z1.size))
     y = np.empty_like(x)
     for xj, yj, comp in zip(x, y, estimated.components):
-        a, b = comp.covariance[0, 0], comp.covariance[0, 1]
-        c = comp.covariance[1, 1]
-        lo, hi = _sym2_eigenvalues(a, b, c)
-        angle = 0.5 * math.atan2(2.0 * b, a - c)
-        major, minor = math.sqrt(hi), math.sqrt(max(lo, 0.0))
-        cos, sin = math.cos(angle), math.sin(angle)
+        e = eigen_from_covariance(comp.covariance)
+        major, minor = math.sqrt(e.sigma1_sq), math.sqrt(e.sigma2_sq)
+        cos, sin = math.cos(e.phi0), math.sin(e.phi0)
         xj[:] = comp.mean[0] + (cos * major) * _Z1 - (sin * minor) * _Z2
         yj[:] = comp.mean[1] + (sin * major) * _Z1 + (cos * minor) * _Z2
     log_ratio = _log_mixture_density(estimated, x, y)

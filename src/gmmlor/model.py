@@ -34,7 +34,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _as_finite(value, shape, name: str, what: str) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with every entry finite.
+    """``value`` as a float array of ``shape`` with every entry finite:
+    the one coercion of an array from outside the package.  An axis
+    given as None in ``shape`` may have any length.
 
     Anything else raises an :class:`InputError` naming ``name``: also a
     value numpy cannot turn into floats (a string, None, a ragged list
@@ -43,11 +45,25 @@ def _as_finite(value, shape, name: str, what: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be {what} of numbers: {exc}") from exc
-    if arr.shape != shape:
+    if arr.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(arr.shape, shape)
+    ):
         raise InputError(f"{name} must be {what}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} must be finite")
+        raise InputError(f"{name} holds non-finite values")
     return arr
+
+
+def _as_finite_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number, else an
+    :class:`InputError` naming ``name``: the check of a scalar field of
+    a value type, which allocates no array."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except TypeError:  # not a number
+        pass
+    raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 def _as_vec2(v, name: str) -> np.ndarray:
@@ -128,9 +144,7 @@ class LineOfResponse:
     phi: float
 
     def __post_init__(self):
-        s, phi = float(self.s), float(self.phi)
-        if not math.isfinite(phi):
-            raise InputError(f"phi must be finite, got {phi}")
+        s, phi = _as_vec2((self.s, self.phi), "(s, phi)").tolist()
         if not -math.pi / 2.0 <= phi <= math.pi / 2.0:
             k = math.floor((phi + math.pi / 2.0) / math.pi)
             phi -= k * math.pi
@@ -145,22 +159,25 @@ class LineOfResponse:
 @dataclass(frozen=True)
 class EigenDecomposition2D:
     """Eigensystem of a 2x2 covariance: sigma1_sq >= sigma2_sq >= 0 and the
-    major-axis angle phi0, canonicalized to (-pi/2, pi/2]."""
+    major-axis angle phi0, canonicalized to (-pi/2, pi/2].  Each field
+    must be a finite number (:func:`_as_finite_real`)."""
 
     sigma1_sq: float
     sigma2_sq: float
     phi0: float
 
     def __post_init__(self):
-        if not (self.sigma1_sq >= self.sigma2_sq >= 0.0):
+        s1 = _as_finite_real(self.sigma1_sq, "sigma1_sq")
+        s2 = _as_finite_real(self.sigma2_sq, "sigma2_sq")
+        phi0 = _as_finite_real(self.phi0, "phi0")
+        if not (s1 >= s2 >= 0.0):
             raise InputError(
                 f"eigenvalues must satisfy sigma1_sq >= sigma2_sq >= 0, "
-                f"got ({self.sigma1_sq}, {self.sigma2_sq})"
+                f"got ({s1}, {s2})"
             )
-        phi0 = canonicalize_orientation(self.phi0)
-        object.__setattr__(self, "sigma1_sq", float(self.sigma1_sq))
-        object.__setattr__(self, "sigma2_sq", float(self.sigma2_sq))
-        object.__setattr__(self, "phi0", phi0)
+        object.__setattr__(self, "sigma1_sq", s1)
+        object.__setattr__(self, "sigma2_sq", s2)
+        object.__setattr__(self, "phi0", canonicalize_orientation(phi0))
 
 
 def _sym2_eigenvalues(a, b, c) -> tuple[float, float]:
@@ -218,10 +235,9 @@ def density(model: MixtureModel2D, point) -> float:
 
 
 def density_at_points(model: MixtureModel2D, points: np.ndarray) -> np.ndarray:
-    """Vectorized mixture density over an (N, 2) array of points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InputError(f"points must have shape (N, 2), got {pts.shape}")
+    """Vectorized mixture density over an (N, 2) array of finite
+    points."""
+    pts = _as_finite(points, (None, 2), "points", "an (N, 2) array")
     return _mixture_density(model, pts[:, 0], pts[:, 1])
 
 

@@ -46,10 +46,9 @@ class _Batch(tuple):
 
     The feature table is a (4, n) array whose rows are cos and sin of
     2 phi and of 4 phi, the angle features of every weighted sum
-    (``estimate._block_sums``) and, through cos 2 phi and sin 2 phi, of
-    :func:`projection_variance`.  The rows are written in place, and
-    ``cos2``, ``sin2``, ``cos4`` and ``sin4`` are views of them, so the
-    features are held once.
+    (``estimate._block_sums``) and, through its rows 0 and 1, cos 2 phi
+    and sin 2 phi, of :func:`projection_variance`.  It is the one name
+    of those features.
 
     Each feature is computed on first use and then kept, so a fit that
     holds one batch takes every sine and cosine once.  Only phi's pair
@@ -67,11 +66,9 @@ class _Batch(tuple):
     the weights and the offsets it squares; the handoff centres each
     block itself (``estimate.center_offsets``), and the closing
     log-likelihood (``estimate._soft_loglik``) leaves them.
-    :meth:`take` carries only the angle features, and
-    :meth:`take_sin_cos` only s, sin and cos.
+    :meth:`take` carries s, phi, sin and cos, and :meth:`take_sin_cos`
+    only s, sin and cos; a block forms its own table.
     """
-
-    _FEATURES = ("sin", "cos", "table")
 
     def __new__(cls, s, phi):
         return super().__new__(cls, (s, phi))
@@ -94,36 +91,19 @@ class _Batch(tuple):
         _double_angle(cos2, sin2, cos4, sin4)
         return table
 
-    @cached_property
-    def cos2(self):
-        return self.table[0, ...]
-
-    @cached_property
-    def sin2(self):
-        return self.table[1, ...]
-
-    @cached_property
-    def cos4(self):
-        return self.table[2, ...]
-
-    @cached_property
-    def sin4(self):
-        return self.table[3, ...]
-
     def take(self, idx):
-        """The events ``idx`` selects, with the features computed so far
+        """The events ``idx`` selects, with their sin and cos of phi
         indexed rather than computed again: views for a slice, copies for
         an index array.  Features computed on the result stay with it."""
         out = _Batch(self[0][idx], self[1][idx])
-        for name, value in vars(self).items():
-            if name in self._FEATURES:
-                setattr(out, name, value[..., idx])
+        out.sin, out.cos = self.sin[idx], self.cos[idx]
         return out
 
     def take_sin_cos(self, idx):
         """The events ``idx`` selects as s with the sin and cos of phi
         alone, indexed as :meth:`take` does, and None for phi: all that
-        a distance to a mean sinusoid reads (phase 1's relabelling)."""
+        a distance to a mean sinusoid reads (phase 1's relabelling),
+        without the gather of phi that :meth:`take` makes."""
         out = _Batch(self[0][idx], None)
         out.sin, out.cos = self.sin[idx], self.cos[idx]
         return out
@@ -184,11 +164,11 @@ def _variance_array(covariance, phi) -> np.ndarray:
     cov = np.asarray(covariance, dtype=float)
     if cov.shape != (2, 2):
         raise InputError(f"covariance must have shape (2, 2), got {cov.shape}")
-    b = _angles(phi)
+    cos2, sin2 = _angles(phi).table[:2]
     a, c = cov[0, 0], cov[1, 1]
-    out = np.multiply(b.cos2, 0.5 * (c - a), out=np.empty(np.shape(b.cos2)))
+    out = np.multiply(cos2, 0.5 * (c - a), out=np.empty(np.shape(cos2)))
     out += 0.5 * (a + c)
-    out -= cov[0, 1] * b.sin2
+    out -= cov[0, 1] * sin2
     return out
 
 

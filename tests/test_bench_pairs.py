@@ -71,3 +71,27 @@ def test_a_higher_is_better_metric_counts_the_other_way():
     assert out["gain_rule_met"] and out["within_bound"]
     out = load_tool().summarise(paired_runs(change, PARENT, "rate"), [metric])
     assert not out["rate"]["within_bound"]
+
+
+def test_the_warm_up_runs_come_first_and_reach_no_statistic(monkeypatch):
+    tool = load_tool()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, seed, trace))
+        # the warm-ups read 1000 s; a paired run reads its pair's seed
+        wall = 1000.0 if len(calls) <= 2 else float(seed - tool.FIRST_SEED)
+        return {"correct": 1, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tool.measure({"parent": "p", "change": "c"}, "w", 15.0, [WALL])
+    assert calls[:2] == [("p", tool.WARMUP_SEED, 0), ("c", tool.WARMUP_SEED, 0)]
+    assert len(calls) == 2 + 2 * tool.PAIRS + 2
+    assert tool.WARMUP_SEED not in {seed for _, seed, _ in calls[2:]}
+    assert [(r["pair"], r["side"], r["wall_s"]) for r in out["warmup"]] == [
+        (0, "parent", 1000.0), (0, "change", 1000.0)]
+    assert len(out["runs"]) == 2 * tool.PAIRS
+    for side in ("parent", "change"):
+        stats = out["end_to_end"]["wall_s"][side]
+        assert stats["n"] == tool.PAIRS and stats["max"] == tool.PAIRS - 1

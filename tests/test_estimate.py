@@ -102,7 +102,7 @@ def cached(s, phi, idx=None):
     """(s, phi) as a batch whose angle features are all computed up front,
     then narrowed to the events ``idx`` selects, as phase 1 does."""
     batch = _Batch(s, phi)
-    for name in ("sin", "cos", "sin2", "cos2", "sin4", "cos4"):
+    for name in ("sin", "cos", "table"):
         getattr(batch, name)
     return batch if idx is None else batch.take(idx)
 
@@ -914,10 +914,11 @@ def plain_profile(cov, mean, s, phi):
     cos 2 phi and sin 2 phi from the batch's products: the formula that
     log_line_integral_profile must give bitwise."""
     batch = _Batch(s, phi)
+    cos2, sin2 = batch.table[:2]
     var = (
-        batch.cos2 * (0.5 * (cov[1][1] - cov[0][0]))
+        cos2 * (0.5 * (cov[1][1] - cov[0][0]))
         + 0.5 * (cov[0][0] + cov[1][1])
-        - cov[0][1] * batch.sin2
+        - cov[0][1] * sin2
     )
     s_c = s - mean_sinusoid(batch, mean)
     return var, -0.5 * (np.log(2.0 * math.pi * var) + s_c * s_c / var)
@@ -1211,9 +1212,10 @@ def unblocked_moment_sums(s_c, phi, w):
         float(np.einsum("kn,kn,kn->k", w[None], t[None], t[None])[0]),
         *angular[0].tolist(), *angular[1, :2].tolist(),
     ]
+    cos2, sin2, cos4, sin4 = batch.table
     features = [
-        (t,), (t, t), (batch.cos2,), (batch.sin2,), (batch.cos4,),
-        (batch.sin4,), (t, batch.cos2), (t, batch.sin2),
+        (t,), (t, t), (cos2,), (sin2,), (cos4,), (sin4,), (t, cos2),
+        (t, sin2),
     ]
     scales = [wsum(np.abs(w), *(np.abs(x) for x in f)) for f in features]
     return sums, scales

@@ -218,17 +218,16 @@ def test_fit_forms_no_event_length_double_angle_features(
     benchmark_mixture, monkeypatch
 ):
     sizes = []
-    for name in ("sin2", "cos2", "sin4", "cos4"):
-        original = getattr(_Batch, name).func
+    original = _Batch.table.func
 
-        def spy(self, original=original):
-            out = original(self)
-            sizes.append(out.size)
-            return out
+    def spy(self):
+        out = original(self)
+        sizes.append(out.shape[-1])  # events; the table has four rows
+        return out
 
-        prop = functools.cached_property(spy)
-        prop.__set_name__(_Batch, name)
-        monkeypatch.setattr(_Batch, name, prop)
+    prop = functools.cached_property(spy)
+    prop.__set_name__(_Batch, "table")
+    monkeypatch.setattr(_Batch, "table", prop)
     res = simulate_lors(
         benchmark_mixture, counts=(20000, 14000, 6000), seed=1, shuffle=True
     )

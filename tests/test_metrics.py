@@ -26,7 +26,15 @@ from gmmlor import (
     report_to_dict,
     simulate_lors,
 )
-from gmmlor.metrics import _GH_NODES, _GH_WEIGHTS, union_bounding_box
+from gmmlor.metrics import (
+    _GH_NODES,
+    _GH_WEIGHTS,
+    _W2,
+    _Z1,
+    _Z2,
+    _log_mixture_density,
+    union_bounding_box,
+)
 from gmmlor.model import _mixture_density
 from conftest import BENCHMARK_COUNTS, benchmark_components, make_component
 
@@ -491,3 +499,33 @@ def test_kl_ignores_a_common_rotation(est, truth, angle):
     want = kl_divergence(est, truth)
     got = kl_divergence(rotated(est, angle), rotated(truth, angle))
     assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def atan2_frame_kl(estimated, truth):
+    """kl_divergence with each component's frame written out as it was
+    before the rule took it from eigen_from_covariance: the eigenvalues
+    mid -/+ hypot((a - c)/2, b) and the major-axis angle
+    atan2(2b, a - c) / 2."""
+    x = np.empty((len(estimated.components), _Z1.size))
+    y = np.empty_like(x)
+    for xj, yj, comp in zip(x, y, estimated.components):
+        a, b = comp.covariance[0, 0], comp.covariance[0, 1]
+        c = comp.covariance[1, 1]
+        mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        angle = 0.5 * math.atan2(2.0 * b, a - c)
+        major, minor = math.sqrt(mid + rad), math.sqrt(max(mid - rad, 0.0))
+        cos, sin = math.cos(angle), math.sin(angle)
+        xj[:] = comp.mean[0] + (cos * major) * _Z1 - (sin * minor) * _Z2
+        yj[:] = comp.mean[1] + (sin * major) * _Z1 + (cos * minor) * _Z2
+    log_ratio = _log_mixture_density(estimated, x, y)
+    log_ratio -= _log_mixture_density(truth, x, y)
+    log_ratio *= _W2
+    return float((estimated.weights * log_ratio.sum(axis=1)).sum())
+
+
+@given(est=mixtures(), truth=mixtures(), angle=st.floats(-math.pi, math.pi))
+def test_kl_frame_is_the_atan2_frame_bitwise(est, truth, angle):
+    # no component of mixtures() is isotropic, where the one eigenframe
+    # takes phi0 = 0 in place of the angle of rounding noise
+    for e, q in ((est, truth), (rotated(est, angle), rotated(truth, angle))):
+        assert kl_divergence(e, q) == atan2_frame_kl(e, q)

@@ -3,7 +3,9 @@ fit configuration's fields, pinned so that any change to them is a diff."""
 
 import dataclasses
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 import gmmlor
@@ -134,3 +136,78 @@ def test_fit_config_has_exactly_the_pinned_fields():
 ])
 def test_removed_names_are_not_attributes(name):
     assert not hasattr(gmmlor, name)
+
+
+PHI = np.linspace(-1.2, 1.2, 50)
+EVENTS = (np.linspace(-0.5, 0.5, 50), PHI)
+ROUND = gmmlor.MixtureModel2D(
+    (gmmlor.GaussianComponent2D((0.0, 0.0), np.eye(2), 1.0),)
+)
+ANGLE_FIELDS = ("cos2w", "sin2w", "cos4w", "sin4w", "tcos2w", "tsin2w")
+
+#: Each malformed input to a public entry point, as a call on a scratch
+#: directory, with a pattern that its InputError must match: the name of
+#: the value it refuses.
+MALFORMED = {
+    "fit, s of strings": (
+        lambda tmp: gmmlor.fit((["a"] * 50, PHI), gmmlor.FitConfig(K=1)),
+        "^s "),
+    "fit, None": (
+        lambda tmp: gmmlor.fit(None, gmmlor.FitConfig(K=1)),
+        "LineOfResponse"),
+    "fit, ragged rows": (
+        lambda tmp: gmmlor.fit([[1, 2], [3]], gmmlor.FitConfig(K=1)),
+        "LineOfResponse"),
+    "fit_mean, weights of strings": (
+        lambda tmp: gmmlor.fit_mean(EVENTS, weights=["a"] * 50),
+        "^weights "),
+    "write_lors_csv, s of strings": (
+        lambda tmp: gmmlor.write_lors_csv(tmp / "lors.csv", ["a"], [0.1]),
+        "^s "),
+    "density_at_points, a string": (
+        lambda tmp: gmmlor.density_at_points(ROUND, [["a", 1]]),
+        "^points "),
+    "density_at_points, NaN": (
+        lambda tmp: gmmlor.density_at_points(ROUND, [[math.nan, 1]]),
+        "^points holds non-finite"),
+    "center_offsets, a mean of strings": (
+        lambda tmp: gmmlor.center_offsets(EVENTS, ["a", "b"]),
+        "^mean "),
+    "center_offsets, a mean of one number": (
+        lambda tmp: gmmlor.center_offsets(EVENTS, [1.0]),
+        "^mean "),
+    "LineOfResponse, NaN s": (
+        lambda tmp: gmmlor.LineOfResponse(math.nan, 0.1), "non-finite"),
+    "LineOfResponse, infinite s": (
+        lambda tmp: gmmlor.LineOfResponse(math.inf, 0.1), "non-finite"),
+    "LineOfResponse, s a string": (
+        lambda tmp: gmmlor.LineOfResponse("abc", 0.1), r"^\(s, phi\) "),
+    "EigenDecomposition2D, infinite sigma1_sq": (
+        lambda tmp: gmmlor.EigenDecomposition2D(math.inf, 1.0, 0.1),
+        "^sigma1_sq "),
+    "EigenDecomposition2D, NaN phi0": (
+        lambda tmp: gmmlor.EigenDecomposition2D(2.0, 1.0, math.nan),
+        "^phi0 "),
+    "EigenDecomposition2D, infinite phi0": (
+        lambda tmp: gmmlor.EigenDecomposition2D(2.0, 1.0, math.inf),
+        "^phi0 "),
+    "EigenDecomposition2D, phi0 a string": (
+        lambda tmp: gmmlor.EigenDecomposition2D(2.0, 1.0, "0.1"),
+        "^phi0 "),
+    **{
+        f"WeightedMoments, NaN {field}": (
+            lambda tmp, field=field: gmmlor.WeightedMoments(
+                0.1, 0.05, 1.0, **{field: math.nan}),
+            f"^{field} ")
+        for field in ANGLE_FIELDS
+    },
+    "WeightedMoments, sin4w a string": (
+        lambda tmp: gmmlor.WeightedMoments(0.1, 0.05, 1.0, sin4w="0"),
+        "^sin4w "),
+}
+
+
+@pytest.mark.parametrize("call, match", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_an_input_error(tmp_path, call, match):
+    with pytest.raises(gmmlor.InputError, match=match):
+        call(tmp_path)

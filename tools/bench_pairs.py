@@ -9,9 +9,12 @@ change won at least 9 of 10 pairs and its median beats the parent's by
 more than the parent's interquartile range; and ``within_bound``, the
 change's median is worse than the parent's by no more than the
 metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's
-median.  One extra ``--trace 1`` run per side gives the per-layer
-figures.  Run it from anywhere; each checkout runs its own copy of the
-benchmark::
+median.  Before the first pair of each workload, one warm-up run per
+side is made and discarded: it is listed under ``warmup`` and reaches
+no statistic, so a cold file cache or a first compile of the bytecode
+does not land on pair 1.  One extra ``--trace 1`` run per side gives
+the per-layer figures.  Run it from anywhere; each checkout runs its
+own copy of the benchmark::
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload study-7k --workload scan-1m \\
@@ -41,6 +44,8 @@ PAIRS = 10
 FIRST_SEED = 201
 #: Seed of the one --trace 1 run per side.
 TRACE_SEED = 301
+#: Seed of the one discarded warm-up run per side.
+WARMUP_SEED = 101
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -114,6 +119,63 @@ def summarise(runs, end_to_end):
     return out
 
 
+def row_of(result, pair, side, seed):
+    """The row of one untraced run: its pair (0 for a warm-up), side and
+    seed, its operation counts and the value of each metric."""
+    row = {"pair": pair, "side": side, "seed": seed}
+    row.update({k: result[k] for k in ("correct", "attempted", "failed")})
+    row.update({k: v["value"] for k, v in result["metrics"].items()})
+    return row
+
+
+def measure(checkouts, workload, seconds, end_to_end):
+    """The runs of one workload and their summary: one discarded warm-up
+    run per side, then :data:`PAIRS` pairs in alternating order, then one
+    ``--trace 1`` run per side."""
+    warmup = [row_of(run_once(checkouts[side], workload, WARMUP_SEED,
+                              seconds, 0), 0, side, WARMUP_SEED)
+              for side in SIDES]
+    runs = []
+    for pair in range(1, PAIRS + 1):
+        seed = FIRST_SEED + pair - 1
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for side in order:
+            row = row_of(run_once(checkouts[side], workload, seed, seconds,
+                                  0), pair, side, seed)
+            runs.append(row)
+            print(workload, pair, side, row.get("wall_s"),
+                  file=sys.stderr, flush=True)
+    traced = {side: run_once(checkouts[side], workload, TRACE_SEED,
+                             seconds, 1) for side in SIDES}
+    units = {}
+    for side in SIDES:
+        for name, metric in traced[side]["metrics"].items():
+            units[name] = metric["unit"]
+    return {
+        "end_to_end": summarise(runs, end_to_end),
+        "failed_of_attempted": {
+            side: sorted({(r["failed"], r["attempted"], r["correct"])
+                          for r in runs if r["side"] == side})
+            for side in SIDES
+        },
+        "per_layer_trace": {
+            "seed": TRACE_SEED,
+            **{side: {k: traced[side][k]
+                      for k in ("correct", "attempted", "failed")}
+               for side in SIDES},
+            "metrics": {
+                name: {**{side: traced[side]["metrics"]
+                          .get(name, {}).get("value")
+                          for side in SIDES},
+                       "unit": unit}
+                for name, unit in units.items()
+            },
+        },
+        "warmup": warmup,
+        "runs": runs,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent checkout")
@@ -132,51 +194,9 @@ def main(argv=None):
         ["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
         capture_output=True, text=True, check=True).stdout.strip()
 
-    workloads = {}
-    for workload in args.workload:
-        runs = []
-        for pair in range(1, PAIRS + 1):
-            seed = FIRST_SEED + pair - 1
-            order = SIDES if pair % 2 else SIDES[::-1]
-            for side in order:
-                result = run_once(checkouts[side], workload, seed,
-                                  seconds, 0)
-                row = {"pair": pair, "side": side, "seed": seed}
-                row.update({k: result[k]
-                            for k in ("correct", "attempted", "failed")})
-                row.update({k: v["value"]
-                            for k, v in result["metrics"].items()})
-                runs.append(row)
-                print(workload, pair, side, row.get("wall_s"),
-                      file=sys.stderr, flush=True)
-        traced = {side: run_once(checkouts[side], workload, TRACE_SEED,
-                                 seconds, 1) for side in SIDES}
-        units = {}
-        for side in SIDES:
-            for name, metric in traced[side]["metrics"].items():
-                units[name] = metric["unit"]
-        workloads[workload] = {
-            "end_to_end": summarise(runs, definition["end_to_end"]),
-            "failed_of_attempted": {
-                side: sorted({(r["failed"], r["attempted"], r["correct"])
-                              for r in runs if r["side"] == side})
-                for side in SIDES
-            },
-            "per_layer_trace": {
-                "seed": TRACE_SEED,
-                **{side: {k: traced[side][k]
-                          for k in ("correct", "attempted", "failed")}
-                   for side in SIDES},
-                "metrics": {
-                    name: {**{side: traced[side]["metrics"]
-                              .get(name, {}).get("value")
-                              for side in SIDES},
-                           "unit": unit}
-                    for name, unit in units.items()
-                },
-            },
-            "runs": runs,
-        }
+    workloads = {workload: measure(checkouts, workload, seconds,
+                                   definition["end_to_end"])
+                 for workload in args.workload}
 
     payload = {
         "description": args.description,
