@@ -44,6 +44,15 @@ MASS_FLOOR_FACTOR / K for DEATH_PATIENCE passes in a row (judged after
 the pass, before the M-step that the mass would break); or when its
 weight ends at 0.  :func:`fit` skips a restart that dies.
 
+The fit finds its own scale.  :func:`fit` divides the events by 2^k,
+k = ceil(log2 rms(s)) (:func:`_scale_exponent`), fits in those units
+with the fixed tolerances :data:`MEAN_TOL` and
+:data:`DEFAULT_VARIANCE_FLOOR`, and scales the model and the
+log-likelihoods back at exit (:func:`_run_single_fit`).  Division by a
+power of two is exact, so a fit scales exactly with the image plane:
+the fit of 2^j s is bit for bit 2^j times the fit of s, and the fit of
+c s for any other c differs from c times the fit of s only by rounding.
+
 Every pass over the events walks the blocks of
 :meth:`projection._Batch.blocks`, the one event batch type: a batch of
 one block is its own block and keeps the feature table (cos and sin of
@@ -109,9 +118,15 @@ from .projection import (
 from .quartic import solve_quartic
 from .rng import _BLOCK_EVENTS, SeededStream, _blocks, derive_seed
 
-#: Lower bound applied to estimated principal variances when no
-#: configuration is in play (image-plane units squared).
+#: Lower bound applied to estimated principal variances: in a fit's
+#: standardised units (:func:`fit`), and in image-plane units squared for
+#: :func:`estimate_covariance` and the defaults of :func:`invert_moments`
+#: and :func:`refine_sigmas`.
 DEFAULT_VARIANCE_FLOOR = 1e-8
+
+#: Phase 1 stops when no mean moves by this much, in a fit's standardised
+#: units (:func:`fit`).
+MEAN_TOL = 1e-6
 
 #: A component whose responsibility mass stays below
 #: N * MASS_FLOOR_FACTOR / K for DEATH_PATIENCE consecutive iterations
@@ -127,7 +142,7 @@ CONDITION_LIMIT = 1e12
 #: The integer fields and their least values (None: any integer).
 _INTEGER_FIELDS = {"K": 1, "restarts": 1, "max_iters_phase1": 1,
                    "max_iters_phase2": 1, "seed": None}
-_TOLERANCE_FIELDS = ("weight_tol", "mean_tol", "variance_floor")
+_TOLERANCE_FIELDS = ("weight_tol",)
 
 
 @dataclass(frozen=True)
@@ -136,19 +151,19 @@ class FitConfig:
 
     ``K``, ``restarts`` and the two iteration caps must be integers of
     at least 1 and ``seed`` an integer (:func:`errors._as_integer`; a
-    bool is refused), and the three tolerances finite positive reals
-    (an int counts as one); anything else raises an
-    :class:`InputError` that names the field.  ``seed`` may be any
-    integer here: the stream that draws from it refuses a negative one,
-    and a replicate study derives nonnegative seeds from it.
+    bool is refused), and ``weight_tol`` a finite positive real (an int
+    counts as one); anything else raises an :class:`InputError` that
+    names the field.  ``seed`` may be any integer here: the stream that
+    draws from it refuses a negative one, and a replicate study derives
+    nonnegative seeds from it.  Phase 1's tolerance and the variance
+    floor are no fields: the fit works in standardised units, where they
+    are the constants :data:`MEAN_TOL` and :data:`DEFAULT_VARIANCE_FLOOR`.
     """
 
     K: int
     max_iters_phase1: int = 50
     max_iters_phase2: int = 200
     weight_tol: float = 1e-4
-    mean_tol: float = 1e-6
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR
     seed: int = 0
     restarts: int = 1
 
@@ -527,21 +542,20 @@ def estimate_covariance(offsets, weights=None) -> np.ndarray:
     (:func:`_covariance_from_moments`).  Returns the symmetric
     positive-definite covariance matrix.
     """
-    return _covariance_from_moments(
-        moments_from_offsets(offsets, weights), DEFAULT_VARIANCE_FLOOR
-    )
+    return _covariance_from_moments(moments_from_offsets(offsets, weights))
 
 
-def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
+def _covariance_from_moments(m: WeightedMoments) -> np.ndarray:
     """The closed forms of :func:`estimate_covariance` after the moments:
-    the covariance with variance floor ``floor`` that the moments ``m``
-    give.
+    the covariance that the moments ``m`` give, with variance floor
+    :data:`DEFAULT_VARIANCE_FLOOR`, in the units of the moments' offsets.
 
     A refit whose minor variance comes back at the floor has left the
     feasible set (the least squares wanted a variance below it), so the
     moment inversion's pair and the orientation solved for it stand, and
     the orientation is not solved again.
     """
+    floor = DEFAULT_VARIANCE_FLOOR
     s1, s2 = invert_moments(m, floor)
     phi0 = solve_orientation(m, s1, s2)
     r1, r2, _ = refine_sigmas(m, phi0, floor)
@@ -551,15 +565,13 @@ def _covariance_from_moments(m: WeightedMoments, floor: float) -> np.ndarray:
     return covariance_from_eigen(EigenDecomposition2D(s1, s2, phi0))
 
 
-def _covariances(sums, floor: float) -> np.ndarray:
+def _covariances(sums) -> np.ndarray:
     """The covariance M-step of the handoff and of phase 2: the
-    (K, 2, 2) covariances, with variance floor ``floor``, of the K rows
-    of the (K, 11) sums of :func:`_block_sums`, each row's moment sums
-    averaged over its mass, column 0."""
+    (K, 2, 2) covariances of the K rows of the (K, 11) sums of
+    :func:`_block_sums`, each row's moment sums averaged over its mass,
+    column 0."""
     return np.array([
-        _covariance_from_moments(
-            _moments_from_sums(row[3:], float(row[0])), floor
-        )
+        _covariance_from_moments(_moments_from_sums(row[3:], float(row[0])))
         for row in sums
     ])
 
@@ -608,10 +620,12 @@ def _as_arrays(lors) -> _Batch:
     return _Batch(s, phi)
 
 
-def _check_reach(s, name: str, room: float) -> None:
-    """Refuse a batch whose sum of s^4 could overflow, with an
-    :class:`InputError` that names the values ``name``.  :func:`fit`
-    checks its events; :func:`center_offsets`, :func:`fit_mean` and
+def _check_reach(s, name: str, room: float) -> float:
+    """The largest |s| of a batch (0 for no events), refusing a batch
+    whose sum of s^4 could overflow with an :class:`InputError` that
+    names the values ``name``.  :func:`fit` checks its events and takes
+    its scale from the result (:func:`_scale_exponent`);
+    :func:`center_offsets`, :func:`fit_mean` and
     :func:`moments_from_offsets` check the offsets they sum.  A LoR CSV
     may hold any finite s, so :func:`_as_arrays` does not check it.
 
@@ -625,7 +639,7 @@ def _check_reach(s, name: str, room: float) -> None:
     in :class:`_HardLabels`, so no event-length temporary is made.
     """
     if s.size == 0:
-        return
+        return 0.0
     reach = float(max(np.max(s), -np.min(s)))
     limit = (np.finfo(float).max / s.size) ** 0.25 / room
     if reach > limit:
@@ -633,6 +647,28 @@ def _check_reach(s, name: str, room: float) -> None:
             f"|{name}| reaches {reach:.3g}, beyond {limit:.3g}, the most "
             f"whose fourth powers sum over {s.size} events without overflow"
         )
+    return reach
+
+
+def _scale_exponent(s, top: float) -> int:
+    """k = ceil(log2 rms(s)) for the events s of largest |s| ``top``: the
+    exponent of the power of two that :func:`fit` divides its events by,
+    so that their rms lies in (1/2, 1].  It is 0 when every s is 0.
+
+    Each block of :func:`rng._blocks` is scaled by 2^-e, top < 2^e, so
+    every square is below 1 (the scaling is exact down to the normal
+    range, and what it rounds below that cannot move the sum), and its
+    squares are summed by np.einsum, so no event-length temporary is
+    made and no sum is handed to BLAS.  k is read off math.frexp of the
+    rms.  Events scaled by 2^j give k + j, since their scaled blocks are
+    the same numbers."""
+    e = math.frexp(top)[1]
+    total = 0.0
+    for block in _blocks(s.size):
+        x = np.ldexp(s[block], -e)
+        total += float(np.einsum("n,n->", x, x))
+    mantissa, k = math.frexp(math.ldexp(math.sqrt(total / s.size), e))
+    return k - 1 if mantissa == 0.5 else k
 
 
 def fit_mean(lors, weights=None) -> np.ndarray:
@@ -1072,7 +1108,7 @@ def _phase1(batch, labels, config: FitConfig, record):
     last labels; ``labels`` is relabelled in place, and
     ``record(1, shares, None)`` is called once per iteration with each
     label's share of the events.  It stops when no mean moves by
-    ``config.mean_tol`` or more, or at ``config.max_iters_phase1``.
+    :data:`MEAN_TOL` or more, or at ``config.max_iters_phase1``.
     """
     prev_means = None
     delta = 0.0
@@ -1084,7 +1120,7 @@ def _phase1(batch, labels, config: FitConfig, record):
         record(1, counts / labels.size, None)
         if prev_means is not None:
             delta = float(np.max(np.linalg.norm(means - prev_means, axis=1)))
-            if delta < config.mean_tol:
+            if delta < MEAN_TOL:
                 return means
         prev_means = means
         hard.relabel(means, delta)
@@ -1092,41 +1128,47 @@ def _phase1(batch, labels, config: FitConfig, record):
     return means
 
 
-def _handoff(batch, labels, means, floor: float):
+def _handoff(batch, labels, means):
     """The parameters phase 2 starts from, (tau, means, covariances):
     the phase-1 ``means``, and each cluster's share of the events and
-    covariance, with variance floor ``floor``, from the sums of one
-    pass over the events (:func:`_cluster_moment_sums`).  The pass's
-    mass column holds each label's count, the exact integers of phase
-    1's mass row, so tau is the label shares that phase 1 recorded
-    last."""
+    covariance from the sums of one pass over the events
+    (:func:`_cluster_moment_sums`).  The pass's mass column holds each
+    label's count, the exact integers of phase 1's mass row, so tau is
+    the label shares that phase 1 recorded last."""
     sums = _cluster_moment_sums(batch, labels, means)
-    return sums[:, 0] / labels.size, means, _covariances(sums, floor)
+    return sums[:, 0] / labels.size, means, _covariances(sums)
 
 
-def _m_step(sums, n: int, floor: float):
+def _m_step(sums, n: int):
     """The M-step of phase 2: the parameters (tau, means, covariances)
-    that the (K, 11) sums of a pass over ``n`` events give, with
-    variance floor ``floor``.  Each row's mass is its weight times n,
-    its mass and angle sums give its mean (:func:`_mean_from_sums`), and
-    its moment sums its covariance (:func:`_covariances`).
+    that the (K, 11) sums of a pass over ``n`` events give.  Each row's
+    mass is its weight times n, its mass and angle sums give its mean
+    (:func:`_mean_from_sums`), and its moment sums its covariance
+    (:func:`_covariances`).
 
-    One phase-2 iteration is the map theta -> _m_step(sums, n, floor)
-    with ``sums`` from :func:`_soft_pass` at theta."""
+    One phase-2 iteration is the map theta -> _m_step(sums, n) with
+    ``sums`` from :func:`_soft_pass` at theta."""
     return (
         sums[:, 0] / n,
         np.array([_mean_from_sums(row) for row in sums[:, _MEAN_COLUMNS]]),
-        _covariances(sums, floor),
+        _covariances(sums),
     )
 
 
-def _run_single_fit(batch, config: FitConfig, assignment, on_iteration):
+def _run_single_fit(batch, config: FitConfig, assignment, on_iteration, k):
     """One restart from the starting labels ``assignment``: phase 1, the
     handoff, then the phase-2 map until no weight moves by
     ``config.weight_tol`` or more, or ``config.max_iters_phase2``
     iterations.  The driver keeps the trace, judges deaths
-    (:func:`_die_if`) and assembles the model."""
-    n, K, floor = batch[0].size, config.K, config.variance_floor
+    (:func:`_die_if`) and assembles the model.
+
+    ``batch`` holds the events in standardised units, divided by 2^k
+    (:func:`fit`).  The model's means are scaled back by 2^k and its
+    covariances by 4^k, exactly, and every log-likelihood, of the trace
+    and the closing one, is shifted by -N k ln 2, the log of the
+    Jacobian of s -> 2^-k s over N events."""
+    n, K = batch[0].size, config.K
+    shift = n * k * math.log(2.0)
     trace = []
 
     def record(phase, weights, loglik):
@@ -1134,14 +1176,14 @@ def _run_single_fit(batch, config: FitConfig, assignment, on_iteration):
             iteration=len(trace),
             phase=phase,
             weights=tuple(float(w) for w in weights),
-            loglik_proxy=loglik,
+            loglik_proxy=None if loglik is None else loglik - shift,
         )
         trace.append(rec)
         if on_iteration is not None:
             on_iteration(rec)
 
     means = _phase1(batch, assignment, config, record)
-    tau, means, covariances = _handoff(batch, assignment, means, floor)
+    tau, means, covariances = _handoff(batch, assignment, means)
     assignment = None  # the phase-1 labels are spent
 
     mass_floor = n * MASS_FLOOR_FACTOR / K
@@ -1152,25 +1194,25 @@ def _run_single_fit(batch, config: FitConfig, assignment, on_iteration):
         masses = sums[:, 0]
         low_streak = np.where(masses < mass_floor, low_streak + 1, 0)
         _die_if(low_streak >= DEATH_PATIENCE, masses, len(trace))
-        tau_new, means, covariances = _m_step(sums, n, floor)
+        tau_new, means, covariances = _m_step(sums, n)
         record(2, tau_new, loglik)
-        shift = float(np.max(np.abs(tau_new - tau)))
+        step = float(np.max(np.abs(tau_new - tau)))
         tau = tau_new
-        if shift < config.weight_tol:
+        if step < config.weight_tol:
             converged = True
             break
 
-    loglik = _soft_loglik(batch, means, covariances, tau)
+    loglik = _soft_loglik(batch, means, covariances, tau) - shift
     _die_if(tau <= 0.0, tau * n, len(trace))
     weights = tau / math.fsum(tau)
     model = MixtureModel2D(
         components=tuple(
             GaussianComponent2D(
-                mean=means[k].copy(),
-                covariance=covariances[k].copy(),
-                weight=float(weights[k]),
+                mean=np.ldexp(mean, k),
+                covariance=np.ldexp(cov, 2 * k),
+                weight=float(weight),
             )
-            for k in range(K)
+            for mean, cov, weight in zip(means, covariances, weights)
         )
     )
     return FitResult(
@@ -1199,10 +1241,19 @@ def fit(
     the best completed restart by final log-likelihood wins, and of
     restarts whose log-likelihoods agree within 1e-12 relative, the
     earliest.
+
+    The fit finds its own scale: it divides the events by 2^k, k =
+    ceil(log2 rms(s)) (:func:`_scale_exponent`), so that their rms lies
+    in (1/2, 1], where phase 1's :data:`MEAN_TOL`, the variance floor
+    :data:`DEFAULT_VARIANCE_FLOOR` and the floor of the projected
+    variances are set, and scales the model back at the end
+    (:func:`_run_single_fit`).  Scaling by a power of two is exact, so
+    the fit of 2^j s is bit for bit 2^j times the fit of s, with the
+    same iterations.  When k = 0 the fit runs on the caller's arrays.
     """
     batch = _as_arrays(lors)
     s, phi = batch
-    _check_reach(s, "s", 2.0)
+    top = _check_reach(s, "s", 2.0)
     K = config.K
     if s.size < 5 * K:
         raise InputError(
@@ -1216,6 +1267,9 @@ def fit(
             raise InputError("initial_assignment must be integer labels")
         if initial_assignment.min() < 0 or initial_assignment.max() >= K:
             raise InputError("initial_assignment labels out of range")
+    k = _scale_exponent(s, top)
+    if k:
+        batch = _Batch(np.ldexp(s, -k), phi)
 
     best: FitResult | None = None
     last_death: ComponentDeathError | None = None
@@ -1231,7 +1285,7 @@ def fit(
                 else _balanced_random_assignment(
                     s.size, K, SeededStream(seed_r)
                 ),
-                on_iteration,
+                on_iteration, k,
             )
         except ComponentDeathError as death:
             last_death = death

@@ -36,7 +36,8 @@ _TWO_PI = 2.0 * math.pi
 def _as_finite(value, shape, name: str, what: str) -> np.ndarray:
     """``value`` as a float array of ``shape`` with every entry finite:
     the one coercion of an array from outside the package.  An axis
-    given as None in ``shape`` may have any length.
+    given as None in ``shape`` may have any length, and a ``shape`` of
+    None takes an array of any shape.
 
     Anything else raises an :class:`InputError` naming ``name``: also a
     value numpy cannot turn into floats (a string, None, a ragged list
@@ -45,9 +46,9 @@ def _as_finite(value, shape, name: str, what: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be {what} of numbers: {exc}") from exc
-    if arr.ndim != len(shape) or any(
+    if shape is not None and (arr.ndim != len(shape) or any(
         want is not None and got != want for got, want in zip(arr.shape, shape)
-    ):
+    )):
         raise InputError(f"{name} must be {what}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} holds non-finite values")

@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCovarianceError, InputError
-from .model import EigenDecomposition2D
+from .errors import DegenerateCovarianceError
+from .model import EigenDecomposition2D, _as_cov2, _as_finite, _as_vec2
 from .rng import _BLOCK_EVENTS, _blocks
 
 SIGMA_P_SQ_FLOOR = 1e-15
@@ -141,34 +141,39 @@ def _double_angle(co, si, cos_out=None, sin_out=None):
 
 
 def _angles(phi) -> _Batch:
-    """``phi`` as a batch whose angle features can be read: a
-    :class:`_Batch` as it is, anything else as float angles with no s."""
-    if isinstance(phi, _Batch):
-        return phi
-    return _Batch(None, np.asarray(phi, dtype=float))
+    """Angles from outside the package as a batch with no s, whose angle
+    features can be read: float angles of any shape, coerced by
+    :func:`model._as_finite`, so a value that is not a finite number
+    raises :class:`InputError`.
+
+    The public functions below coerce ``phi`` and their other arguments
+    only when ``phi`` is not a :class:`_Batch`.  A batch marks a call
+    from inside the fit, whose values the fit built and checked, so the
+    E-step and phase 1 pay for no coercion."""
+    return _Batch(None, _as_finite(phi, None, "phi", "an array"))
 
 
 def mean_sinusoid(phi, mean) -> np.ndarray:
     """s-coordinate of the sinusoid traced by a point source at ``mean``:
-    m(phi) = -mu_x sin(phi) + mu_y cos(phi)."""
-    b = _angles(phi)
-    out = np.multiply(b.sin, -mean[0])
-    out += mean[1] * b.cos
+    m(phi) = -mu_x sin(phi) + mu_y cos(phi).  Unless ``phi`` is a
+    :class:`_Batch`, ``mean`` must be a finite 2-vector and ``phi``
+    finite (:func:`_angles`), or :class:`InputError` is raised."""
+    if not isinstance(phi, _Batch):
+        phi, mean = _angles(phi), _as_vec2(mean, "mean")
+    out = np.multiply(phi.sin, -mean[0])
+    out += mean[1] * phi.cos
     return out
 
 
-def _variance_array(covariance, phi) -> np.ndarray:
-    """n^T Sigma n at each angle of ``phi`` as a new array, also for a
-    scalar ``phi``, in the 2 phi basis:
+def _variance_array(covariance, phi: _Batch) -> np.ndarray:
+    """n^T Sigma n at each angle of the batch ``phi`` as a new array,
+    also for a scalar angle, in the 2 phi basis:
     (Sxx + Syy)/2 + (Syy - Sxx)/2 cos 2 phi - Sxy sin 2 phi."""
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (2, 2):
-        raise InputError(f"covariance must have shape (2, 2), got {cov.shape}")
-    cos2, sin2 = _angles(phi).table[:2]
-    a, c = cov[0, 0], cov[1, 1]
+    cos2, sin2 = phi.table[:2]
+    a, c = covariance[0, 0], covariance[1, 1]
     out = np.multiply(cos2, 0.5 * (c - a), out=np.empty(np.shape(cos2)))
     out += 0.5 * (a + c)
-    out -= cov[0, 1] * sin2
+    out -= covariance[0, 1] * sin2
     return out
 
 
@@ -181,8 +186,12 @@ def projection_variance(covariance, phi) -> float | np.ndarray:
     cos^2 = (1 + cos 2 phi)/2 it is
     (Sxx + Syy)/2 + (Syy - Sxx)/2 cos 2 phi - Sxy sin 2 phi, read from
     the batch's cos 2 phi and sin 2 phi when ``phi`` is a
-    :class:`_Batch`.
+    :class:`_Batch`.  Otherwise ``covariance`` must be a finite 2 x 2
+    matrix and ``phi`` finite (:func:`_angles`), or :class:`InputError`
+    is raised.
     """
+    if not isinstance(phi, _Batch):
+        covariance, phi = _as_cov2(covariance, "covariance"), _angles(phi)
     out = _variance_array(covariance, phi)
     return float(out) if out.ndim == 0 else out
 
@@ -199,14 +208,24 @@ def log_line_integral_profile(
     normalization.  The offsets s - m(phi) from the mean sinusoid are
     written to ``offsets`` and the log-densities to ``out`` when they
     are given; then only the variances and the temporaries of their
-    formula and of :func:`mean_sinusoid` are allocated.
+    formula and of :func:`mean_sinusoid` are allocated.  Unless ``phi``
+    is a :class:`_Batch`, ``covariance``, ``mean``, ``s`` and ``phi``
+    must be finite numbers of the shapes that :func:`projection_variance`
+    and :func:`mean_sinusoid` take, or :class:`InputError` is raised.
+
+    A projected variance below :data:`SIGMA_P_SQ_FLOOR` raises
+    :class:`DegenerateCovarianceError`.  The floor is absolute; a fit
+    meets it in its standardised units (``estimate.fit``).
     """
+    if not isinstance(phi, _Batch):
+        covariance = _as_cov2(covariance, "covariance")
+        mean = _as_vec2(mean, "mean")
+        s = _as_finite(s, None, "s", "an array")
+        phi = _angles(phi)
     var = _variance_array(covariance, phi)
     if np.min(var) < SIGMA_P_SQ_FLOOR:
         raise DegenerateCovarianceError("projected variance below floor")
-    s_c = np.subtract(
-        np.asarray(s, dtype=float), mean_sinusoid(phi, mean), out=offsets
-    )
+    s_c = np.subtract(s, mean_sinusoid(phi, mean), out=offsets)
     # huge offsets may overflow to inf; the -inf log-density that results
     # is meaningful and handled by the membership normalizer
     with np.errstate(over="ignore"):

@@ -56,8 +56,8 @@ BAD_FIT_SETTINGS = [
     ({"K": True}, "K"),
     ({"K": 3, "weight_tol": "x"}, "weight_tol"),
     ({"K": 3, "weight_tol": float("nan")}, "weight_tol"),
-    ({"K": 3, "mean_tol": True}, "mean_tol"),
-    ({"K": 3, "variance_floor": float("inf")}, "variance_floor"),
+    ({"K": 3, "weight_tol": True}, "weight_tol"),
+    ({"K": 3, "weight_tol": float("inf")}, "weight_tol"),
     ({"K": 3, "restarts": 1.5}, "restarts"),
     ({"K": 3, "max_iters_phase1": 2.5}, "max_iters_phase1"),
     ({"K": 3, "max_iters_phase2": None}, "max_iters_phase2"),

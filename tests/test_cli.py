@@ -216,6 +216,23 @@ def test_fit_with_a_malformed_config_is_input_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["mean_tol", "variance_floor"])
+def test_fit_with_a_removed_config_key_is_input_error(
+    tmp_path, capsys, single_path, key
+):
+    # the fit sets its own scale, so these tolerances are no settings
+    lors = str(tmp_path / "ev.csv")
+    main(["generate", "--model", single_path, "--n", "100", "--out", lors])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 1, key: 1e-6}))
+    rc = main([
+        "fit", lors, "--config", str(cfg), "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config keys: ['{key}']\n"
+
+
 @pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
 def test_fit_with_a_config_the_parser_refuses_is_input_error(
     tmp_path, capsys, single_path, name

@@ -10,7 +10,16 @@ are those of replicates 0/0 to 0/2 of the acceptance study (simulate seed
 derive_seed(0, 2i), fit seed derive_seed(0, 2i + 1)).  Rotation is left
 out: the isotropic shortcut of ``solve_orientation`` answers in the lab
 frame (the strict xfail in ``test_estimate.py``).
+
+Scaling is exact: a fit divides its events by a power of two that brings
+their rms into (1/2, 1] and scales its model back, so the fit of 2^j s
+is bit for bit 2^j times the fit of s, and the fit of c s for any c from
+1e-30 to 1e60 is c times the fit of s within 1e-12 in unscaled units.
+Its log-likelihoods, the closing one and the trace's, are those of the
+fit of s less N ln c, the log of the Jacobian over N events.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +30,9 @@ from conftest import BENCHMARK_COUNTS
 
 REPLICATES = (0, 1, 2)
 SHIFT = np.array([0.8, -1.1])
-SCALE = 2.5
+#: Scales of the image plane: powers of two, whose fits are bitwise the
+#: scaled fit, then others from 1e-30 to 1e60.
+SCALES = [2.0**-100, 2.0**60, 1e-30, 1e-6, 1e-3, 0.3, 2.5, 1e4, 1e60]
 
 
 def replicate(mixture, i):
@@ -38,7 +49,12 @@ def replicate(mixture, i):
 def fitted(s, phi, config, labels=None):
     """The means, covariances and weights of the fit, and the iteration
     count of each phase."""
-    out = fit((s, phi), config, initial_assignment=labels)
+    return summary(fit((s, phi), config, initial_assignment=labels))
+
+
+def summary(out):
+    """The means, covariances and weights of the fit ``out``, and the
+    iteration count of each phase."""
     comps = out.model.components
     params = (
         np.array([c.mean for c in comps]),
@@ -87,8 +103,25 @@ def test_permuting_events_and_labels_leaves_the_fit(benchmark_mixture, i):
 @pytest.mark.parametrize("i", REPLICATES)
 def test_scaling_the_events_scales_the_fit(benchmark_mixture, i):
     s, phi, config, _ = replicate(benchmark_mixture, i)
-    want, iters = fitted(s, phi, config)
-    (means, covs, weights), got_iters = fitted(SCALE * s, phi, config)
-    assert got_iters == iters
-    unscaled = (means / SCALE, covs / SCALE**2, weights)
-    assert_params_close(unscaled, want, 1e-9)
+    plain = fit((s, phi), config)
+    want, iters = summary(plain)
+    for scale in SCALES:
+        out = fit((scale * s, phi), config)
+        (means, covs, weights), got_iters = summary(out)
+        assert got_iters == iters, scale
+        if math.frexp(scale)[0] == 0.5:  # a power of two
+            scaled = (want[0] * scale, want[1] * scale**2, want[2])
+            for got, exact in zip((means, covs, weights), scaled):
+                assert got.tobytes() == exact.tobytes(), scale
+        unscaled = (means / scale, covs / scale**2, weights)
+        assert_params_close(unscaled, want, 1e-12)
+        shift = s.size * math.log(scale)
+        assert math.isclose(out.loglik, plain.loglik - shift, rel_tol=1e-12)
+        for rec, plain_rec in zip(out.trace, plain.trace):
+            if plain_rec.loglik_proxy is None:
+                assert rec.loglik_proxy is None
+            else:
+                assert math.isclose(
+                    rec.loglik_proxy, plain_rec.loglik_proxy - shift,
+                    rel_tol=1e-12,
+                ), scale

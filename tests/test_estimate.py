@@ -1783,7 +1783,7 @@ def test_skip_bound_holds_at_extreme_scales(
         return out
 
     monkeypatch.setattr(_HardLabels, "relabel", relabel)
-    config = FitConfig(K=3, weight_tol=1e-3, seed=0, mean_tol=1e-6 * scale)
+    config = FitConfig(K=3, weight_tol=1e-3, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit((s, phi), config)
@@ -1791,10 +1791,13 @@ def test_skip_bound_holds_at_extreme_scales(
 
 
 def test_skip_margin_scales_with_the_events(benchmark_mixture, monkeypatch):
-    # the benchmark's events scaled by 2^-100, with mean_tol and the
-    # variance floor scaled too: every relabel recomputes as many events
-    # as at scale 1, and the means are 2^-100 times those at scale 1,
-    # bitwise; an absolute term in the margin would recompute them all
+    # phase 1 on the benchmark's events scaled by 2^-100, not
+    # standardised as fit would, with MEAN_TOL scaled too: every relabel
+    # recomputes as many events as at scale 1, and the means are 2^-100
+    # times those at scale 1, bitwise; an absolute term in the margin
+    # would recompute them all
+    import gmmlor.estimate as est
+
     res = simulate_lors(benchmark_mixture, counts=BENCHMARK_COUNTS, seed=0)
     s, phi = np.array(res.s), np.array(res.phi)
     original = _HardLabels.relabel
@@ -1806,12 +1809,10 @@ def test_skip_margin_scales_with_the_events(benchmark_mixture, monkeypatch):
 
     monkeypatch.setattr(_HardLabels, "relabel", relabel)
     runs = []
+    config = FitConfig(K=3, seed=0)
     for scale in (1.0, 2.0 ** -100):
         recomputed = []
-        config = FitConfig(
-            K=3, seed=0, mean_tol=1e-6 * scale,
-            variance_floor=DEFAULT_VARIANCE_FLOOR * scale * scale,
-        )
+        monkeypatch.setattr(est, "MEAN_TOL", 1e-6 * scale)
         labels = np.random.default_rng(0).integers(0, 3, s.size)
         batch = _as_arrays((s * scale, phi))
         means = _phase1(
@@ -1917,7 +1918,7 @@ def test_config_validation():
     with pytest.raises(InputError):
         FitConfig(K=1, restarts=0)
     with pytest.raises(InputError):
-        FitConfig(K=1, variance_floor=-1.0)
+        FitConfig(K=1, weight_tol=-1.0)
 
 
 @pytest.mark.parametrize("settings, field", BAD_FIT_SETTINGS)
@@ -2123,7 +2124,7 @@ def test_no_fitted_minor_variance_sits_at_the_floor(benchmark_mixture):
     out = fit((sim.s, sim.phi), config)
     for c in out.model.components:
         minor = eigen_from_covariance(c.covariance).sigma2_sq
-        assert minor > 1000 * config.variance_floor
+        assert minor > 1000 * DEFAULT_VARIANCE_FLOOR
     assert kl_divergence(out.model, benchmark_mixture) < 0.06
 
 
@@ -2175,7 +2176,7 @@ def theta0(batch, labels, config):
     labels = labels.astype(_label_dtype(config.K))
     phase1 = []
     means = _phase1(batch, labels, config, lambda *rec: phase1.append(rec))
-    return _handoff(batch, labels, means, config.variance_floor), len(phase1)
+    return _handoff(batch, labels, means), len(phase1)
 
 
 def test_phase2_is_the_map_of_one_pass_and_one_m_step(benchmark_mixture):
@@ -2187,7 +2188,7 @@ def test_phase2_is_the_map_of_one_pass_and_one_m_step(benchmark_mixture):
     for _ in range(2):
         tau, means, covariances = theta
         sums, _ = _soft_pass(batch, means, covariances, tau)
-        theta = _m_step(sums, batch[0].size, config.variance_floor)
+        theta = _m_step(sums, batch[0].size)
         weights.append(tuple(float(w) for w in theta[0]))
     assert [rec.weights for rec in out.trace if rec.phase == 2] == weights
     for c, mean, cov in zip(out.model.components, theta[1], theta[2]):
@@ -2224,7 +2225,7 @@ def test_a_mass_below_the_floor_for_the_patience_kills(
     floor = batch[0].size * MASS_FLOOR_FACTOR / config.K
     assert mass * max(LOW) < floor < mass
     with pytest.raises(ComponentDeathError) as death:
-        _run_single_fit(batch, config, labels.copy(), None)
+        _run_single_fit(batch, config, labels.copy(), None, 0)
     assert death.value.component == 2
     assert death.value.mass == 0.0
     # the last low pass is the iteration that would have been recorded
@@ -2240,7 +2241,7 @@ def test_a_mass_that_recovers_before_the_patience_lives(
     # floor between: that pass starts the count again
     low = LOW[:-1]
     script_passes(monkeypatch, batch, theta, low + [1.0] + low)
-    out = _run_single_fit(batch, config, labels.copy(), None)
+    out = _run_single_fit(batch, config, labels.copy(), None, 0)
     # then the pass whose weight jumps back, and the settled one
     assert out.converged
     weights = [rec.weights[2] for rec in out.trace[phase1:]]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gmmlor
+from gmmlor.projection import log_line_integral_profile
 
 PUBLIC = {
     "ComponentDeathError",
@@ -123,7 +124,7 @@ def test_public_functions_take_exactly_the_pinned_parameters():
 def test_fit_config_has_exactly_the_pinned_fields():
     assert [field.name for field in dataclasses.fields(gmmlor.FitConfig)] == [
         "K", "max_iters_phase1", "max_iters_phase2", "weight_tol",
-        "mean_tol", "variance_floor", "seed", "restarts",
+        "seed", "restarts",
     ]
 
 
@@ -204,6 +205,32 @@ MALFORMED = {
     "WeightedMoments, sin4w a string": (
         lambda tmp: gmmlor.WeightedMoments(0.1, 0.05, 1.0, sin4w="0"),
         "^sin4w "),
+    "projection_variance, a covariance holding a string": (
+        lambda tmp: gmmlor.projection_variance([[1, "a"], [0, 1]], 0.1),
+        "^covariance "),
+    "projection_variance, an infinite covariance": (
+        lambda tmp: gmmlor.projection_variance([[math.inf, 0], [0, 1]], 0.1),
+        "^covariance holds non-finite"),
+    "projection_variance, phi of strings": (
+        lambda tmp: gmmlor.projection_variance(np.eye(2), ["x"]), "^phi "),
+    "projection_variance, NaN phi": (
+        lambda tmp: gmmlor.projection_variance(np.eye(2), math.nan),
+        "^phi holds non-finite"),
+    "mean_sinusoid, a mean of strings": (
+        lambda tmp: gmmlor.mean_sinusoid([0.1], ["a", "b"]), "^mean "),
+    "mean_sinusoid, a mean of one number": (
+        lambda tmp: gmmlor.mean_sinusoid([0.1], [1.0]), "^mean "),
+    "mean_sinusoid, a NaN mean": (
+        lambda tmp: gmmlor.mean_sinusoid([0.1], [math.nan, 0]),
+        "^mean holds non-finite"),
+    "log_line_integral_profile, NaN s": (
+        lambda tmp: log_line_integral_profile(
+            np.eye(2), [0, 0], [math.nan], [0.1]),
+        "^s holds non-finite"),
+    "log_line_integral_profile, an infinite covariance": (
+        lambda tmp: log_line_integral_profile(
+            [[1, 0], [0, math.inf]], [0, 0], [0.0], [0.1]),
+        "^covariance holds non-finite"),
 }
 
 
